@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci build test race vet fmt bench chaos chaos-daemon guard-overhead lint analyze-smoke daemon-smoke link-smoke docs-lint
+.PHONY: ci build test race vet fmt bench bench-check chaos chaos-daemon guard-overhead lint analyze-smoke daemon-smoke link-smoke docs-lint
 
-ci: lint build race analyze-smoke daemon-smoke link-smoke chaos-daemon
+ci: lint build race bench-check analyze-smoke daemon-smoke link-smoke chaos-daemon
 
 lint: fmt vet docs-lint
 
@@ -31,6 +31,11 @@ fmt:
 
 bench:
 	$(GO) test -bench . -benchmem -timeout 60m
+
+# bench/ is a nested module the root ./... never reaches: vet it and run its
+# toy-size workload tests (~5 s). The benchmark itself is bash bench/run.sh.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Fault-injection corpus run under the race detector (CI's chaos-smoke).
 # Replay a failure with CHAOS_SEED=<seed from the log>.

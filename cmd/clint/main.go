@@ -77,7 +77,6 @@ func main() {
 	showStats := flag.Bool("stats", false, "print per-unit analysis statistics to stderr")
 	noCache := flag.Bool("no-table-cache", false, "rebuild the C parse tables instead of using the on-disk cache")
 	noHeaderCache := flag.Bool("no-header-cache", false, "disable the shared cross-unit header cache")
-	streamTokens := flag.Bool("stream-tokens", true, "stream preprocessor tokens straight into the parser; false falls back to the materialized segment slab (output is identical)")
 	daemonAddr := flag.String("daemon", "", "serve the batch from a superd daemon at this address (unix:PATH or HOST:PORT); falls back in-process if unreachable")
 	daemonOpts := daemon.FlagClientOptions(flag.CommandLine)
 	storeDir := flag.String("store", "", "artifact store directory backing the header cache across runs")
@@ -147,7 +146,6 @@ func main() {
 		Defines:      defs,
 		CondMode:     condMode,
 		ParseWorkers: *parseWorkers,
-		NoStream:     !*streamTokens,
 	}
 	if !*noHeaderCache {
 		opts := hcache.Options{}

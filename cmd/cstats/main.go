@@ -41,7 +41,6 @@ func main() {
 	parseWorkers := flag.Int("parse-workers", 0, "intra-unit parse workers per unit; output is identical at any value (0: min(GOMAXPROCS, 8), 1: sequential)")
 	noCache := flag.Bool("no-table-cache", false, "rebuild the C parse tables instead of using the on-disk cache")
 	noHeaderCache := flag.Bool("no-header-cache", false, "disable the shared cross-unit header cache")
-	streamTokens := flag.Bool("stream-tokens", true, "stream preprocessor tokens straight into the parser; false falls back to the materialized segment slab (output is identical)")
 	metrics := flag.Bool("metrics", false, "print the harness metrics snapshot after the Table 3 sweep")
 	analyze := flag.Bool("analyze", false, "run the variability analysis passes during the Table 3 sweep and print diagnostics")
 	doLink := flag.Bool("link", false, "extract conditional link facts during the Table 3 sweep and print cross-unit findings (runs in-process: the synthetic corpus is in-memory)")
@@ -61,7 +60,6 @@ func main() {
 	harness.DefaultJobs = *jobs
 	harness.DefaultParseWorkers = *parseWorkers
 	harness.DisableHeaderCache = *noHeaderCache
-	harness.DisableStreaming = !*streamTokens
 	harness.DefaultBudget = *limits
 	harness.DefaultQuarantine = *quarantine
 	if *storeDir != "" {

@@ -96,7 +96,6 @@ func main() {
 	parseWorkers := flag.Int("parse-workers", 0, "intra-unit parse workers per file; output is identical at any value (0: min(GOMAXPROCS, 8), 1: sequential)")
 	noCache := flag.Bool("no-table-cache", false, "rebuild the C parse tables instead of using the on-disk cache")
 	noHeaderCache := flag.Bool("no-header-cache", false, "disable the shared cross-unit header cache")
-	streamTokens := flag.Bool("stream-tokens", true, "stream preprocessor tokens straight into the parser; false falls back to the materialized segment slab (output is identical)")
 	daemonAddr := flag.String("daemon", "", "serve the batch from a superd daemon at this address (unix:PATH or HOST:PORT); summary mode only, falls back in-process")
 	daemonOpts := daemon.FlagClientOptions(flag.CommandLine)
 	storeDir := flag.String("store", "", "artifact store directory backing the header cache across runs")
@@ -144,7 +143,6 @@ func main() {
 		Parser:       &opts,
 		SingleConfig: *single,
 		ParseWorkers: *parseWorkers,
-		NoStream:     !*streamTokens,
 	}
 	if !*noHeaderCache && !*single {
 		// One cache shared by every unit (and every worker: it is

@@ -54,7 +54,7 @@ func parseWith(t *testing.T, lang *cgrammar.C) *fmlr.Result {
 		t.Fatal(err)
 	}
 	eng := fmlr.New(space, lang, fmlr.OptAll)
-	res := eng.Parse(unit.Segments, "rt.c")
+	res := eng.Parse(unit.EnsureSegments(), "rt.c")
 	if res.AST == nil {
 		t.Fatal("parse failed")
 	}

@@ -74,13 +74,6 @@ type Config struct {
 	// parse. Output is byte-identical to sequential at any worker count. It
 	// only applies when Config.Parser leaves fmlr.Options.ParseWorkers unset.
 	ParseWorkers int
-	// NoStream disables the stream-fused preprocessor→parser pipeline: the
-	// preprocessor materializes the classic segment slab and the parser runs
-	// the queue loop over it unconditionally. Streaming (the default) packs
-	// True-condition tokens into dense chunk runs that feed the parser's
-	// fast path directly; the two modes produce byte-identical output (the
-	// differential suites), so this is purely a kill switch.
-	NoStream bool
 }
 
 // Tool is a configured SuperC instance. A Tool processes one compilation
@@ -129,7 +122,6 @@ func (t *Tool) newPreprocessor(fs preprocessor.FileSystem, budget *guard.Budget)
 		SingleConfig: t.cfg.SingleConfig,
 		HeaderCache:  t.cfg.HeaderCache,
 		Budget:       budget,
-		Stream:       !t.cfg.NoStream,
 	})
 }
 
@@ -176,9 +168,6 @@ func (t *Tool) parserOptions() fmlr.Options {
 	}
 	if opts.ParseWorkers == 0 {
 		opts.ParseWorkers = t.cfg.ParseWorkers
-	}
-	if t.cfg.NoStream {
-		opts.NoStream = true
 	}
 	return opts
 }

@@ -45,11 +45,6 @@ type Config struct {
 	// Store, when non-nil, backs the header cache and the corpus facts
 	// cache, persisting warm state across daemon restarts.
 	Store *store.Store
-	// NoStream disables the stream-fused token pipeline for every request
-	// (core.Config.NoStream). A server-side kill switch, not a request knob:
-	// the two modes are proven byte-identical, so clients cannot observe the
-	// difference and the facts fingerprint deliberately excludes it.
-	NoStream bool
 	// MaxInFlight bounds concurrently executing batch requests; beyond it
 	// requests queue briefly, then are shed with 429 + Retry-After. 0 means
 	// 2×MaxJobs (two batches can interleave on the worker pool).
@@ -409,7 +404,6 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		CondMode:     mode,
 		HeaderCache:  s.hc,
 		ParseWorkers: s.parseWorkers(req.ParseWorkers),
-		NoStream:     s.cfg.NoStream,
 	}
 	resp := LintResponse{Units: make([]LintUnit, len(req.Files))}
 	forEach(len(req.Files), s.jobs(req.Jobs, len(req.Files)), func(i int) {
@@ -491,7 +485,6 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		Parser:       &opts,
 		SingleConfig: req.Single,
 		ParseWorkers: s.parseWorkers(req.ParseWorkers),
-		NoStream:     s.cfg.NoStream,
 	}
 	if !req.Single {
 		cfg.HeaderCache = s.hc
@@ -583,7 +576,6 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 		CondMode:     mode,
 		HeaderCache:  s.hc,
 		ParseWorkers: s.parseWorkers(req.ParseWorkers),
-		NoStream:     s.cfg.NoStream,
 	}
 	fp := s.linkFingerprint(req, limits)
 	useFacts := s.cfg.Store != nil && !req.NoFacts
@@ -738,7 +730,6 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 			Jobs:         s.jobs(req.Jobs, len(missing)),
 			ParseWorkers: s.parseWorkers(req.ParseWorkers),
 			HeaderCache:  s.hc,
-			NoStream:     s.cfg.NoStream,
 			Budget:       limits,
 			Analyzers:    analyzers,
 		})

@@ -59,11 +59,6 @@ type Options struct {
 	// byte-identical to ParseWorkers: 1 at any worker count. 0 and 1 mean
 	// sequential.
 	ParseWorkers int
-	// NoStream disables the streaming fast path: ParseUnit materializes the
-	// classic segment slab and runs the queue loop unconditionally. The two
-	// paths are proven equivalent by the differential suite (stream_test.go);
-	// this is the kill switch should a difference ever matter in the field.
-	NoStream bool
 }
 
 // AutoWorkers is the "GOMAXPROCS-aware" intra-unit worker count the CLIs
@@ -266,22 +261,11 @@ func New(space *cond.Space, lang *cgrammar.C, opts Options) *Engine {
 	return e
 }
 
-// Parse runs the FMLR algorithm (Algorithm 2) over a preprocessed unit.
-// With Options.ParseWorkers > 1 it first attempts the region-parallel
-// strategy (parallel.go), falling back to the sequential parse whenever the
-// unit does not split cleanly or the equivalence gate fails.
+// Parse runs the FMLR algorithm (Algorithm 2) over a fully built segment
+// forest: one priority queue of subparsers stepped in document order. It is
+// the sequential reference the streaming entry point (ParseUnit) is held
+// equal to; it ignores Options.ParseWorkers.
 func (e *Engine) Parse(segs []preprocessor.Segment, file string) *Result {
-	if e.opts.ParseWorkers > 1 {
-		if res, ok := e.parseParallel(segs, nil, file); ok {
-			return res
-		}
-	}
-	return e.parseSeq(segs, file)
-}
-
-// parseSeq is the sequential FMLR parse: one priority queue of subparsers
-// stepped in document order.
-func (e *Engine) parseSeq(segs []preprocessor.Segment, file string) *Result {
 	budget := e.opts.Budget
 	faultinject.At(faultinject.PointParse, file, budget)
 	e.acquireScratch()

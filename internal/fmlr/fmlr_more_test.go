@@ -21,7 +21,7 @@ func parseSATSrc(t *testing.T, src string, opts Options) (*Result, *cond.Space) 
 		t.Fatalf("preprocess: %v", err)
 	}
 	eng := New(s, cgrammar.MustLoad(), opts)
-	return eng.Parse(u.Segments, "main.c"), s
+	return eng.Parse(u.EnsureSegments(), "main.c"), s
 }
 
 // TestSATModeParsesLikeBDDMode checks that the two presence-condition

@@ -26,7 +26,7 @@ func parseSrc(t *testing.T, files map[string]string, opts Options) (*Result, *co
 		}
 	}
 	eng := New(s, cgrammar.MustLoad(), opts)
-	return eng.Parse(u.Segments, "main.c"), s
+	return eng.Parse(u.EnsureSegments(), "main.c"), s
 }
 
 func parseOK(t *testing.T, src string, opts Options) (*Result, *cond.Space) {
@@ -212,7 +212,7 @@ func TestMAPRBlowsUpOnFigure6(t *testing.T) {
 	opts := OptMAPR
 	opts.KillSwitch = 500
 	eng := New(s, cgrammar.MustLoad(), opts)
-	res := eng.Parse(u.Segments, "main.c")
+	res := eng.Parse(u.EnsureSegments(), "main.c")
 	if !res.Killed {
 		t.Errorf("MAPR should trip the kill switch (max subparsers: %d)", res.Stats.MaxSubparsers)
 	}
@@ -486,7 +486,7 @@ func BenchmarkParsePlainFunction(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := New(s, lang, OptAll)
-		if res := eng.Parse(u.Segments, "main.c"); res.AST == nil {
+		if res := eng.Parse(u.EnsureSegments(), "main.c"); res.AST == nil {
 			b.Fatal("parse failed")
 		}
 	}
@@ -504,7 +504,7 @@ func BenchmarkParseFigure6(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := New(s, lang, OptAll)
-		if res := eng.Parse(u.Segments, "main.c"); res.AST == nil {
+		if res := eng.Parse(u.EnsureSegments(), "main.c"); res.AST == nil {
 			b.Fatal("parse failed")
 		}
 	}

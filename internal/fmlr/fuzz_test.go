@@ -15,9 +15,10 @@ import (
 //  1. Structure: the chosen regions partition the unit's top-level segments
 //     contiguously, every non-final region ends on a top-level ";" or "}"
 //     token, and no region is empty.
-//  2. Equivalence: parsing with the region-parallel strategy (workers=4)
-//     yields exactly the sequential AST, diagnostics, and kill flag —
-//     whether the split is admitted or the engine falls back.
+//  2. Equivalence: parsing through ParseUnit with the region-parallel
+//     strategy (workers=4) yields exactly the sequential reference AST,
+//     diagnostics, and kill flag — whether the split is admitted or the
+//     engine falls back.
 //
 // The corpus seeds include the shapes that broke earlier drafts: array
 // initializers whose closing brace tempts a mid-declaration cut, typedefs
@@ -51,7 +52,7 @@ func FuzzBlockSplit(f *testing.F) {
 		if err != nil {
 			return
 		}
-		segs := u.Segments
+		segs := u.EnsureSegments()
 
 		// Invariant 1: structural soundness of any split the splitter offers.
 		if regions, ok := splitRegions(s, segs, 4); ok {
@@ -90,7 +91,7 @@ func FuzzBlockSplit(f *testing.F) {
 		if err != nil {
 			t.Fatalf("second preprocess disagrees: %v", err)
 		}
-		par := New(s2, lang, popts).Parse(u2.Segments, "main.c")
+		par := New(s2, lang, popts).ParseUnit(u2)
 		if !sameAST(s, seq, s2, par) {
 			t.Fatal("parallel AST diverges from sequential")
 		}

@@ -40,9 +40,9 @@ import (
 
 // parseParallel attempts the region-parallel strategy. ok is false when the
 // unit is inadmissible, does not split, or fails the equivalence gate; the
-// caller then runs the sequential parse. A non-nil chunks (the unit's
-// streaming form, covering exactly segs) makes each region parse through
-// the streaming fast path; the split itself always works on segments.
+// caller then runs the sequential parse. chunks is the unit's streaming
+// form, covering exactly segs: the split works on segments, and each region
+// then parses its share of the chunks through the streaming fast path.
 func (e *Engine) parseParallel(segs []preprocessor.Segment, chunks []preprocessor.Chunk, file string) (*Result, bool) {
 	if e.space.Mode() != cond.ModeBDD {
 		return nil, false
@@ -59,9 +59,7 @@ func (e *Engine) parseParallel(segs []preprocessor.Segment, chunks []preprocesso
 	if !ok {
 		return nil, false
 	}
-	if chunks != nil {
-		splitChunksAt(regions, chunks)
-	}
+	splitChunksAt(regions, chunks)
 
 	ropts := e.opts
 	ropts.ParseWorkers = 0
@@ -142,11 +140,7 @@ func runRegion(space *cond.Space, lang *cgrammar.C, opts Options, rg region, fil
 	s.seed = rg.seed
 	s.track = true
 	*sub = s
-	if rg.chunks != nil {
-		*res = s.parseStream(preprocessor.NewChunkSource(rg.chunks), file)
-	} else {
-		*res = s.parseSeq(rg.segs, file)
-	}
+	*res = s.parseStream(preprocessor.NewChunkSource(rg.chunks), file)
 }
 
 // applyFileDefs replays recorded file-scope definitions onto the typedef

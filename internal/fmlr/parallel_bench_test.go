@@ -12,7 +12,7 @@ import (
 
 // BenchmarkParseGiantUnit measures intra-unit scaling on one unit large
 // enough that region parallelism, not per-unit scheduling, determines wall
-// time. workers=1 is the sequential engine (the parallel path is bypassed
+// time. workers=1 is the sequential stream (the parallel path is bypassed
 // entirely), so comparing workers=1 against older baselines also bounds the
 // dispatch overhead this feature adds to ordinary parses.
 //
@@ -36,7 +36,7 @@ func BenchmarkParseGiantUnit(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := New(s, lang, opts).Parse(u.Segments, "main.c")
+				res := New(s, lang, opts).ParseUnit(u)
 				if res.AST == nil {
 					b.Fatalf("parse failed: %+v", res.Diags)
 				}

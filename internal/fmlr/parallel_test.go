@@ -43,11 +43,11 @@ func normStats(s Stats) Stats {
 	return s
 }
 
-// parseWith parses src with the given options through the public Parse
-// entry point.
+// parseWith parses src with the given options through ParseUnit, the entry
+// point that honors Options.ParseWorkers.
 func parseWith(t *testing.T, src string, opts Options) (*Result, *cond.Space) {
 	t.Helper()
-	return parseSrc(t, map[string]string{"main.c": src}, opts)
+	return parseChunked(t, map[string]string{"main.c": src}, opts)
 }
 
 // astEq is a DAG-aware structural equality check between ASTs from two
@@ -135,13 +135,13 @@ func sampleAssignments() []map[string]bool {
 }
 
 // TestParallelDifferential is the oracle: generated units parsed at workers
-// 2, 4, and 8 must match the sequential parse byte for byte.
+// 2, 4, and 8 must match the sequential reference parse byte for byte.
 func TestParallelDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			src := genUnit(seed, 120)
-			seq, s := parseWith(t, src, OptAll)
+			seq, s := parseSrc(t, map[string]string{"main.c": src}, OptAll)
 			if seq.AST == nil {
 				t.Fatalf("sequential parse failed: %+v", seq.Diags)
 			}
@@ -199,7 +199,7 @@ func TestParallelPathEngages(t *testing.T) {
 	opts := OptAll
 	opts.ParseWorkers = 4
 	eng := New(s, cgrammar.MustLoad(), opts)
-	res, ok := eng.parseParallel(u.Segments, nil, "main.c")
+	res, ok := eng.parseParallel(u.EnsureSegments(), u.Chunks, "main.c")
 	if !ok {
 		t.Fatal("parseParallel declined the generated corpus; differential coverage is vacuous")
 	}
@@ -210,7 +210,7 @@ func TestParallelPathEngages(t *testing.T) {
 
 // TestParallelSplitDeclines checks the conservative bail-outs: tiny units,
 // SAT-mode spaces, and units whose typedefs straddle conditionals must fall
-// back (and still produce the sequential answer through Parse).
+// back (and still produce the sequential answer through ParseUnit).
 func TestParallelSplitDeclines(t *testing.T) {
 	t.Run("tiny", func(t *testing.T) {
 		opts := OptAll
@@ -222,14 +222,14 @@ func TestParallelSplitDeclines(t *testing.T) {
 	})
 	t.Run("straddling-typedef", func(t *testing.T) {
 		// The typedef keyword and its declarator live in different branches;
-		// the prescan must poison rather than mis-seed, and Parse must still
-		// agree with sequential.
+		// the prescan must poison rather than mis-seed, and ParseUnit must
+		// still agree with the sequential reference.
 		var b strings.Builder
 		b.WriteString("#ifdef FEAT_A\ntypedef int\n#else\ntypedef long\n#endif\nweird_t;\n")
 		b.WriteString("weird_t w = 0;\n")
 		b.WriteString(genUnit(9, 80))
 		src := b.String()
-		seq, s := parseWith(t, src, OptAll)
+		seq, s := parseSrc(t, map[string]string{"main.c": src}, OptAll)
 		opts := OptAll
 		opts.ParseWorkers = 4
 		par, s2 := parseWith(t, src, opts)
@@ -251,10 +251,10 @@ func TestParallelSplitDeclines(t *testing.T) {
 		opts := OptAll
 		opts.ParseWorkers = 4
 		eng := New(s, cgrammar.MustLoad(), opts)
-		if _, ok := eng.parseParallel(u.Segments, nil, "main.c"); ok {
+		if _, ok := eng.parseParallel(u.EnsureSegments(), u.Chunks, "main.c"); ok {
 			t.Fatal("parseParallel admitted a SAT-mode space")
 		}
-		if res := eng.Parse(u.Segments, "main.c"); res.AST == nil {
+		if res := eng.ParseUnit(u); res.AST == nil {
 			t.Fatalf("SAT-mode fallback parse failed: %+v", res.Diags)
 		}
 	})

@@ -54,7 +54,7 @@ func TestFollowMemoMatchesDirect(t *testing.T) {
 		}
 		eng := New(s, cgrammar.MustLoad(), OptAll)
 		eng.acquireScratch()
-		first, _ := buildForest(u.Segments, "main.c")
+		first, _ := buildForest(u.EnsureSegments(), "main.c")
 		eng.followMemo = eng.sc.followMemo
 
 		// Walk every conditional element and query follow under a variety
@@ -133,8 +133,8 @@ func TestPooledParseMatchesUnitTests(t *testing.T) {
 				t.Fatalf("preprocess: %v", err)
 			}
 			eng := New(s, cgrammar.MustLoad(), opts)
-			res := eng.Parse(u.Segments, "main.c")
-			res2 := eng.Parse(u.Segments, "main.c")
+			res := eng.Parse(u.EnsureSegments(), "main.c")
+			res2 := eng.Parse(u.EnsureSegments(), "main.c")
 			for pass, rr := range []*Result{res, res2} {
 				if rr.AST == nil || len(rr.Diags) != 0 || rr.Killed {
 					t.Fatalf("trial %d level %d pass %d: AST=%v diags=%v killed=%v\n%s",

@@ -24,9 +24,8 @@ import (
 
 // region is one slice of the unit's top-level segments plus the typedef
 // conditions lexically in scope at its start (nil for the first region).
-// When the unit arrived as a chunk stream, chunks holds the same slice of
-// the input in chunk form (splitChunksAt) and the region parses through the
-// streaming fast path instead of the segment slab.
+// chunks holds the same slice of the input in chunk form (splitChunksAt);
+// the region parses through the streaming fast path over it.
 type region struct {
 	segs   []preprocessor.Segment
 	chunks []preprocessor.Chunk
@@ -359,7 +358,7 @@ func splitRegions(space *cond.Space, segs []preprocessor.Segment, want int) ([]r
 // segment and a run of n tokens covers n, so boundaries map exactly; a
 // boundary inside a run sub-slices it (chunks are immutable, and the
 // sub-slices share the run's token storage, so element and segment token
-// pointers stay identical across modes).
+// pointers stay identical).
 func splitChunksAt(regions []region, chunks []preprocessor.Chunk) {
 	ci, off := 0, 0
 	for k := range regions {

@@ -12,9 +12,9 @@ import (
 )
 
 // This file is the stream-fused parse path: the preprocessor hands the
-// engine Chunks (dense True-condition token runs, plus classic Conditionals
-// where hoisting genuinely buffered content) and the engine consumes them
-// without ever building the unit-wide segment slab.
+// engine Chunks (dense True-condition token runs, plus materialized
+// Conditionals where hoisting genuinely buffered content) and the engine
+// consumes them without ever building the unit-wide segment slab.
 //
 // The fused loop has two gears, both only engaged while exactly one
 // subparser is live — which is the overwhelmingly common state between
@@ -35,11 +35,13 @@ import (
 // through Engine.after. Every simulated iteration replicates the queue
 // loop's accounting (budget ticks, iteration counts, histogram, observes)
 // exactly, so streaming changes no observable statistic; the differential
-// suite (stream_test.go) holds the two paths to byte equality.
+// suite (stream_test.go) holds ParseUnit to byte equality with the
+// sequential reference, Engine.Parse over the unit's segment forest.
 
 // BytesPerStreamedToken is the per-token footprint the cursor gear avoids:
-// the materialized Segment and the forest element the classic path builds
-// for every token. Metrics use it to report bytes saved by streaming.
+// the materialized Segment and the forest element the reference path
+// (Engine.Parse) builds for every token. Metrics use it to report bytes
+// saved by streaming.
 const BytesPerStreamedToken = int64(unsafe.Sizeof(element{}) + unsafe.Sizeof(preprocessor.Segment{}))
 
 // streamState is the engine's view of an in-progress chunk stream: the
@@ -165,13 +167,11 @@ func (st *streamState) materializeRunSuffix() *element {
 }
 
 // ParseUnit parses a preprocessed unit, streaming its chunks straight into
-// the LR loop when the unit was preprocessed in streaming mode and
-// Options.NoStream is off; otherwise it materializes the classic segment
-// slab and runs Parse. This is the entry point core/harness use.
+// the LR loop. With Options.ParseWorkers > 1 it first attempts the
+// region-parallel strategy (parallel.go), falling back to the sequential
+// stream whenever the unit does not split cleanly or the equivalence gate
+// fails. This is the entry point core/harness use.
 func (e *Engine) ParseUnit(u *preprocessor.Unit) *Result {
-	if e.opts.NoStream || u.Chunks == nil {
-		return e.Parse(u.EnsureSegments(), u.File)
-	}
 	if e.opts.ParseWorkers > 1 {
 		if res, ok := e.parseParallel(u.EnsureSegments(), u.Chunks, u.File); ok {
 			return res
@@ -226,7 +226,7 @@ func (e *Engine) parseStream(src preprocessor.TokenSource, file string) *Result 
 	// Token accounting: a completed parse has seen every token either
 	// through the cursor or through a materialized element, but a killed,
 	// tripped, or error-stopped parse abandons the stream's remainder. The
-	// classic path counts the whole unit up front (Stats.Tokens), so drain
+	// reference path counts the whole unit up front (Stats.Tokens), so drain
 	// and count what never arrived; it was never materialized, and charging
 	// it to the materialized side keeps Tokens = Streamed + Materialized.
 	rest := len(st.run) - st.runIdx

@@ -14,22 +14,22 @@ import (
 )
 
 // This file is the differential oracle for the stream-fused token pipeline:
-// the materialized segment-slab parse is ground truth, and the streaming
-// parse (chunk runs feeding the engine's cursor fast path) must reproduce
-// it byte for byte — AST with rendered presence conditions, diagnostics,
+// the sequential reference parse (Engine.Parse over the unit's segment
+// forest, EnsureSegments) is ground truth, and the streaming parse
+// (ParseUnit: chunk runs feeding the engine's cursor fast path) must
+// reproduce it byte for byte — AST with rendered presence conditions, diagnostics,
 // kill flag, and every pipeline-independent statistic — at every worker
 // count and with the header cache on or off. Run under -race these tests
 // double as the concurrency check for streamed region parses.
 
-// preprocessChunked preprocesses main.c with the streaming preprocessor and
-// fails the test on a hard preprocessing error.
+// preprocessChunked preprocesses main.c and fails the test on a hard
+// preprocessing error.
 func preprocessChunked(t *testing.T, files map[string]string) (*preprocessor.Unit, *cond.Space) {
 	t.Helper()
 	s := cond.NewSpace(cond.ModeBDD)
 	p := preprocessor.New(preprocessor.Options{
-		Space:  s,
-		FS:     preprocessor.MapFS(files),
-		Stream: true,
+		Space: s,
+		FS:    preprocessor.MapFS(files),
 	})
 	u, err := p.Preprocess("main.c")
 	if err != nil {
@@ -38,7 +38,7 @@ func preprocessChunked(t *testing.T, files map[string]string) (*preprocessor.Uni
 	return u, s
 }
 
-// parseChunked preprocesses with streaming on and parses through ParseUnit.
+// parseChunked preprocesses and parses through ParseUnit.
 func parseChunked(t *testing.T, files map[string]string, opts Options) (*Result, *cond.Space) {
 	t.Helper()
 	u, s := preprocessChunked(t, files)
@@ -56,22 +56,22 @@ func diagMsgs(diags []Diagnostic) []string {
 }
 
 // checkStreamEquiv asserts the streaming result is byte-identical to the
-// materialized ground truth, and that the streaming flow counters are
+// reference ground truth, and that the streaming flow counters are
 // internally consistent (the split sums to the token total).
 func checkStreamEquiv(t *testing.T, label string, sa *cond.Space, want *Result, sb *cond.Space, got *Result) {
 	t.Helper()
 	if !sameAST(sa, want, sb, got) {
-		t.Fatalf("%s: AST diverges from materialized parse", label)
+		t.Fatalf("%s: AST diverges from reference parse", label)
 	}
 	if got.Killed != want.Killed {
 		t.Fatalf("%s: killed diverges: %v vs %v", label, got.Killed, want.Killed)
 	}
 	if !reflect.DeepEqual(diagMsgs(got.Diags), diagMsgs(want.Diags)) {
-		t.Fatalf("%s: diagnostics diverge:\nmat: %v\nstr: %v",
+		t.Fatalf("%s: diagnostics diverge:\nref: %v\nstr: %v",
 			label, diagMsgs(want.Diags), diagMsgs(got.Diags))
 	}
 	if gs, ws := normStats(got.Stats), normStats(want.Stats); !reflect.DeepEqual(gs, ws) {
-		t.Fatalf("%s: stats diverge:\nmat: %+v\nstr: %+v", label, ws, gs)
+		t.Fatalf("%s: stats diverge:\nref: %+v\nstr: %+v", label, ws, gs)
 	}
 	if sum := got.Stats.TokensStreamed + got.Stats.TokensMaterialized; sum != got.Stats.Tokens {
 		t.Fatalf("%s: flow split %d streamed + %d materialized != %d tokens",
@@ -98,9 +98,6 @@ func TestStreamPathEngages(t *testing.T) {
 		src := stretch + "#ifdef FEAT_A\nint mid;\n#else\nlong mid;\n#endif\n" + stretch
 		files := map[string]string{"main.c": src}
 		u, s := preprocessChunked(t, files)
-		if u.Chunks == nil {
-			t.Fatal("streaming preprocessor produced no chunks")
-		}
 		res := New(s, cgrammar.MustLoad(), OptAll).ParseUnit(u)
 		if res.AST == nil {
 			t.Fatalf("streamed parse failed: %+v", res.Diags)
@@ -113,9 +110,6 @@ func TestStreamPathEngages(t *testing.T) {
 	t.Run("conditional-dense", func(t *testing.T) {
 		files := map[string]string{"main.c": genUnit(1, 120)}
 		u, s := preprocessChunked(t, files)
-		if u.Chunks == nil {
-			t.Fatal("streaming preprocessor produced no chunks")
-		}
 		res := New(s, cgrammar.MustLoad(), OptAll).ParseUnit(u)
 		if res.AST == nil {
 			t.Fatalf("streamed parse failed: %+v", res.Diags)
@@ -127,7 +121,7 @@ func TestStreamPathEngages(t *testing.T) {
 }
 
 // TestStreamDifferential is the oracle over generated units: streaming at
-// workers 1 and 4 must match the materialized sequential parse byte for byte.
+// workers 1 and 4 must match the sequential reference parse byte for byte.
 func TestStreamDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
@@ -135,7 +129,7 @@ func TestStreamDifferential(t *testing.T) {
 			files := map[string]string{"main.c": genUnit(seed, 120)}
 			want, sa := parseSrc(t, files, OptAll)
 			if want.AST == nil {
-				t.Fatalf("materialized parse failed: %+v", want.Diags)
+				t.Fatalf("reference parse failed: %+v", want.Diags)
 			}
 			for _, w := range []int{1, 4} {
 				opts := OptAll
@@ -190,7 +184,7 @@ func TestStreamDifferentialShapes(t *testing.T) {
 func TestStreamCorpusDifferential(t *testing.T) {
 	c := corpus.Generate(corpus.Params{Seed: 1, CFiles: 6, GenHeaders: 8})
 	includes := []string{"include", "include/gen", "include/linux"}
-	preprocess := func(t *testing.T, cf string, stream bool, hc *hcache.Cache) (*preprocessor.Unit, *cond.Space) {
+	preprocess := func(t *testing.T, cf string, hc *hcache.Cache) (*preprocessor.Unit, *cond.Space) {
 		t.Helper()
 		s := cond.NewSpace(cond.ModeBDD)
 		p := preprocessor.New(preprocessor.Options{
@@ -198,7 +192,6 @@ func TestStreamCorpusDifferential(t *testing.T) {
 			FS:           c.FS,
 			IncludePaths: includes,
 			HeaderCache:  hc,
-			Stream:       stream,
 		})
 		u, err := p.Preprocess(cf)
 		if err != nil {
@@ -216,15 +209,12 @@ func TestStreamCorpusDifferential(t *testing.T) {
 		}
 		t.Run(label, func(t *testing.T) {
 			for _, cf := range c.CFiles {
-				u, sa := preprocess(t, cf, false, hc)
+				u, sa := preprocess(t, cf, hc)
 				want := New(sa, lang, OptAll).Parse(u.EnsureSegments(), cf)
 				for _, w := range []int{1, 4} {
 					opts := OptAll
 					opts.ParseWorkers = w
-					su, sb := preprocess(t, cf, true, hc)
-					if su.Chunks == nil {
-						t.Fatalf("%s: streaming preprocess produced no chunks", cf)
-					}
+					su, sb := preprocess(t, cf, hc)
 					got := New(sb, lang, opts).ParseUnit(su)
 					checkStreamEquiv(t, fmt.Sprintf("%s workers=%d", cf, w), sa, want, sb, got)
 				}
@@ -233,37 +223,9 @@ func TestStreamCorpusDifferential(t *testing.T) {
 	}
 }
 
-// TestStreamKillSwitchOption pins the kill switch: Options.NoStream on a
-// chunked unit must take the materialized path (no streamed tokens) and
-// still produce the identical result.
-func TestStreamKillSwitchOption(t *testing.T) {
-	// genUnit(2) happens to open with a conditional, so its boot run streams
-	// nothing; prepend a plain run so the "streaming streams" half of the
-	// test has something to stream.
-	src := strings.Repeat("int pad(int a)\n{\n\treturn a;\n}\n", 20) + genUnit(2, 120)
-	files := map[string]string{"main.c": src}
-	u, s := preprocessChunked(t, files)
-	opts := OptAll
-	opts.NoStream = true
-	off := New(s, cgrammar.MustLoad(), opts).ParseUnit(u)
-	if off.Stats.TokensStreamed != 0 {
-		t.Fatalf("NoStream parse streamed %d tokens", off.Stats.TokensStreamed)
-	}
-	on := New(s, cgrammar.MustLoad(), OptAll).ParseUnit(u)
-	if on.Stats.TokensStreamed == 0 {
-		t.Fatal("streaming parse streamed nothing")
-	}
-	if !sameAST(s, off, s, on) {
-		t.Fatal("NoStream and streaming parses diverge")
-	}
-	if !reflect.DeepEqual(normStats(off.Stats), normStats(on.Stats)) {
-		t.Fatalf("stats diverge:\noff: %+v\non:  %+v", normStats(off.Stats), normStats(on.Stats))
-	}
-}
-
 // FuzzStreamTokens fuzzes the pipeline equivalence on arbitrary source
 // text: whatever the preprocessor emits, the streaming parse must equal the
-// materialized parse — ASTs, diagnostics, kill flag, and normalized stats.
+// reference parse — ASTs, diagnostics, kill flag, and normalized stats.
 func FuzzStreamTokens(f *testing.F) {
 	f.Add("int x;\n")
 	f.Add("")
@@ -284,7 +246,7 @@ func FuzzStreamTokens(f *testing.F) {
 		pa := preprocessor.New(preprocessor.Options{Space: sa, FS: preprocessor.MapFS(files)})
 		ua, errA := pa.Preprocess("main.c")
 		sb := cond.NewSpace(cond.ModeBDD)
-		pb := preprocessor.New(preprocessor.Options{Space: sb, FS: preprocessor.MapFS(files), Stream: true})
+		pb := preprocessor.New(preprocessor.Options{Space: sb, FS: preprocessor.MapFS(files)})
 		ub, errB := pb.Preprocess("main.c")
 		if (errA != nil) != (errB != nil) {
 			t.Fatalf("preprocess error diverges: %v vs %v", errA, errB)
@@ -292,7 +254,7 @@ func FuzzStreamTokens(f *testing.F) {
 		if errA != nil {
 			return
 		}
-		want := New(sa, lang, OptAll).Parse(ua.Segments, "main.c")
+		want := New(sa, lang, OptAll).Parse(ua.EnsureSegments(), "main.c")
 		for _, w := range []int{1, 4} {
 			opts := OptAll
 			opts.ParseWorkers = w
@@ -304,7 +266,7 @@ func FuzzStreamTokens(f *testing.F) {
 				t.Fatalf("workers=%d: diags/killed diverge", w)
 			}
 			if gs, ws := normStats(got.Stats), normStats(want.Stats); !reflect.DeepEqual(gs, ws) {
-				t.Fatalf("workers=%d: stats diverge:\nmat: %+v\nstr: %+v", w, ws, gs)
+				t.Fatalf("workers=%d: stats diverge:\nref: %+v\nstr: %+v", w, ws, gs)
 			}
 		}
 	})

@@ -84,13 +84,6 @@ var DefaultQuarantine bool
 // -parse-workers flag sets it once at startup.
 var DefaultParseWorkers int
 
-// DisableStreaming turns off the stream-fused preprocessor→parser pipeline
-// for runs that do not override RunConfig.NoStream: the preprocessor
-// materializes the classic segment slab and the parser runs its queue loop
-// over it unconditionally. The cmd tools' -stream-tokens=false kill switch
-// sets it once at startup.
-var DisableStreaming bool
-
 // sharedHeaderCache is the process-wide default header cache, created on
 // first cached run so that repeated runs (benchmark arms, Figure sweeps)
 // keep sharing header work.
@@ -178,9 +171,6 @@ type RunConfig struct {
 	HeaderCache *hcache.Cache
 	// NoHeaderCache disables header caching for this run.
 	NoHeaderCache bool
-	// NoStream disables the stream-fused token pipeline for this run (see
-	// core.Config.NoStream). False defers to the global DisableStreaming.
-	NoStream bool
 	// Budget sets per-unit resource ceilings (internal/guard). The zero
 	// value defers to DefaultBudget; all-zero limits still attach a budget
 	// so that context cancellation reaches in-flight units.
@@ -212,11 +202,6 @@ func (cfg RunConfig) limits() guard.Limits {
 // quarantine resolves whether retry-once-then-quarantine is active.
 func (cfg RunConfig) quarantine() bool {
 	return cfg.Quarantine || DefaultQuarantine
-}
-
-// noStream resolves whether the stream-fused pipeline is disabled.
-func (cfg RunConfig) noStream() bool {
-	return cfg.NoStream || DisableStreaming
 }
 
 // parseWorkers resolves the effective intra-unit parse worker count.
@@ -811,7 +796,6 @@ func runUnit(ctx context.Context, c *corpus.Corpus, cfg RunConfig, parser fmlr.O
 		Defines:      cfg.Defines,
 		HeaderCache:  hc,
 		Budget:       budget,
-		NoStream:     cfg.noStream(),
 	})
 	start := time.Now()
 	unit, err := tool.Preprocess(cf)

@@ -124,8 +124,8 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d single: %v", trial, err)
 			}
-			want := joinTokens(Tokens(space, su.Segments, nil))
-			got := joinTokens(Tokens(space, unit.Segments, assign))
+			want := joinTokens(Tokens(space, su.EnsureSegments(), nil))
+			got := joinTokens(Tokens(space, unit.EnsureSegments(), assign))
 			if got != want {
 				t.Fatalf("trial %d config %03b:\npreserving: %s\nsingle:     %s\nsource:\n%s",
 					trial, bits, got, want, src)

@@ -34,7 +34,7 @@ int bits = BITS_PER_LONG;
 		{"(defined CONFIG_64BIT)": true},
 		nil,
 	} {
-		toks := preprocessor.Tokens(space, unit.Segments, assign)
+		toks := preprocessor.Tokens(space, unit.EnsureSegments(), assign)
 		parts := make([]string, len(toks))
 		for i, t := range toks {
 			parts[i] = t.Text

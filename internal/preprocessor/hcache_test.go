@@ -88,7 +88,7 @@ func equalForest(t *testing.T, sa *cond.Space, a []Segment, sb *cond.Space, b []
 // equalUnits compares forests, diagnostics, and the deterministic stats.
 func equalUnits(t *testing.T, sa *cond.Space, a *Unit, sb *cond.Space, b *Unit, label string) {
 	t.Helper()
-	equalForest(t, sa, a.Segments, sb, b.Segments, label)
+	equalForest(t, sa, a.EnsureSegments(), sb, b.EnsureSegments(), label)
 	if len(a.Diags) != len(b.Diags) {
 		t.Fatalf("%s: %d vs %d diagnostics", label, len(a.Diags), len(b.Diags))
 	}
@@ -262,7 +262,7 @@ func TestHeaderCacheInvalidationOnMutation(t *testing.T) {
 	if d.HeaderHits != 0 || d.HeaderMisses != 1 {
 		t.Errorf("mutated header: hits=%d misses=%d, want pure miss", d.HeaderHits, d.HeaderMisses)
 	}
-	if got := textOf(s, u.Segments, nil); !strings.Contains(got, "2") {
+	if got := textOf(s, u.EnsureSegments(), nil); !strings.Contains(got, "2") {
 		t.Errorf("stale value replayed: %q", got)
 	}
 	ref, refSpace := ppWith(t, v2, nil, cond.ModeBDD, nil)
@@ -283,7 +283,7 @@ func TestHeaderCacheDepInvalidationNested(t *testing.T) {
 	hc := hcache.New(hcache.Options{})
 	ppWith(t, mk("1"), hc, cond.ModeBDD, nil)
 	u, s := ppWith(t, mk("2"), hc, cond.ModeBDD, nil)
-	if got := textOf(s, u.Segments, nil); !strings.Contains(got, "2") {
+	if got := textOf(s, u.EnsureSegments(), nil); !strings.Contains(got, "2") {
 		t.Errorf("stale nested content replayed: %q", got)
 	}
 }
@@ -305,7 +305,7 @@ func TestHeaderCacheProbeInvalidation(t *testing.T) {
 	hc := hcache.New(hcache.Options{})
 	ppWith(t, without, hc, cond.ModeBDD, paths)
 	u, s := ppWith(t, with, hc, cond.ModeBDD, paths)
-	if got := textOf(s, u.Segments, nil); !strings.Contains(got, "1") {
+	if got := textOf(s, u.EnsureSegments(), nil); !strings.Contains(got, "1") {
 		t.Errorf("shadowed header not picked up: %q", got)
 	}
 }
@@ -378,7 +378,7 @@ func TestResolveIncludeNextChain(t *testing.T) {
 	for _, d := range u.Diags {
 		t.Errorf("unexpected diagnostic: %s", d)
 	}
-	if got := flatText(t, u.Segments); got != "int v = ( 1 + 2 ) ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int v = ( 1 + 2 ) ;" {
 		t.Errorf("got %q", got)
 	}
 }
@@ -397,8 +397,8 @@ func TestResolveIncludeQuotedFromHeaderDir(t *testing.T) {
 	ppWith(t, files, hc, cond.ModeBDD, nil)
 	got, gotSpace := ppWith(t, files, hc, cond.ModeBDD, nil)
 	equalUnits(t, refSpace, ref, gotSpace, got, "quoted from header dir")
-	if flatText(t, got.Segments) != "int v = 5 ;" {
-		t.Errorf("got %q", flatText(t, got.Segments))
+	if flatText(t, got.EnsureSegments()) != "int v = 5 ;" {
+		t.Errorf("got %q", flatText(t, got.EnsureSegments()))
 	}
 }
 

@@ -46,7 +46,7 @@ func TestInteractionMatrix(t *testing.T) {
 				// The body of N references M before M is defined; expansion
 				// at invocation time must see the later definition.
 				u, _, _ := pp(t, map[string]string{"main.c": "#define N M\n#define M 7\nint x = N;\n"})
-				if got := flatText(t, u.Segments); got != "int x = 7 ;" {
+				if got := flatText(t, u.EnsureSegments()); got != "int x = 7 ;" {
 					t.Errorf("got %q", got)
 				}
 			},
@@ -79,7 +79,7 @@ int x = M;
 `})
 				// Inside the #ifdef A block only definition 1 is feasible.
 				on := map[string]bool{"(defined A)": true}
-				if got := textOf(s, u.Segments, on); got != "int x = 1 ;" {
+				if got := textOf(s, u.EnsureSegments(), on); got != "int x = 1 ;" {
 					t.Errorf("got %q", got)
 				}
 			},
@@ -88,7 +88,7 @@ int x = M;
 			"Object-Like Invocations", "expand nested macros",
 			func(t *testing.T) {
 				u, _, _ := pp(t, map[string]string{"main.c": "#define A B\n#define B 3\nint x = A;\n"})
-				if got := flatText(t, u.Segments); got != "int x = 3 ;" {
+				if got := flatText(t, u.EnsureSegments()); got != "int x = 3 ;" {
 					t.Errorf("got %q", got)
 				}
 			},
@@ -97,7 +97,7 @@ int x = M;
 			"Object-Like Invocations", "ground truth for built-ins",
 			func(t *testing.T) {
 				u, _, _ := pp(t, map[string]string{"main.c": "long v = __STDC_VERSION__;\n"})
-				if got := flatText(t, u.Segments); got != "long v = 199901L ;" {
+				if got := flatText(t, u.EnsureSegments()); got != "long v = 199901L ;" {
 					t.Errorf("got %q", got)
 				}
 			},
@@ -113,10 +113,10 @@ int x = M;
 int v = G(9);
 `})
 				on := map[string]bool{"(defined K)": true}
-				if got := textOf(s, u.Segments, on); got != "int v = ( ( 9 ) ) ;" {
+				if got := textOf(s, u.EnsureSegments(), on); got != "int v = ( ( 9 ) ) ;" {
 					t.Errorf("K: %q", got)
 				}
-				if got := textOf(s, u.Segments, nil); got != "int v = G ( 9 ) ;" {
+				if got := textOf(s, u.EnsureSegments(), nil); got != "int v = G ( 9 ) ;" {
 					t.Errorf("!K: %q", got)
 				}
 			},
@@ -137,10 +137,10 @@ int v = GET(1
 );
 `})
 				on := map[string]bool{"(defined W)": true}
-				if got := textOf(s, u.Segments, on); got != "int v = three ( 1 , 2 , 3 , 4 ) ;" {
+				if got := textOf(s, u.EnsureSegments(), on); got != "int v = three ( 1 , 2 , 3 , 4 ) ;" {
 					t.Errorf("W: %q", got)
 				}
-				if got := textOf(s, u.Segments, nil); got != "int v = one ( 1 ) ;" {
+				if got := textOf(s, u.EnsureSegments(), nil); got != "int v = one ( 1 ) ;" {
 					t.Errorf("!W: %q", got)
 				}
 			},
@@ -149,7 +149,7 @@ int v = GET(1
 			"Token Pasting & Stringification", "apply pasting and stringification",
 			func(t *testing.T) {
 				u, _, _ := pp(t, map[string]string{"main.c": "#define J(a,b) a##b\n#define S(x) #x\nint J(x,1) = 0; char *s = S(hi);\n"})
-				got := flatText(t, u.Segments)
+				got := flatText(t, u.EnsureSegments())
 				if !strings.Contains(got, "x1") || !strings.Contains(got, `"hi"`) {
 					t.Errorf("got %q", got)
 				}
@@ -169,10 +169,10 @@ int v = GET(1
 MK(BITS) v;
 `})
 				on := map[string]bool{"(defined B64)": true}
-				if got := textOf(s, u.Segments, on); got != "t64 v ;" {
+				if got := textOf(s, u.EnsureSegments(), on); got != "t64 v ;" {
 					t.Errorf("64: %q", got)
 				}
-				if got := textOf(s, u.Segments, nil); got != "t32 v ;" {
+				if got := textOf(s, u.EnsureSegments(), nil); got != "t32 v ;" {
 					t.Errorf("32: %q", got)
 				}
 			},
@@ -185,10 +185,10 @@ MK(BITS) v;
 					"h.h":    "int from_header;\n",
 				})
 				on := map[string]bool{"(defined A)": true}
-				if got := textOf(s, u.Segments, on); got != "int from_header ;" {
+				if got := textOf(s, u.EnsureSegments(), on); got != "int from_header ;" {
 					t.Errorf("A: %q", got)
 				}
-				if got := textOf(s, u.Segments, nil); got != "" {
+				if got := textOf(s, u.EnsureSegments(), nil); got != "" {
 					t.Errorf("!A: %q", got)
 				}
 			},
@@ -202,10 +202,10 @@ MK(BITS) v;
 					"b.h":    "#define V 2\n",
 				})
 				on := map[string]bool{"(defined A)": true}
-				if got := textOf(s, u.Segments, on); got != "int x = 1 ;" {
+				if got := textOf(s, u.EnsureSegments(), on); got != "int x = 1 ;" {
 					t.Errorf("A: %q", got)
 				}
-				if got := textOf(s, u.Segments, nil); got != "int x = 2 ;" {
+				if got := textOf(s, u.EnsureSegments(), nil); got != "int x = 2 ;" {
 					t.Errorf("!A: %q", got)
 				}
 			},
@@ -217,7 +217,7 @@ MK(BITS) v;
 					"main.c": "#include \"g.h\"\n#undef G_H\n#include \"g.h\"\n",
 					"g.h":    "#ifndef G_H\n#define G_H\nint decl;\n#endif\n",
 				})
-				if got := flatText(t, u.Segments); got != "int decl ; int decl ;" {
+				if got := flatText(t, u.EnsureSegments()); got != "int decl ; int decl ;" {
 					t.Errorf("got %q", got)
 				}
 			},
@@ -228,10 +228,10 @@ MK(BITS) v;
 				u, s, _ := pp(t, map[string]string{"main.c": "#ifdef A\n#ifdef B\nint ab;\n#endif\n#endif\n"})
 				only := map[string]bool{"(defined A)": true}
 				both := map[string]bool{"(defined A)": true, "(defined B)": true}
-				if got := textOf(s, u.Segments, both); got != "int ab ;" {
+				if got := textOf(s, u.EnsureSegments(), both); got != "int ab ;" {
 					t.Errorf("A&B: %q", got)
 				}
-				if got := textOf(s, u.Segments, only); got != "" {
+				if got := textOf(s, u.EnsureSegments(), only); got != "" {
 					t.Errorf("A only: %q", got)
 				}
 			},
@@ -251,11 +251,11 @@ MK(BITS) v;
 int narrow;
 #endif
 `})
-				if got := textOf(s, u.Segments, nil); got != "int narrow ;" {
+				if got := textOf(s, u.EnsureSegments(), nil); got != "int narrow ;" {
 					t.Errorf("32: %q", got)
 				}
 				on := map[string]bool{"(defined CONFIG_64BIT)": true}
-				if got := textOf(s, u.Segments, on); got != "" {
+				if got := textOf(s, u.EnsureSegments(), on); got != "" {
 					t.Errorf("64: %q", got)
 				}
 			},
@@ -266,10 +266,10 @@ int narrow;
 				u, s, _ := pp(t, map[string]string{"main.c": "#if NR_CPUS < 256\nint small;\n#else\nint big;\n#endif\n"})
 				// Both branches stay reachable under the opaque condition.
 				low := map[string]bool{"(expr (NR_CPUS<256))": true}
-				if got := textOf(s, u.Segments, low); got != "int small ;" {
+				if got := textOf(s, u.EnsureSegments(), low); got != "int small ;" {
 					t.Errorf("low: %q", got)
 				}
-				if got := textOf(s, u.Segments, nil); got != "int big ;" {
+				if got := textOf(s, u.EnsureSegments(), nil); got != "int big ;" {
 					t.Errorf("high: %q", got)
 				}
 			},
@@ -279,10 +279,10 @@ int narrow;
 			func(t *testing.T) {
 				u, s, _ := pp(t, map[string]string{"main.c": "#ifdef BAD\n#error nope\nint junk;\n#else\nint fine;\n#endif\n"})
 				on := map[string]bool{"(defined BAD)": true}
-				if got := textOf(s, u.Segments, on); got != "" {
+				if got := textOf(s, u.EnsureSegments(), on); got != "" {
 					t.Errorf("error branch leaked: %q", got)
 				}
-				if got := textOf(s, u.Segments, nil); got != "int fine ;" {
+				if got := textOf(s, u.EnsureSegments(), nil); got != "int fine ;" {
 					t.Errorf("good branch: %q", got)
 				}
 			},
@@ -297,7 +297,7 @@ int narrow;
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := flatText(t, u.Segments); got != "int x ;" {
+				if got := flatText(t, u.EnsureSegments()); got != "int x ;" {
 					t.Errorf("got %q", got)
 				}
 				st := u.Stats

@@ -38,13 +38,6 @@ type Options struct {
 	// internal/guard). On trip the preprocessor stops early and returns the
 	// partial forest with a budget diagnostic; it never errors or hangs.
 	Budget *guard.Budget
-	// Stream selects streaming output: the unit's top level is packed into
-	// Unit.Chunks (dense token runs plus materialized conditionals) instead
-	// of the classic Unit.Segments slab. The two forms carry identical
-	// content — EnsureSegments converts back on demand — but the chunk form
-	// lets the FMLR engine consume True-condition tokens without ever
-	// materializing per-token segments or forest elements.
-	Stream bool
 }
 
 // Diagnostic is a preprocessing error or warning.
@@ -76,16 +69,17 @@ type CondRecord struct {
 // Unit is the result of preprocessing one compilation unit: the token forest
 // with static conditionals intact, per-unit statistics, and diagnostics.
 type Unit struct {
-	File     string
-	Segments []Segment
-	// Chunks is the streaming form of the unit's top level (Options.Stream):
-	// dense True-condition token runs interleaved with materialized
-	// conditionals. Non-nil exactly when the unit was preprocessed in
-	// streaming mode; Segments is then nil until EnsureSegments materializes
-	// it on demand.
+	File string
+	// Chunks is the unit's top level: dense True-condition token runs
+	// interleaved with materialized conditionals. Always non-nil (empty for
+	// an empty unit); EnsureSegments converts it to the segment forest on
+	// demand.
 	Chunks []Chunk
 	Stats  UnitStats
 	Diags  []Diagnostic
+
+	// segments caches EnsureSegments' materialization (nil until then).
+	segments []Segment
 
 	// Analysis records, consumed by internal/analysis passes.
 	Errors       []CondRecord // #error directives with their reachability conditions
@@ -106,7 +100,6 @@ type Preprocessor struct {
 	builtinNames map[string]bool
 	singleConfig bool
 	maxInclude   int
-	stream       bool
 
 	macros       *MacroTable
 	stats        *UnitStats
@@ -119,10 +112,9 @@ type Preprocessor struct {
 	errRecs      []CondRecord      // #error observations for the analysis passes
 	deadRecs     []CondRecord      // context-infeasible branch observations
 
-	// cw, when non-nil, is the active unit's chunk writer: the root-level
-	// output frame routes its segments here instead of accumulating a
-	// segment slab (streaming mode). Nil outside PreprocessKeepTable and in
-	// classic mode.
+	// cw is the active unit's chunk writer: the root-level output frame
+	// routes its segments here instead of accumulating a segment slab. Nil
+	// outside PreprocessKeepTable.
 	cw *chunkWriter
 
 	// budget is the unit's resource governor (nil: ungoverned).
@@ -172,7 +164,6 @@ func New(opts Options) *Preprocessor {
 		maxInclude:   maxInc,
 		guardOf:      make(map[string]string),
 		timesInc:     make(map[string]int),
-		stream:       opts.Stream,
 	}
 	for name := range builtins {
 		p.builtinNames[name] = true
@@ -253,27 +244,18 @@ func (p *Preprocessor) PreprocessKeepTable(path string) (*Unit, error) {
 
 	faultinject.At(faultinject.PointPreprocess, path, p.budget)
 	p.budget.Tick("preprocessor")
-	if p.stream {
-		p.cw = &chunkWriter{}
-	}
+	cw := &chunkWriter{}
+	p.cw = cw
 	segs, err := p.processFile(path, p.space.True())
-	cw := p.cw
 	p.cw = nil
 	if err != nil {
 		return nil, err
 	}
-	var chunks []Chunk
-	ntokens := 0
-	if cw != nil {
-		// Streaming mode: the root frame routed everything into the chunk
-		// writer, so segs is empty (add is a no-op safety net).
-		cw.add(segs...)
-		chunks = cw.finish()
-		segs = nil
-		ntokens = cw.ntokens
-	} else {
-		ntokens = CountTokens(segs)
-	}
+	// The root frame routed everything into the chunk writer, so segs is
+	// empty (add is a no-op safety net).
+	cw.add(segs...)
+	chunks := cw.finish()
+	ntokens := cw.ntokens
 	if d := p.budget.Trip(); d != nil {
 		// Degradation, not failure: the forest built so far is the unit's
 		// partial output, annotated with the structured trip diagnostic.
@@ -283,7 +265,6 @@ func (p *Preprocessor) PreprocessKeepTable(path string) (*Unit, error) {
 	p.stats.Tokens = ntokens
 	u := &Unit{
 		File:         path,
-		Segments:     segs,
 		Chunks:       chunks,
 		Stats:        *p.stats,
 		Diags:        p.diags,
@@ -496,8 +477,8 @@ type outFrame struct {
 	out     []Segment
 	pending []Segment
 	// sink, when non-nil, receives this frame's expanded output instead of
-	// out. Only the unit's root frame in streaming mode has a sink; branch
-	// frames always materialize (hoisting needs the buffered segments).
+	// out. Only the unit's root frame has a sink; branch frames always
+	// materialize (hoisting needs the buffered segments).
 	sink *chunkWriter
 }
 
@@ -604,10 +585,10 @@ func litConstArg(args []token.Token) bool {
 // processLines runs the directive machine over one file's lines.
 func (p *Preprocessor) processLines(lines [][]token.Token, fileCond cond.Cond, file string) ([]Segment, error) {
 	unit := &outFrame{cond: fileCond}
-	if p.cw != nil && p.includeDepth == 0 {
-		// Streaming mode, unit root: expanded output goes straight to the
-		// chunk writer. Included files and conditional branches still
-		// materialize segment slices below this frame.
+	if p.includeDepth == 0 {
+		// Unit root: expanded output goes straight to the chunk writer.
+		// Included files and conditional branches still materialize segment
+		// slices below this frame.
 		unit.sink = p.cw
 	}
 	var stack []*condFrame

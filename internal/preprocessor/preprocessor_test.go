@@ -69,35 +69,35 @@ func flatText(t *testing.T, segs []Segment) string {
 
 func TestPassthrough(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "int x = 1;\nreturn x;\n"})
-	if got := flatText(t, u.Segments); got != "int x = 1 ; return x ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int x = 1 ; return x ;" {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestObjectMacro(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "#define N 42\nint x = N;\n"})
-	if got := flatText(t, u.Segments); got != "int x = 42 ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int x = 42 ;" {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestNestedObjectMacros(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "#define A B\n#define B C\n#define C 7\nint x = A;\n"})
-	if got := flatText(t, u.Segments); got != "int x = 7 ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int x = 7 ;" {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestSelfReferentialMacroTerminates(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "#define X X + 1\nint v = X;\n"})
-	if got := flatText(t, u.Segments); got != "int v = X + 1 ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int v = X + 1 ;" {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestMutuallyRecursiveMacrosTerminate(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "#define A B\n#define B A\nint v = A;\n"})
-	if got := flatText(t, u.Segments); got != "int v = A ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int v = A ;" {
 		t.Errorf("got %q", got)
 	}
 }
@@ -105,14 +105,14 @@ func TestMutuallyRecursiveMacrosTerminate(t *testing.T) {
 func TestFunctionMacro(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "#define MAX(a, b) ((a) > (b) ? (a) : (b))\nint m = MAX(x, y + 1);\n"})
 	want := "int m = ( ( x ) > ( y + 1 ) ? ( x ) : ( y + 1 ) ) ;"
-	if got := flatText(t, u.Segments); got != want {
+	if got := flatText(t, u.EnsureSegments()); got != want {
 		t.Errorf("got %q\nwant %q", got, want)
 	}
 }
 
 func TestFunctionMacroNestedParens(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "#define F(x) [x]\nint m = F(g(a, b));\n"})
-	if got := flatText(t, u.Segments); got != "int m = [ g ( a , b ) ] ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int m = [ g ( a , b ) ] ;" {
 		t.Errorf("got %q", got)
 	}
 }
@@ -120,56 +120,56 @@ func TestFunctionMacroNestedParens(t *testing.T) {
 func TestFunctionMacroMultiline(t *testing.T) {
 	// Invocation arguments may span lines: newlines are just whitespace.
 	u, _, _ := pp(t, map[string]string{"main.c": "#define ADD(a, b) a + b\nint m = ADD(1,\n2);\n"})
-	if got := flatText(t, u.Segments); got != "int m = 1 + 2 ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int m = 1 + 2 ;" {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestFunctionMacroNameWithoutArgsStays(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "#define F(x) x\nint (*p)(int) = F;\nint q = F(3);\n"})
-	if got := flatText(t, u.Segments); got != "int ( * p ) ( int ) = F ; int q = 3 ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int ( * p ) ( int ) = F ; int q = 3 ;" {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestArgumentsExpandBeforeSubstitution(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "#define ONE 1\n#define ID(x) x\nint v = ID(ONE);\n"})
-	if got := flatText(t, u.Segments); got != "int v = 1 ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int v = 1 ;" {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestRescanExpandsResult(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "#define CALL(f) f(7)\n#define INC(x) x + 1\nint v = CALL(INC);\n"})
-	if got := flatText(t, u.Segments); got != "int v = 7 + 1 ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int v = 7 + 1 ;" {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestStringify(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "#define STR(x) #x\nchar *s = STR(a + b);\n"})
-	if got := flatText(t, u.Segments); got != `char * s = "a + b" ;` {
+	if got := flatText(t, u.EnsureSegments()); got != `char * s = "a + b" ;` {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestStringifyEscapes(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "#define STR(x) #x\nchar *s = STR(\"q\");\n"})
-	if got := flatText(t, u.Segments); got != `char * s = "\"q\"" ;` {
+	if got := flatText(t, u.EnsureSegments()); got != `char * s = "\"q\"" ;` {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestTokenPasting(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "#define GLUE(a, b) a ## b\nint GLUE(foo, bar) = 1;\n"})
-	if got := flatText(t, u.Segments); got != "int foobar = 1 ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int foobar = 1 ;" {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestTokenPastingNumbers(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "#define GLUE(a, b) a ## b\nint v = GLUE(1, 2);\n"})
-	if got := flatText(t, u.Segments); got != "int v = 12 ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int v = 12 ;" {
 		t.Errorf("got %q", got)
 	}
 }
@@ -178,35 +178,35 @@ func TestPastedTokenNotReexpanded(t *testing.T) {
 	// Pasting forms the name of an object-like macro; cpp rescans and
 	// expands it.
 	u, _, _ := pp(t, map[string]string{"main.c": "#define AB 99\n#define GLUE(a, b) a ## b\nint v = GLUE(A, B);\n"})
-	if got := flatText(t, u.Segments); got != "int v = 99 ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int v = 99 ;" {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestVariadicMacro(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "#define P(fmt, ...) printf(fmt, __VA_ARGS__)\nP(\"%d\", 1, 2);\n"})
-	if got := flatText(t, u.Segments); got != `printf ( "%d" , 1 , 2 ) ;` {
+	if got := flatText(t, u.EnsureSegments()); got != `printf ( "%d" , 1 , 2 ) ;` {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestGccNamedVariadic(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "#define P(fmt, args...) printf(fmt, args)\nP(\"%d\", 1, 2);\n"})
-	if got := flatText(t, u.Segments); got != `printf ( "%d" , 1 , 2 ) ;` {
+	if got := flatText(t, u.EnsureSegments()); got != `printf ( "%d" , 1 , 2 ) ;` {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestUndef(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "#define N 1\nint a = N;\n#undef N\nint b = N;\n"})
-	if got := flatText(t, u.Segments); got != "int a = 1 ; int b = N ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int a = 1 ; int b = N ;" {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestBuiltins(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "long v = __STDC__;\nint l = __LINE__;\nchar *f = __FILE__;\n"})
-	got := flatText(t, u.Segments)
+	got := flatText(t, u.EnsureSegments())
 	if !strings.Contains(got, "long v = 1 ;") {
 		t.Errorf("__STDC__: %q", got)
 	}
@@ -230,10 +230,10 @@ int after;
 `})
 	da := map[string]bool{"(defined CONFIG_A)": true}
 	notA := map[string]bool{}
-	if got := textOf(s, u.Segments, da); got != "int before ; int a ; int after ;" {
+	if got := textOf(s, u.EnsureSegments(), da); got != "int before ; int a ; int after ;" {
 		t.Errorf("A set: %q", got)
 	}
-	if got := textOf(s, u.Segments, notA); got != "int before ; int b ; int after ;" {
+	if got := textOf(s, u.EnsureSegments(), notA); got != "int before ; int b ; int after ;" {
 		t.Errorf("A clear: %q", got)
 	}
 	if u.Stats.Conditionals != 1 {
@@ -264,7 +264,7 @@ int x = 4;
 		{map[string]bool{}, "int x = 4 ;"},
 	}
 	for _, c := range cases {
-		if got := textOf(s, u.Segments, c.assign); got != c.want {
+		if got := textOf(s, u.EnsureSegments(), c.assign); got != c.want {
 			t.Errorf("%v: got %q, want %q", c.assign, got, c.want)
 		}
 	}
@@ -281,13 +281,13 @@ int a;
 `})
 	both := map[string]bool{"(defined A)": true, "(defined B)": true}
 	onlyA := map[string]bool{"(defined A)": true}
-	if got := textOf(s, u.Segments, both); got != "int ab ; int a ;" {
+	if got := textOf(s, u.EnsureSegments(), both); got != "int ab ; int a ;" {
 		t.Errorf("both: %q", got)
 	}
-	if got := textOf(s, u.Segments, onlyA); got != "int a ;" {
+	if got := textOf(s, u.EnsureSegments(), onlyA); got != "int a ;" {
 		t.Errorf("only A: %q", got)
 	}
-	if got := textOf(s, u.Segments, nil); got != "" {
+	if got := textOf(s, u.EnsureSegments(), nil); got != "" {
 		t.Errorf("neither: %q", got)
 	}
 	if u.Stats.MaxCondDepth != 2 {
@@ -307,7 +307,7 @@ int a;
 #endif
 `})
 	for _, assign := range []map[string]bool{nil, {"(defined A)": true}} {
-		if got := textOf(s, u.Segments, assign); strings.Contains(got, "impossible") {
+		if got := textOf(s, u.EnsureSegments(), assign); strings.Contains(got, "impossible") {
 			t.Errorf("infeasible code surfaced under %v: %q", assign, got)
 		}
 	}
@@ -326,10 +326,10 @@ func TestMultiplyDefinedMacro(t *testing.T) {
 int bits = BITS_PER_LONG;
 `})
 	on := map[string]bool{"(defined CONFIG_64BIT)": true}
-	if got := textOf(s, u.Segments, on); got != "int bits = 64 ;" {
+	if got := textOf(s, u.EnsureSegments(), on); got != "int bits = 64 ;" {
 		t.Errorf("64-bit: %q", got)
 	}
-	if got := textOf(s, u.Segments, nil); got != "int bits = 32 ;" {
+	if got := textOf(s, u.EnsureSegments(), nil); got != "int bits = 32 ;" {
 		t.Errorf("32-bit: %q", got)
 	}
 	if u.Stats.TrimmedInvocations == 0 {
@@ -351,11 +351,11 @@ func TestConditionalExpressionFolding(t *testing.T) {
 int narrow;
 #endif
 `})
-	if got := textOf(s, u.Segments, nil); got != "int narrow ;" {
+	if got := textOf(s, u.EnsureSegments(), nil); got != "int narrow ;" {
 		t.Errorf("32-bit config: %q", got)
 	}
 	on := map[string]bool{"(defined CONFIG_64BIT)": true}
-	if got := textOf(s, u.Segments, on); got != "" {
+	if got := textOf(s, u.EnsureSegments(), on); got != "" {
 		t.Errorf("64-bit config: %q", got)
 	}
 }
@@ -374,11 +374,11 @@ put_user(cpu_to_le32(val), buf);
 `})
 	kern := map[string]bool{"(defined __KERNEL__)": true}
 	want := "put_user ( ( ( __le32 ) ( __u32 ) ( val ) ) , buf ) ;"
-	if got := textOf(s, u.Segments, kern); got != want {
+	if got := textOf(s, u.EnsureSegments(), kern); got != want {
 		t.Errorf("kernel config:\n got %q\nwant %q", got, want)
 	}
 	wantUser := "put_user ( cpu_to_le32 ( val ) , buf ) ;"
-	if got := textOf(s, u.Segments, nil); got != wantUser {
+	if got := textOf(s, u.EnsureSegments(), nil); got != wantUser {
 		t.Errorf("user config:\n got %q\nwant %q", got, wantUser)
 	}
 	if u.Stats.HoistedInvocations == 0 {
@@ -402,10 +402,10 @@ func TestTokenPastingHoisting(t *testing.T) {
 uintBPL_t *p;
 `})
 	on := map[string]bool{"(defined CONFIG_64BIT)": true}
-	if got := textOf(s, u.Segments, on); got != "__le64 * p ;" {
+	if got := textOf(s, u.EnsureSegments(), on); got != "__le64 * p ;" {
 		t.Errorf("64-bit: %q", got)
 	}
-	if got := textOf(s, u.Segments, nil); got != "__le32 * p ;" {
+	if got := textOf(s, u.EnsureSegments(), nil); got != "__le32 * p ;" {
 		t.Errorf("32-bit: %q", got)
 	}
 	// The conditional is hoisted either around the pasting itself or around
@@ -431,10 +431,10 @@ int v = WRAP(
 );
 `})
 	on := map[string]bool{"(defined A)": true}
-	if got := textOf(s, u.Segments, on); got != "int v = [ 1 ] ;" {
+	if got := textOf(s, u.EnsureSegments(), on); got != "int v = [ 1 ] ;" {
 		t.Errorf("A on: %q", got)
 	}
-	if got := textOf(s, u.Segments, nil); got != "int v = [ 2 ] ;" {
+	if got := textOf(s, u.EnsureSegments(), nil); got != "int v = [ 2 ] ;" {
 		t.Errorf("A off: %q", got)
 	}
 }
@@ -455,10 +455,10 @@ int v = GET(1
 );
 `})
 	on := map[string]bool{"(defined WIDE)": true}
-	if got := textOf(s, u.Segments, on); got != "int v = take2 ( 1 , 2 ) ;" {
+	if got := textOf(s, u.EnsureSegments(), on); got != "int v = take2 ( 1 , 2 ) ;" {
 		t.Errorf("wide: %q", got)
 	}
-	if got := textOf(s, u.Segments, nil); got != "int v = take1 ( 1 ) ;" {
+	if got := textOf(s, u.EnsureSegments(), nil); got != "int v = take1 ( 1 ) ;" {
 		t.Errorf("narrow: %q", got)
 	}
 }
@@ -468,7 +468,7 @@ func TestInclude(t *testing.T) {
 		"main.c": "#include \"defs.h\"\nint x = VALUE;\n",
 		"defs.h": "#define VALUE 5\n",
 	})
-	if got := flatText(t, u.Segments); got != "int x = 5 ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int x = 5 ;" {
 		t.Errorf("got %q", got)
 	}
 	if u.Stats.Includes != 1 {
@@ -481,7 +481,7 @@ func TestIncludeAngledSearchesPaths(t *testing.T) {
 		"main.c":        "#include <sys.h>\nint x = SYS;\n",
 		"include/sys.h": "#define SYS 9\n",
 	})
-	if got := flatText(t, u.Segments); got != "int x = 9 ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int x = 9 ;" {
 		t.Errorf("got %q", got)
 	}
 }
@@ -491,7 +491,7 @@ func TestIncludeGuardSkip(t *testing.T) {
 		"main.c": "#include \"g.h\"\n#include \"g.h\"\nint x = G;\n",
 		"g.h":    "#ifndef G_H\n#define G_H\n#define G 3\n#endif\n",
 	})
-	if got := flatText(t, u.Segments); got != "int x = 3 ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int x = 3 ;" {
 		t.Errorf("got %q", got)
 	}
 	if u.Stats.GuardSkips != 1 {
@@ -504,7 +504,7 @@ func TestReincludeAfterUndef(t *testing.T) {
 		"main.c": "#include \"g.h\"\nint a = G;\n#undef G_H\n#undef G\n#include \"g.h\"\nint b = G;\n",
 		"g.h":    "#ifndef G_H\n#define G_H\n#define G 3\n#endif\n",
 	})
-	if got := flatText(t, u.Segments); got != "int a = 3 ; int b = 3 ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int a = 3 ; int b = 3 ;" {
 		t.Errorf("got %q", got)
 	}
 	if u.Stats.ReincludedHeaders != 1 {
@@ -517,7 +517,7 @@ func TestComputedInclude(t *testing.T) {
 		"main.c": "#define HDR \"one.h\"\n#include HDR\nint x = ONE;\n",
 		"one.h":  "#define ONE 1\n",
 	})
-	if got := flatText(t, u.Segments); got != "int x = 1 ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int x = 1 ;" {
 		t.Errorf("got %q", got)
 	}
 	if u.Stats.ComputedIncludes != 1 {
@@ -540,10 +540,10 @@ int x = VAL;
 		"two.h": "#define VAL 2\n",
 	})
 	on := map[string]bool{"(defined B)": true}
-	if got := textOf(s, u.Segments, on); got != "int x = 2 ;" {
+	if got := textOf(s, u.EnsureSegments(), on); got != "int x = 2 ;" {
 		t.Errorf("B on: %q", got)
 	}
-	if got := textOf(s, u.Segments, nil); got != "int x = 1 ;" {
+	if got := textOf(s, u.EnsureSegments(), nil); got != "int x = 1 ;" {
 		t.Errorf("B off: %q", got)
 	}
 	if u.Stats.HoistedIncludes != 1 {
@@ -561,10 +561,10 @@ int good;
 #endif
 `})
 	on := map[string]bool{"(defined BROKEN)": true}
-	if got := textOf(s, u.Segments, on); got != "" {
+	if got := textOf(s, u.EnsureSegments(), on); got != "" {
 		t.Errorf("error branch surfaced content: %q", got)
 	}
-	if got := textOf(s, u.Segments, nil); got != "int good ;" {
+	if got := textOf(s, u.EnsureSegments(), nil); got != "int good ;" {
 		t.Errorf("good branch: %q", got)
 	}
 	if u.Stats.ErrorDirectives != 1 {
@@ -614,10 +614,10 @@ int feature;
 #endif
 `})
 	on := map[string]bool{"(defined A)": true}
-	if got := textOf(s, u.Segments, on); got != "int feature ;" {
+	if got := textOf(s, u.EnsureSegments(), on); got != "int feature ;" {
 		t.Errorf("A on: %q", got)
 	}
-	if got := textOf(s, u.Segments, nil); got != "" {
+	if got := textOf(s, u.EnsureSegments(), nil); got != "" {
 		t.Errorf("A off: %q", got)
 	}
 }
@@ -635,10 +635,10 @@ typedef short ticket_t;
 	}
 	// Both branches must remain reachable (opaque condition).
 	small := map[string]bool{"(expr (NR_CPUS<256))": true}
-	if got := textOf(s, u.Segments, small); got != "typedef char ticket_t ;" {
+	if got := textOf(s, u.EnsureSegments(), small); got != "typedef char ticket_t ;" {
 		t.Errorf("small: %q", got)
 	}
-	if got := textOf(s, u.Segments, nil); got != "typedef short ticket_t ;" {
+	if got := textOf(s, u.EnsureSegments(), nil); got != "typedef short ticket_t ;" {
 		t.Errorf("large: %q", got)
 	}
 }
@@ -655,11 +655,11 @@ int three;
 #endif
 `}
 	u := ppSingle(t, files, map[string]string{"CONFIG_A": "1", "VALUE": "3"})
-	if got := flatText(t, u.Segments); got != "int a ; int three ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int a ; int three ;" {
 		t.Errorf("got %q", got)
 	}
 	u = ppSingle(t, files, nil)
-	if got := flatText(t, u.Segments); got != "int b ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int b ;" {
 		t.Errorf("got %q", got)
 	}
 }
@@ -715,8 +715,8 @@ short neither;
 			}
 		}
 		single := ppSingle(t, files, defines)
-		wantToks := Tokens(s, single.Segments, nil)
-		gotToks := Tokens(s, u.Segments, assign)
+		wantToks := Tokens(s, single.EnsureSegments(), nil)
+		gotToks := Tokens(s, u.EnsureSegments(), assign)
 		want := make([]string, len(wantToks))
 		for i, tk := range wantToks {
 			want[i] = tk.Text

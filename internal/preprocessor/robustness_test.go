@@ -29,19 +29,19 @@ func TestIncludeNext(t *testing.T) {
 			t.Fatalf("diag: %s", d)
 		}
 	}
-	if got := flatText(t, u.Segments); got != "int max = 100 + 1 ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int max = 100 + 1 ;" {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestCounterBuiltin(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "int a = __COUNTER__;\nint b = __COUNTER__;\nint c = __COUNTER__;\n"})
-	if got := flatText(t, u.Segments); got != "int a = 0 ; int b = 1 ; int c = 2 ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int a = 0 ; int b = 1 ; int c = 2 ;" {
 		t.Errorf("got %q", got)
 	}
 	// The counter resets per unit.
 	u2, _, _ := pp(t, map[string]string{"main.c": "int a = __COUNTER__;\n"})
-	if got := flatText(t, u2.Segments); got != "int a = 0 ;" {
+	if got := flatText(t, u2.EnsureSegments()); got != "int a = 0 ;" {
 		t.Errorf("second unit: %q", got)
 	}
 }
@@ -147,7 +147,7 @@ func TestIncludeDepthLimit(t *testing.T) {
 
 func TestEmptyMacroBody(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "#define NOTHING\nint NOTHING x NOTHING;\n"})
-	if got := flatText(t, u.Segments); got != "int x ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int x ;" {
 		t.Errorf("got %q", got)
 	}
 }
@@ -157,7 +157,7 @@ func TestMacroDefinedAsItselfInConditional(t *testing.T) {
 	// residual name as a free atom.
 	u, s, _ := pp(t, map[string]string{"main.c": "#define LOOP LOOP\n#if LOOP\nint x;\n#endif\n"})
 	on := map[string]bool{"LOOP": true}
-	if got := textOf(s, u.Segments, on); got != "int x ;" {
+	if got := textOf(s, u.EnsureSegments(), on); got != "int x ;" {
 		t.Errorf("on: %q", got)
 	}
 }
@@ -174,7 +174,7 @@ int impossible1;
 int live;
 `})
 	for _, assign := range []map[string]bool{nil, {"(defined A)": true}} {
-		if got := textOf(s, u.Segments, assign); got != "int live ;" {
+		if got := textOf(s, u.EnsureSegments(), assign); got != "int live ;" {
 			t.Errorf("%v: %q", assign, got)
 		}
 	}
@@ -182,7 +182,7 @@ int live;
 
 func TestDeeplyNestedParensInMacroArgs(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "#define ID(x) x\nint v = ID(((((1 + (2))))));\n"})
-	if got := flatText(t, u.Segments); got != "int v = ( ( ( ( 1 + ( 2 ) ) ) ) ) ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int v = ( ( ( ( 1 + ( 2 ) ) ) ) ) ;" {
 		t.Errorf("got %q", got)
 	}
 }
@@ -200,7 +200,7 @@ func TestGuardedHeaderChainDeep(t *testing.T) {
 		files["h"+string(rune('0'+i))+".h"] = b.String()
 	}
 	u, _, _ := pp(t, files)
-	if got := flatText(t, u.Segments); got != "int v = 0 + 9 ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int v = 0 + 9 ;" {
 		t.Errorf("got %q", got)
 	}
 	if u.Stats.Includes != 10 {
@@ -214,28 +214,28 @@ func TestBenignRedefinitionNotCounted(t *testing.T) {
 	if u.Stats.Redefinitions != 1 {
 		t.Errorf("Redefinitions = %d, want 1", u.Stats.Redefinitions)
 	}
-	if got := flatText(t, u.Segments); got != "int x = 2 ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int x = 2 ;" {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestUndefOfBuiltinAndRedefine(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "#undef __GNUC__\n#define __GNUC__ 9\nint v = __GNUC__;\n"})
-	if got := flatText(t, u.Segments); got != "int v = 9 ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int v = 9 ;" {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestStringizeVariadic(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "#define TRACE(...) log(#__VA_ARGS__)\nTRACE(a, b + 1);\n"})
-	if got := flatText(t, u.Segments); got != `log ( "a, b + 1" ) ;` {
+	if got := flatText(t, u.EnsureSegments()); got != `log ( "a, b + 1" ) ;` {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestPasteWithEmptyArg(t *testing.T) {
 	u, _, _ := pp(t, map[string]string{"main.c": "#define GLUE(a, b) a##b\nint GLUE(x, ) = 1;\nint GLUE(, y) = 2;\n"})
-	if got := flatText(t, u.Segments); got != "int x = 1 ; int y = 2 ;" {
+	if got := flatText(t, u.EnsureSegments()); got != "int x = 1 ; int y = 2 ;" {
 		t.Errorf("got %q", got)
 	}
 }
@@ -250,13 +250,13 @@ int c;
 #endif
 #endif
 `})
-	if got := CountTokens(u.Segments); got != 9 {
+	if got := CountTokens(u.EnsureSegments()); got != 9 {
 		t.Errorf("CountTokens = %d, want 9", got)
 	}
-	if got := MaxDepth(u.Segments); got != 2 {
+	if got := MaxDepth(u.EnsureSegments()); got != 2 {
 		t.Errorf("MaxDepth = %d, want 2", got)
 	}
-	text := FlattenText(s, u.Segments)
+	text := FlattenText(s, u.EnsureSegments())
 	for _, want := range []string{"int a ;", "#if", "#endif"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("FlattenText missing %q:\n%s", want, text)

@@ -2,27 +2,24 @@ package preprocessor
 
 import "repro/internal/token"
 
-// This file is the streaming half of the preprocessor's output interface.
-// The classic path materializes every compilation unit as a []Segment slab —
-// one two-word Segment per token — before the parser sees any of it. The
-// streaming path instead packs the unit's top level into Chunks: dense
-// token runs wherever the presence condition is True, and materialized
-// Conditionals only where hoisting genuinely buffered content. The FMLR
-// engine pulls chunks one at a time (TokenSource) and can walk a run's
-// tokens in place, so True-condition tokens never pay for a Segment or a
-// token-forest element.
+// This file is the preprocessor's output interface. The unit's top level is
+// packed into Chunks as the directive machine emits it: dense token runs
+// wherever the presence condition is True, and materialized Conditionals only
+// where hoisting genuinely buffered content. The FMLR engine pulls chunks one
+// at a time (TokenSource) and can walk a run's tokens in place, so
+// True-condition tokens never pay for a Segment or a token-forest element.
 //
 // Chunks are immutable after creation and therefore freely replayable: a
-// ChunkSource is just a cursor, and converting back to the classic segment
-// form (SegmentsOf) points the segments into the runs without copying
-// tokens. Cached lexed header streams interoperate unchanged — the header
-// cache operates on files and segments below the unit's top level, and the
-// chunk writer only packs at the root.
+// ChunkSource is just a cursor, and converting to the segment forest
+// (SegmentsOf) points the segments into the runs without copying tokens.
+// Cached lexed header streams interoperate unchanged — the header cache
+// operates on files and segments below the unit's top level, and the chunk
+// writer only packs at the root.
 
 // Chunk is one streaming unit of preprocessor output: exactly one of Run
 // and Cond is set. A Run is a dense slice of ordinary tokens whose presence
 // condition is the enclosing (True) context; a Cond is a static conditional
-// materialized in classic segment form.
+// materialized in segment form.
 type Chunk struct {
 	Run  []token.Token
 	Cond *Conditional
@@ -63,7 +60,7 @@ const maxRunChunk = 512
 
 // chunkWriter packs root-level segments into chunks as the directive
 // machine emits them. Tokens are copied by value into the current run (the
-// run is the token's storage in streaming mode); conditionals flush the run
+// run is the token's storage); conditionals flush the run
 // and pass through as-is. A flushed run is never appended to again, so
 // pointers into it stay valid.
 type chunkWriter struct {
@@ -100,7 +97,7 @@ func (w *chunkWriter) flushRun() {
 }
 
 // finish flushes the open run and returns the chunk list, non-nil even for
-// an empty unit so callers can distinguish "streamed" from "not streamed".
+// an empty unit (Unit.Chunks is never nil).
 func (w *chunkWriter) finish() []Chunk {
 	w.flushRun()
 	if w.chunks == nil {
@@ -117,7 +114,7 @@ func ChunksOf(segs []Segment) []Chunk {
 	return w.finish()
 }
 
-// SegmentsOf converts chunks back into the classic segment slab. Token
+// SegmentsOf converts chunks into the segment forest. Token
 // segments point into the chunk runs (no token copies), so the result is
 // valid as long as the chunks are — which is always, since chunks are
 // immutable.
@@ -144,24 +141,6 @@ func SegmentsOf(chunks []Chunk) []Segment {
 	return segs
 }
 
-// Drain pulls a source to exhaustion.
-func Drain(src TokenSource) []Chunk {
-	var out []Chunk
-	for {
-		c, ok := src.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, c)
-	}
-}
-
-// DrainSegments pulls a source to exhaustion and returns the classic
-// segment form.
-func DrainSegments(src TokenSource) []Segment {
-	return SegmentsOf(Drain(src))
-}
-
 // CountChunkTokens counts ordinary tokens across the chunks, conditional
 // branches included (the chunk analogue of CountTokens).
 func CountChunkTokens(chunks []Chunk) int {
@@ -179,22 +158,12 @@ func CountChunkTokens(chunks []Chunk) int {
 }
 
 // EnsureSegments returns the unit's segment forest, materializing (and
-// caching) it from Chunks when the unit was preprocessed in streaming mode.
-// Consumers that genuinely need random access to segments (the printer,
-// block-coverage analysis, differential tests) call this; the parser itself
-// streams.
+// caching) it from Chunks on first use. Consumers that genuinely need random
+// access to segments (the printer, the sequential reference parse,
+// differential tests) call this; the parser itself streams.
 func (u *Unit) EnsureSegments() []Segment {
-	if u.Segments == nil && u.Chunks != nil {
-		u.Segments = SegmentsOf(u.Chunks)
+	if u.segments == nil {
+		u.segments = SegmentsOf(u.Chunks)
 	}
-	return u.Segments
-}
-
-// Source returns a TokenSource replaying the unit's preprocessor output,
-// regardless of which mode produced it.
-func (u *Unit) Source() TokenSource {
-	if u.Chunks != nil {
-		return NewChunkSource(u.Chunks)
-	}
-	return NewChunkSource(ChunksOf(u.Segments))
+	return u.segments
 }

@@ -8,19 +8,20 @@ import (
 	"repro/internal/cond"
 )
 
-// These tests pin the invariants of the streaming chunk layer: what the
-// chunk writer is allowed to emit, that chunk form and classic segment form
-// are lossless conversions of each other, and that a streaming preprocessor
-// run is observationally identical to a classic run of the same source.
+// These tests pin the invariants of the chunk layer: what the chunk writer
+// is allowed to emit, that chunk form and segment form are lossless
+// conversions of each other, and that the root frame's chunk output is
+// observationally identical to the segment slab the same frame builds
+// without a chunk writer.
 
-// ppStream preprocesses main.c in streaming mode.
-func ppStream(t *testing.T, files map[string]string) (*Unit, *cond.Space) {
+// ppEntry preprocesses entry from the given in-memory tree.
+func ppEntry(t *testing.T, files map[string]string, entry string) (*Unit, *cond.Space) {
 	t.Helper()
 	s := cond.NewSpace(cond.ModeBDD)
-	p := New(Options{Space: s, FS: MapFS(files), IncludePaths: []string{"include"}, Stream: true})
-	u, err := p.Preprocess("main.c")
+	p := New(Options{Space: s, FS: MapFS(files), IncludePaths: []string{"include"}})
+	u, err := p.Preprocess(entry)
 	if err != nil {
-		t.Fatalf("Preprocess(stream): %v", err)
+		t.Fatalf("Preprocess(%s): %v", entry, err)
 	}
 	return u, s
 }
@@ -77,114 +78,146 @@ func streamFiles(src string) map[string]string {
 	}
 }
 
-// TestStreamChunkInvariants checks the writer's structural rules and that
-// the chunk token count agrees with the classic segment count.
+// TestStreamChunkInvariants checks the writer's structural rules, that
+// Chunks is filled and the segment forest is not built eagerly, and that the
+// chunk token count agrees with the writer's running count and the segment
+// forest's.
 func TestStreamChunkInvariants(t *testing.T) {
 	for name, src := range streamSources() {
 		name, src := name, src
 		t.Run(name, func(t *testing.T) {
-			files := streamFiles(src)
-			u, _ := ppStream(t, files)
+			u, _ := ppEntry(t, streamFiles(src), "main.c")
 			if u.Chunks == nil {
-				t.Fatal("streaming run produced nil Chunks")
+				t.Fatal("preprocessing produced nil Chunks")
 			}
-			if u.Segments != nil {
-				t.Fatal("streaming run materialized Segments eagerly")
+			if u.segments != nil {
+				t.Fatal("preprocessing materialized the segment forest eagerly")
 			}
 			checkChunkInvariants(t, u.Chunks)
-			classic, _, _ := pp(t, files)
-			if got, want := CountChunkTokens(u.Chunks), CountTokens(classic.Segments); got != want {
-				t.Fatalf("chunk token count %d != classic segment count %d", got, want)
+			n := CountChunkTokens(u.Chunks)
+			if n != u.Stats.Tokens {
+				t.Fatalf("chunk token count %d != Stats.Tokens %d", n, u.Stats.Tokens)
+			}
+			if m := CountTokens(u.EnsureSegments()); n != m {
+				t.Fatalf("chunk token count %d != segment count %d", n, m)
 			}
 		})
 	}
 }
 
-// TestStreamEquivalentToClassic renders both pipelines' output —
+// ppClassic runs the directive machine over main.c with no chunk writer
+// attached, so the root frame materializes its segment slab exactly as every
+// included-file and conditional-branch frame does.
+func ppClassic(t *testing.T, files map[string]string) ([]Segment, *cond.Space) {
+	t.Helper()
+	s := cond.NewSpace(cond.ModeBDD)
+	p := New(Options{Space: s, FS: MapFS(files), IncludePaths: []string{"include"}})
+	p.stats = &UnitStats{File: "main.c"}
+	segs, err := p.processFile("main.c", s.True())
+	if err != nil {
+		t.Fatalf("processFile: %v", err)
+	}
+	return segs, s
+}
+
+// TestStreamEquivalentToClassic renders the unit's chunk output and the
+// segment slab the same root frame builds without a chunk writer —
 // conditions, branch structure, token text — and requires byte equality.
 func TestStreamEquivalentToClassic(t *testing.T) {
 	for name, src := range streamSources() {
 		name, src := name, src
 		t.Run(name, func(t *testing.T) {
 			files := streamFiles(src)
-			su, ss := ppStream(t, files)
-			cu, cs, _ := pp(t, files)
+			su, ss := ppEntry(t, files, "main.c")
+			segs, cs := ppClassic(t, files)
 			got := FlattenText(ss, su.EnsureSegments())
-			want := FlattenText(cs, cu.Segments)
+			want := FlattenText(cs, segs)
 			if got != want {
-				t.Fatalf("streamed output diverges from classic:\nclassic: %s\nstream:  %s", want, got)
+				t.Fatalf("streamed output diverges from the segment slab:\nslab:   %s\nstream: %s", want, got)
 			}
 		})
 	}
 }
 
-// TestChunkSegmentRoundTrip converts a classic unit to chunks and back:
-// the round trip must preserve every token value and every conditional
-// pointer, and ChunksOf must obey the writer invariants.
+// TestChunkSegmentRoundTrip converts a unit's chunks to segments and back:
+// the segments must point into the chunk runs (no token copies), and the
+// round trip must reproduce the chunk list exactly — same conditional
+// pointers, same run tokens — while obeying the writer invariants.
 func TestChunkSegmentRoundTrip(t *testing.T) {
 	for name, src := range streamSources() {
 		name, src := name, src
 		t.Run(name, func(t *testing.T) {
 			u, _, _ := pp(t, streamFiles(src))
-			chunks := ChunksOf(u.Segments)
-			checkChunkInvariants(t, chunks)
-			back := SegmentsOf(chunks)
-			if len(back) != len(u.Segments) {
-				t.Fatalf("round trip changed segment count: %d != %d", len(back), len(u.Segments))
-			}
-			for i := range back {
-				a, b := u.Segments[i], back[i]
-				if a.IsToken() != b.IsToken() {
-					t.Fatalf("segment %d: kind changed in round trip", i)
-				}
-				if a.IsToken() {
-					if *a.Tok != *b.Tok {
-						t.Fatalf("segment %d: token changed: %+v != %+v", i, *a.Tok, *b.Tok)
+			segs := SegmentsOf(u.Chunks)
+			k := 0
+			for i, c := range u.Chunks {
+				if c.Cond != nil {
+					if segs[k].Cond != c.Cond {
+						t.Fatalf("chunk %d: conditional pointer changed in conversion", i)
 					}
+					k++
 					continue
 				}
-				if a.Cond != b.Cond {
-					t.Fatalf("segment %d: conditional pointer changed in round trip", i)
+				for j := range c.Run {
+					if segs[k].Tok != &c.Run[j] {
+						t.Fatalf("chunk %d token %d: segment does not point into the run", i, j)
+					}
+					k++
+				}
+			}
+			if k != len(segs) {
+				t.Fatalf("conversion produced %d segments, chunks cover %d", len(segs), k)
+			}
+			back := ChunksOf(segs)
+			checkChunkInvariants(t, back)
+			if len(back) != len(u.Chunks) {
+				t.Fatalf("round trip changed chunk count: %d != %d", len(back), len(u.Chunks))
+			}
+			for i := range back {
+				a, b := u.Chunks[i], back[i]
+				if a.Cond != b.Cond || len(a.Run) != len(b.Run) {
+					t.Fatalf("chunk %d: shape changed in round trip", i)
+				}
+				for j := range a.Run {
+					if a.Run[j] != b.Run[j] {
+						t.Fatalf("chunk %d token %d changed: %+v != %+v", i, j, a.Run[j], b.Run[j])
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestChunkSourceReplay checks that Unit.Source replays the chunk list
-// exactly, in both streaming and classic modes, and that EnsureSegments
-// caches its materialization.
+// TestChunkSourceReplay checks that a ChunkSource replays the unit's chunk
+// list exactly and that EnsureSegments caches its materialization.
 func TestChunkSourceReplay(t *testing.T) {
-	files := streamFiles(streamSources()["run-cond-run"])
-	su, _ := ppStream(t, files)
-	drained := Drain(su.Source())
-	if len(drained) != len(su.Chunks) {
-		t.Fatalf("Source drained %d chunks, unit has %d", len(drained), len(su.Chunks))
+	u, _ := ppEntry(t, streamFiles(streamSources()["run-cond-run"]), "main.c")
+	src := NewChunkSource(u.Chunks)
+	var drained []Chunk
+	for c, ok := src.Next(); ok; c, ok = src.Next() {
+		drained = append(drained, c)
+	}
+	if len(drained) != len(u.Chunks) {
+		t.Fatalf("source replayed %d chunks, unit has %d", len(drained), len(u.Chunks))
 	}
 	for i := range drained {
-		if drained[i].Cond != su.Chunks[i].Cond || len(drained[i].Run) != len(su.Chunks[i].Run) {
+		if drained[i].Cond != u.Chunks[i].Cond || len(drained[i].Run) != len(u.Chunks[i].Run) {
 			t.Fatalf("chunk %d differs after replay", i)
 		}
 	}
-	segs := su.EnsureSegments()
+	segs := u.EnsureSegments()
 	if len(segs) == 0 {
 		t.Fatal("EnsureSegments returned nothing")
 	}
-	if again := su.EnsureSegments(); &again[0] != &segs[0] {
+	if again := u.EnsureSegments(); &again[0] != &segs[0] {
 		t.Fatal("EnsureSegments did not cache its materialization")
-	}
-
-	// Classic units stream through Source too (packed on the fly).
-	cu, _, _ := pp(t, files)
-	if got, want := CountChunkTokens(Drain(cu.Source())), CountTokens(cu.Segments); got != want {
-		t.Fatalf("classic Source token count %d != %d", got, want)
 	}
 }
 
-// TestEmptyUnitChunks pins the "streamed but empty" representation: a
-// non-nil, zero-length chunk list, distinguishable from a classic run.
+// TestEmptyUnitChunks pins the empty unit's representation: a non-nil,
+// zero-length chunk list.
 func TestEmptyUnitChunks(t *testing.T) {
-	u, _ := ppStream(t, map[string]string{"main.c": ""})
+	u, _ := ppEntry(t, map[string]string{"main.c": ""}, "main.c")
 	if u.Chunks == nil || len(u.Chunks) != 0 {
 		t.Fatalf("empty unit: want non-nil empty Chunks, got %#v", u.Chunks)
 	}

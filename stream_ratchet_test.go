@@ -12,11 +12,14 @@ import (
 )
 
 // TestStreamSpeedRatchet is the streaming-pipeline performance ratchet: the
-// stream-fused parse (preprocessor chunks feeding the engine's cursor fast
-// path) must not regress more than 10% against the materialized segment-slab
-// parse on the benchmark corpus. At introduction streaming measured ~1.7x
-// *faster* than materialized (see BENCH_parse.json's "streaming" block), so
-// this trips only if the fast path stops engaging or its bookkeeping grows
+// stream-fused parse (Engine.ParseUnit: preprocessor chunks feeding the
+// engine's cursor fast path) must not regress more than 10% against the
+// sequential reference parse (Engine.Parse over the unit's materialized
+// segment forest) on the benchmark corpus. Both arms parse the same
+// preprocessed units; the segment forests are built before timing starts,
+// so the reference arm is charged only for its parse. At introduction
+// streaming measured ~1.7x *faster* than the materialized parse, so this
+// trips only if the fast path stops engaging or its bookkeeping grows
 // pathological. The comparison is in-process and relative — both arms run
 // interleaved on the same machine in the same state, minima compared — so it
 // is immune to cross-machine baseline drift. It runs only when
@@ -28,34 +31,30 @@ func TestStreamSpeedRatchet(t *testing.T) {
 	}
 	c := getCorpus()
 	lang := cgrammar.MustLoad()
-	prep := func(noStream bool) (*core.Tool, []*preprocessor.Unit) {
-		tool := core.New(core.Config{FS: c.FS, IncludePaths: harness.IncludePaths, NoStream: noStream})
-		units := make([]*preprocessor.Unit, 0, len(c.CFiles))
-		for _, cf := range c.CFiles {
-			u, err := tool.Preprocess(cf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			units = append(units, u)
+	tool := core.New(core.Config{FS: c.FS, IncludePaths: harness.IncludePaths})
+	units := make([]*preprocessor.Unit, 0, len(c.CFiles))
+	for _, cf := range c.CFiles {
+		u, err := tool.Preprocess(cf)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return tool, units
+		u.EnsureSegments()
+		units = append(units, u)
 	}
-	streamTool, streamUnits := prep(false)
-	matTool, matUnits := prep(true)
 
-	// The differential suite proves the modes byte-identical; here just pin
-	// that the streaming arm actually streams, so the timing comparison
-	// cannot silently become streaming-vs-streaming.
-	probe := fmlr.New(streamTool.Space(), lang, fmlr.OptAll).ParseUnit(streamUnits[0])
+	// The differential suite proves the two parses byte-identical; here just
+	// pin that the streaming arm actually streams, so the timing comparison
+	// cannot silently become materialized-vs-materialized.
+	probe := fmlr.New(tool.Space(), lang, fmlr.OptAll).ParseUnit(units[0])
 	if probe.Stats.TokensStreamed == 0 {
 		t.Fatal("streaming arm streamed no tokens; ratchet is vacuous")
 	}
 
-	run := func(tool *core.Tool, units []*preprocessor.Unit, opts fmlr.Options) int64 {
+	run := func(parse func(*fmlr.Engine, *preprocessor.Unit) *fmlr.Result) int64 {
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, u := range units {
-					if res := fmlr.New(tool.Space(), lang, opts).ParseUnit(u); res.AST == nil {
+					if res := parse(fmlr.New(tool.Space(), lang, fmlr.OptAll), u); res.AST == nil {
 						b.Fatal("parse failed")
 					}
 				}
@@ -63,18 +62,20 @@ func TestStreamSpeedRatchet(t *testing.T) {
 		})
 		return r.NsPerOp()
 	}
-	matOpts := fmlr.OptAll
-	matOpts.NoStream = true
+	stream := func(e *fmlr.Engine, u *preprocessor.Unit) *fmlr.Result { return e.ParseUnit(u) }
+	materialized := func(e *fmlr.Engine, u *preprocessor.Unit) *fmlr.Result {
+		return e.Parse(u.EnsureSegments(), u.File)
+	}
 
 	// Interleave the arms and keep each arm's fastest round: minima are far
 	// more stable than means under CI scheduling noise.
 	const rounds = 4
 	minStream, minMat := int64(1<<62), int64(1<<62)
 	for i := 0; i < rounds; i++ {
-		if v := run(streamTool, streamUnits, fmlr.OptAll); v < minStream {
+		if v := run(stream); v < minStream {
 			minStream = v
 		}
-		if v := run(matTool, matUnits, matOpts); v < minMat {
+		if v := run(materialized); v < minMat {
 			minMat = v
 		}
 	}
