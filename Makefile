@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci build test race vet fmt bench bench-check chaos chaos-daemon guard-overhead lint analyze-smoke daemon-smoke link-smoke docs-lint
+.PHONY: ci build test race vet fmt bench bench-check chaos chaos-daemon guard-overhead lint analyze-smoke superc-smoke daemon-smoke link-smoke docs-lint
 
-ci: lint build race bench-check analyze-smoke daemon-smoke link-smoke chaos-daemon
+ci: lint build race bench-check analyze-smoke superc-smoke daemon-smoke link-smoke chaos-daemon
 
 lint: fmt vet docs-lint
 
@@ -64,6 +64,21 @@ analyze-smoke:
 		if [ "$$status" -ne 1 ]; then echo "clint exit $$status, want 1"; rm -f clint.smoke clint.got.json; exit 1; fi
 	@diff clint.got.json examples/clint/golden.json && echo "analyze-smoke: golden match"
 	@rm -f clint.smoke clint.got.json
+
+# superc over the seeded-bug fixtures must reproduce the golden text exactly:
+# the -print rendering of config_bugs.c, then the two-unit summary without
+# its tables: line (the parse-table cache state depends on the machine), at
+# -j 1 and at -j 8 -parse-workers 4 (CI's analyze-smoke).
+superc-smoke:
+	@$(GO) build -o superc.smoke ./cmd/superc
+	@for j in "-j 1" "-j 8 -parse-workers 4"; do \
+		{ ./superc.smoke $$j -I examples/clint -print -stats=false examples/clint/config_bugs.c && \
+		  ./superc.smoke $$j -I examples/clint examples/clint/config_bugs.c examples/clint/clean.c | grep -v '^tables:'; \
+		} > superc.got.txt 2>&1 || { echo "superc $$j failed"; cat superc.got.txt; rm -f superc.smoke superc.got.txt; exit 1; }; \
+		diff superc.got.txt examples/clint/superc.golden.txt || { rm -f superc.smoke superc.got.txt; exit 1; }; \
+	done
+	@rm -f superc.smoke superc.got.txt
+	@echo "superc-smoke: golden match at -j 1 and -j 8 -parse-workers 4"
 
 # Cold-then-warm superd round trip over a persisted store: outputs must be
 # byte-identical and the warm batch must be served from disk artifacts

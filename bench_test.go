@@ -96,7 +96,7 @@ func BenchmarkFigure8(b *testing.B) {
 	b.ReportAllocs()
 	c := getCorpus()
 	const kill = 1000
-	rows := harness.Figure8(c, kill)
+	rows := harness.Figure8(c, harness.RunConfig{}, kill)
 	printFirst(b, "Figure 8a", harness.RenderFigure8a(rows, kill))
 	for _, lv := range harness.Levels {
 		b.Run(lv.Name, func(b *testing.B) {
@@ -112,7 +112,7 @@ func BenchmarkFigure8(b *testing.B) {
 func BenchmarkFigure8b(b *testing.B) {
 	b.ReportAllocs()
 	c := getCorpus()
-	printFirst(b, "Figure 8b", harness.Figure8b(c, 1000, 10))
+	printFirst(b, "Figure 8b", harness.Figure8b(c, harness.RunConfig{}, 1000, 10))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		harness.Run(c, harness.RunConfig{Parser: fmlr.OptAll, KillSwitch: 1000})
@@ -127,7 +127,7 @@ func BenchmarkFigure8b(b *testing.B) {
 func BenchmarkFigure9(b *testing.B) {
 	b.ReportAllocs()
 	c := fig9Corpus()
-	printFirst(b, "Figure 9", harness.RenderFigure9(harness.Figure9(c), 10))
+	printFirst(b, "Figure 9", harness.RenderFigure9(harness.Figure9(c, harness.RunConfig{}), 10))
 	b.Run("SuperC", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			harness.Run(c, harness.RunConfig{Mode: cond.ModeBDD, Parser: fmlr.OptAll})
@@ -157,7 +157,7 @@ func fig9Corpus() *corpus.Corpus {
 func BenchmarkFigure10(b *testing.B) {
 	b.ReportAllocs()
 	c := getCorpus()
-	printFirst(b, "Figure 10", harness.Figure10(c))
+	printFirst(b, "Figure 10", harness.Figure10(c, harness.RunConfig{}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		harness.Run(c, harness.RunConfig{Mode: cond.ModeBDD, Parser: fmlr.OptAll})
@@ -169,10 +169,10 @@ func BenchmarkFigure10(b *testing.B) {
 func BenchmarkGccBaseline(b *testing.B) {
 	b.ReportAllocs()
 	c := getCorpus()
-	printFirst(b, "gcc baseline", harness.RenderGcc(c))
+	printFirst(b, "gcc baseline", harness.RenderGcc(c, harness.RunConfig{}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		harness.GccBaseline(c, map[string]string{"CONFIG_64BIT": "1"})
+		harness.GccBaseline(c, harness.RunConfig{}, map[string]string{"CONFIG_64BIT": "1"})
 	}
 }
 

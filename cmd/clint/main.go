@@ -36,50 +36,29 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/passes"
-	"repro/internal/cgrammar"
-	"repro/internal/cond"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/daemon"
-	"repro/internal/fmlr"
 	"repro/internal/guard"
-	"repro/internal/hcache"
 	"repro/internal/link"
-	"repro/internal/preprocessor"
-	"repro/internal/store"
 )
 
-type stringList []string
-
-func (s *stringList) String() string { return strings.Join(*s, ",") }
-func (s *stringList) Set(v string) error {
-	*s = append(*s, v)
-	return nil
-}
-
 func main() {
-	var includes, defines stringList
-	flag.Var(&includes, "I", "include search path (repeatable)")
-	flag.Var(&defines, "D", "macro definition NAME or NAME=VALUE (repeatable)")
-	mode := flag.String("mode", "bdd", "presence-condition representation: bdd or sat")
+	var o cli.Options
+	o.RegisterFlags(flag.CommandLine, cli.Config|cli.Store, "when given multiple files", "file")
 	format := flag.String("format", "text", "output format: text, json, or sarif")
 	passNames := flag.String("passes", "", "comma-separated pass names (default: all)")
 	listPasses := flag.Bool("list", false, "list the available passes and exit")
-	jobs := flag.Int("j", 0, "worker-pool width when given multiple files (0: GOMAXPROCS)")
-	parseWorkers := flag.Int("parse-workers", 0, "intra-unit parse workers per file; output is identical at any value (0: min(GOMAXPROCS, 8), 1: sequential)")
 	doLink := flag.Bool("link", false, "join every unit's conditional link facts corpus-wide and report cross-unit undef-ref/multidef/type-mismatch findings")
 	showStats := flag.Bool("stats", false, "print per-unit analysis statistics to stderr")
-	noCache := flag.Bool("no-table-cache", false, "rebuild the C parse tables instead of using the on-disk cache")
-	noHeaderCache := flag.Bool("no-header-cache", false, "disable the shared cross-unit header cache")
 	daemonAddr := flag.String("daemon", "", "serve the batch from a superd daemon at this address (unix:PATH or HOST:PORT); falls back in-process if unreachable")
 	daemonOpts := daemon.FlagClientOptions(flag.CommandLine)
-	storeDir := flag.String("store", "", "artifact store directory backing the header cache across runs")
 	limits := guard.FlagLimits(flag.CommandLine)
 	flag.Parse()
 
@@ -95,13 +74,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	cgrammar.DisableTableCache(*noCache)
-
-	condMode := cond.ModeBDD
-	if *mode == "sat" {
-		condMode = cond.ModeSAT
-	} else if *mode != "bdd" {
-		fmt.Fprintf(os.Stderr, "clint: unknown -mode %q\n", *mode)
+	cfg, err := o.Config()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "clint:", err)
 		os.Exit(2)
 	}
 	switch *format {
@@ -128,36 +103,9 @@ func main() {
 		}
 	}
 
-	defs := map[string]string{}
-	for _, d := range defines {
-		name, val := d, "1"
-		if i := strings.IndexByte(d, '='); i >= 0 {
-			name, val = d[:i], d[i+1:]
-		}
-		defs[name] = val
-	}
-
-	if *parseWorkers <= 0 {
-		*parseWorkers = fmlr.AutoWorkers()
-	}
-
-	cfg := core.Config{
-		IncludePaths: includes,
-		Defines:      defs,
-		CondMode:     condMode,
-		ParseWorkers: *parseWorkers,
-	}
-	if !*noHeaderCache {
-		opts := hcache.Options{}
-		if *storeDir != "" {
-			st, err := store.Open(*storeDir, store.Options{})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "clint:", err)
-				os.Exit(1)
-			}
-			opts.Backing = store.NewHeaderBacking(st, preprocessor.PayloadCodec())
-		}
-		cfg.HeaderCache = hcache.New(opts)
+	if cfg.HeaderCache, err = o.HeaderCache(); err != nil {
+		fmt.Fprintln(os.Stderr, "clint:", err)
+		os.Exit(1)
 	}
 
 	files := flag.Args()
@@ -170,22 +118,22 @@ func main() {
 	if *daemonAddr != "" {
 		err := lintViaDaemon(*daemonAddr, *daemonOpts, daemon.LintRequest{
 			Files:        files,
-			IncludePaths: includes,
-			Defines:      defs,
-			Mode:         *mode,
+			IncludePaths: cfg.IncludePaths,
+			Defines:      cfg.Defines,
+			Mode:         o.Mode,
 			Passes:       splitPasses(*passNames),
-			Jobs:         *jobs,
-			ParseWorkers: *parseWorkers,
+			Jobs:         o.Jobs,
+			ParseWorkers: cfg.ParseWorkers,
 			Limits:       daemon.FromGuard(*limits),
 		}, results, errOuts)
 		if err == nil && *doLink {
 			linkStats, err = linkViaDaemon(*daemonAddr, *daemonOpts, daemon.LinkRequest{
 				Files:        files,
-				IncludePaths: includes,
-				Defines:      defs,
-				Mode:         *mode,
-				Jobs:         *jobs,
-				ParseWorkers: *parseWorkers,
+				IncludePaths: cfg.IncludePaths,
+				Defines:      cfg.Defines,
+				Mode:         o.Mode,
+				Jobs:         o.Jobs,
+				ParseWorkers: cfg.ParseWorkers,
 				Limits:       daemon.FromGuard(*limits),
 			}, results)
 			if err != nil {
@@ -202,16 +150,7 @@ func main() {
 		}
 	}
 	if !served {
-		nWorkers := *jobs
-		if nWorkers <= 0 {
-			nWorkers = runtime.GOMAXPROCS(0)
-		}
-		if nWorkers > len(files) {
-			nWorkers = len(files)
-		}
-		if nWorkers < 1 {
-			nWorkers = 1
-		}
+		nWorkers := cli.Workers(o.Jobs, len(files))
 
 		// Each file gets its own tool — a fresh condition space and macro
 		// table — so units are independent and any worker can take any file.
@@ -238,17 +177,13 @@ func main() {
 			// The corpus-wide join runs after the pool drains, over facts in
 			// argument order: the findings are a pure function of the inputs
 			// at any -j / -parse-workers.
-			var canon *hcache.Canon
-			if cfg.HeaderCache != nil {
-				canon = cfg.HeaderCache.Canon()
-			}
 			joined := make([]*link.Facts, 0, len(facts))
 			for _, f := range facts {
 				if f != nil {
 					joined = append(joined, f)
 				}
 			}
-			lr := link.Link(joined, canon)
+			lr := link.Link(joined, cfg.HeaderCache.Canon())
 			mergeLinkDiags(results, files, lr.Findings)
 			linkStats = fmt.Sprintf("%d units, %d symbols, %d facts, %d findings",
 				lr.Stats.Units, lr.Stats.Symbols, lr.Stats.Facts, lr.Stats.Findings)

@@ -1,8 +1,7 @@
 // Command cstats reproduces the paper's preprocessor-usage measurements
 // (Tables 2a, 2b, and 3 of §6.1) over the synthetic corpus. Table 3's
 // instrumented sweep runs on the parallel harness (-j workers); the C
-// parse tables come from the on-disk cache after the first run
-// (-no-table-cache rebuilds them).
+// parse tables come from the on-disk cache after the first run.
 //
 // Usage:
 //
@@ -24,7 +23,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/passes"
-	"repro/internal/cgrammar"
+	"repro/internal/cli"
 	"repro/internal/corpus"
 	"repro/internal/daemon"
 	"repro/internal/fmlr"
@@ -37,10 +36,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "corpus seed")
 	cfiles := flag.Int("cfiles", 40, "number of compilation units")
 	headers := flag.Int("headers", 24, "number of generated headers")
-	jobs := flag.Int("j", 0, "worker-pool width for the Table 3 sweep (0: GOMAXPROCS)")
-	parseWorkers := flag.Int("parse-workers", 0, "intra-unit parse workers per unit; output is identical at any value (0: min(GOMAXPROCS, 8), 1: sequential)")
-	noCache := flag.Bool("no-table-cache", false, "rebuild the C parse tables instead of using the on-disk cache")
-	noHeaderCache := flag.Bool("no-header-cache", false, "disable the shared cross-unit header cache")
+	var o cli.Options
+	o.RegisterFlags(flag.CommandLine, cli.Store, "for the Table 3 sweep", "unit")
 	metrics := flag.Bool("metrics", false, "print the harness metrics snapshot after the Table 3 sweep")
 	analyze := flag.Bool("analyze", false, "run the variability analysis passes during the Table 3 sweep and print diagnostics")
 	doLink := flag.Bool("link", false, "extract conditional link facts during the Table 3 sweep and print cross-unit findings (runs in-process: the synthetic corpus is in-memory)")
@@ -49,24 +46,20 @@ func main() {
 	quarantine := flag.Bool("quarantine", false, "retry failed or budget-tripped units once, then quarantine")
 	daemonAddr := flag.String("daemon", "", "serve the Table 3 sweep from a superd daemon at this address; falls back in-process")
 	daemonOpts := daemon.FlagClientOptions(flag.CommandLine)
-	storeDir := flag.String("store", "", "artifact store directory backing the header cache across runs")
 	limits := guard.FlagLimits(flag.CommandLine)
 	flag.Parse()
 
-	cgrammar.DisableTableCache(*noCache)
-	if *parseWorkers <= 0 {
-		*parseWorkers = fmlr.AutoWorkers()
+	hc, err := o.HeaderCache()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cstats:", err)
+		os.Exit(1)
 	}
-	harness.DefaultJobs = *jobs
-	harness.DefaultParseWorkers = *parseWorkers
-	harness.DisableHeaderCache = *noHeaderCache
-	harness.DefaultBudget = *limits
-	harness.DefaultQuarantine = *quarantine
-	if *storeDir != "" {
-		if _, err := harness.UseStore(*storeDir, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "cstats:", err)
-			os.Exit(1)
-		}
+	base := harness.RunConfig{
+		Jobs:         o.Jobs,
+		ParseWorkers: o.ParseWorkerCount(),
+		HeaderCache:  hc,
+		Budget:       *limits,
+		Quarantine:   *quarantine,
 	}
 
 	if *cpuprofile != "" {
@@ -112,13 +105,14 @@ func main() {
 			// corpus, which the daemon cannot see; the sweep stays local.
 			fmt.Fprintln(os.Stderr, "cstats: -link runs in-process; ignoring -daemon for this sweep")
 		} else if *daemonAddr != "" {
-			if err := table3ViaDaemon(*daemonAddr, *daemonOpts, *seed, *cfiles, *headers, *analyze, *jobs, *parseWorkers, *limits, *metrics); err == nil {
+			if err := table3ViaDaemon(*daemonAddr, *daemonOpts, *seed, *cfiles, *headers, *analyze, o.Jobs, o.ParseWorkerCount(), *limits, *metrics); err == nil {
 				return
 			} else {
 				fmt.Fprintf(os.Stderr, "cstats: %v; running in-process\n", err)
 			}
 		}
-		cfg := harness.RunConfig{Parser: fmlr.OptAll, Link: *doLink}
+		cfg := base
+		cfg.Parser, cfg.Link = fmlr.OptAll, *doLink
 		if *analyze {
 			cfg.Analyzers = passes.All()
 		}

@@ -5,8 +5,8 @@
 //
 // Units are processed by the parallel harness (-j workers, GOMAXPROCS by
 // default); the C parse tables are loaded from the on-disk cache after the
-// first run (-no-table-cache rebuilds them instead). A per-stage metrics
-// snapshot for one instrumented sweep is printed at the end.
+// first run. A per-stage metrics snapshot for one instrumented sweep is
+// printed at the end.
 //
 // -cpuprofile/-memprofile write pprof profiles of whatever the invocation
 // ran. Timing baselines come from the bench/ module (bash bench/run.sh) and
@@ -29,7 +29,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"repro/internal/cgrammar"
+	"repro/internal/cli"
 	"repro/internal/corpus"
 	"repro/internal/fmlr"
 	"repro/internal/guard"
@@ -43,25 +43,20 @@ func main() {
 	headers := flag.Int("headers", 24, "number of generated headers")
 	kill := flag.Int("kill", 1000, "subparser kill switch for the MAPR rows")
 	points := flag.Int("points", 10, "CDF resolution")
-	jobs := flag.Int("j", 0, "worker-pool width for corpus runs (0: GOMAXPROCS)")
-	parseWorkers := flag.Int("parse-workers", 0, "intra-unit parse workers per unit; output is identical at any value (0: min(GOMAXPROCS, 8), 1: sequential)")
-	noCache := flag.Bool("no-table-cache", false, "rebuild the C parse tables instead of using the on-disk cache")
-	noHeaderCache := flag.Bool("no-header-cache", false, "disable the shared cross-unit header cache")
+	var o cli.Options
+	o.RegisterFlags(flag.CommandLine, 0, "for corpus runs", "unit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	quarantine := flag.Bool("quarantine", false, "retry failed or budget-tripped units once, then quarantine")
 	limits := guard.FlagLimits(flag.CommandLine)
 	flag.Parse()
 
-	cgrammar.DisableTableCache(*noCache)
-	if *parseWorkers <= 0 {
-		*parseWorkers = fmlr.AutoWorkers()
+	base := harness.RunConfig{
+		Jobs:         o.Jobs,
+		ParseWorkers: o.ParseWorkerCount(),
+		Budget:       *limits,
+		Quarantine:   *quarantine,
 	}
-	harness.DefaultJobs = *jobs
-	harness.DefaultParseWorkers = *parseWorkers
-	harness.DisableHeaderCache = *noHeaderCache
-	harness.DefaultBudget = *limits
-	harness.DefaultQuarantine = *quarantine
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -95,11 +90,11 @@ func main() {
 	c := corpus.Generate(corpus.Params{Seed: *seed, CFiles: *cfiles, GenHeaders: *headers})
 
 	if *fig == "all" || *fig == "8a" {
-		rows := harness.Figure8(c, *kill)
+		rows := harness.Figure8(c, base, *kill)
 		fmt.Println(harness.RenderFigure8a(rows, *kill))
 	}
 	if *fig == "all" || *fig == "8b" {
-		fmt.Println(harness.Figure8b(c, *kill, *points))
+		fmt.Println(harness.Figure8b(c, base, *kill, *points))
 	}
 	if *fig == "all" || *fig == "9" {
 		// The SAT-backed baseline's tail units take minutes each (the knee
@@ -109,18 +104,19 @@ func main() {
 		if len(c.CFiles) > 12 {
 			c9 = &corpus.Corpus{Params: c.Params, FS: c.FS, CFiles: c.CFiles[:12], Headers: c.Headers}
 		}
-		fmt.Println(harness.RenderFigure9(harness.Figure9(c9), *points))
+		fmt.Println(harness.RenderFigure9(harness.Figure9(c9, base), *points))
 	}
 	if *fig == "all" || *fig == "10" {
-		fmt.Println(harness.Figure10(c))
+		fmt.Println(harness.Figure10(c, base))
 	}
 	if *fig == "all" || *fig == "gcc" {
-		fmt.Println(harness.RenderGcc(c))
+		fmt.Println(harness.RenderGcc(c, base))
 	}
 
 	// One instrumented sweep for the per-stage observability snapshot
 	// (units in flight, stage wall time, forks/merges, BDD nodes, table
 	// cache hit/miss, hot-path cache effectiveness).
-	_, m := harness.RunMetered(context.Background(), c, harness.RunConfig{Parser: fmlr.OptAll})
+	base.Parser = fmlr.OptAll
+	_, m := harness.RunMetered(context.Background(), c, base)
 	fmt.Print(m)
 }

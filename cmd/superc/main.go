@@ -7,8 +7,7 @@
 // GOMAXPROCS by default) with per-file output buffered and printed in
 // argument order; -check forces sequential processing because the
 // cross-unit conflict index shares one presence-condition space. The C
-// parse tables are loaded from the on-disk cache after the first run
-// (-no-table-cache rebuilds them).
+// parse tables are loaded from the on-disk cache after the first run.
 //
 // Usage:
 //
@@ -33,58 +32,23 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/cgrammar"
+	"repro/internal/cli"
 	"repro/internal/cond"
 	"repro/internal/core"
 	"repro/internal/daemon"
-	"repro/internal/fmlr"
 	"repro/internal/guard"
-	"repro/internal/hcache"
-	"repro/internal/preprocessor"
 	"repro/internal/printer"
 	"repro/internal/refactor"
-	"repro/internal/store"
 )
 
-type stringList []string
-
-func (s *stringList) String() string { return strings.Join(*s, ",") }
-func (s *stringList) Set(v string) error {
-	*s = append(*s, v)
-	return nil
-}
-
-func optionsByName(name string) (fmlr.Options, bool) {
-	switch name {
-	case "", "all":
-		return fmlr.OptAll, true
-	case "sharedlazy":
-		return fmlr.OptSharedLazy, true
-	case "shared":
-		return fmlr.OptShared, true
-	case "lazy":
-		return fmlr.OptLazy, true
-	case "follow":
-		return fmlr.OptFollowOnly, true
-	case "mapr":
-		return fmlr.OptMAPR, true
-	case "mapr-largest":
-		return fmlr.OptMAPRLargest, true
-	}
-	return fmlr.Options{}, false
-}
-
 func main() {
-	var includes, defines stringList
-	flag.Var(&includes, "I", "include search path (repeatable)")
-	flag.Var(&defines, "D", "macro definition NAME or NAME=VALUE (repeatable)")
-	mode := flag.String("mode", "bdd", "presence-condition representation: bdd or sat")
-	opt := flag.String("opt", "all", "parser optimization level: all, sharedlazy, shared, lazy, follow, mapr, mapr-largest")
+	var o cli.Options
+	o.RegisterFlags(flag.CommandLine, cli.Config|cli.Opt|cli.Store, "when given multiple files", "file")
 	single := flag.Bool("single", false, "single-configuration (gcc-like) mode")
 	printAST := flag.Bool("ast", false, "print the configuration-preserving AST")
 	project := flag.String("project", "", "comma-separated CONFIG vars to enable; prints that configuration's tokens")
@@ -92,13 +56,8 @@ func main() {
 	check := flag.Bool("check", false, "run configuration-preserving analyses (conflicting definitions, coverage)")
 	printSrc := flag.Bool("print", false, "print the preprocessed unit as conditional C source")
 	rename := flag.String("rename", "", "configuration-preserving rename: OLD=NEW")
-	jobs := flag.Int("j", 0, "worker-pool width when given multiple files (0: GOMAXPROCS)")
-	parseWorkers := flag.Int("parse-workers", 0, "intra-unit parse workers per file; output is identical at any value (0: min(GOMAXPROCS, 8), 1: sequential)")
-	noCache := flag.Bool("no-table-cache", false, "rebuild the C parse tables instead of using the on-disk cache")
-	noHeaderCache := flag.Bool("no-header-cache", false, "disable the shared cross-unit header cache")
 	daemonAddr := flag.String("daemon", "", "serve the batch from a superd daemon at this address (unix:PATH or HOST:PORT); summary mode only, falls back in-process")
 	daemonOpts := daemon.FlagClientOptions(flag.CommandLine)
-	storeDir := flag.String("store", "", "artifact store directory backing the header cache across runs")
 	limits := guard.FlagLimits(flag.CommandLine)
 	flag.Parse()
 
@@ -108,55 +67,19 @@ func main() {
 		os.Exit(2)
 	}
 
-	cgrammar.DisableTableCache(*noCache)
-
-	condMode := cond.ModeBDD
-	if *mode == "sat" {
-		condMode = cond.ModeSAT
-	} else if *mode != "bdd" {
-		fmt.Fprintf(os.Stderr, "superc: unknown -mode %q\n", *mode)
+	cfg, err := o.Config()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "superc:", err)
 		os.Exit(2)
 	}
-	opts, ok := optionsByName(*opt)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "superc: unknown -opt %q\n", *opt)
-		os.Exit(2)
-	}
-
-	defs := map[string]string{}
-	for _, d := range defines {
-		name, val := d, "1"
-		if i := strings.IndexByte(d, '='); i >= 0 {
-			name, val = d[:i], d[i+1:]
+	cfg.SingleConfig = *single
+	if !*single {
+		// Single-configuration mode evaluates conditionals concretely; the
+		// preprocessor would ignore a header cache.
+		if cfg.HeaderCache, err = o.HeaderCache(); err != nil {
+			fmt.Fprintln(os.Stderr, "superc:", err)
+			os.Exit(1)
 		}
-		defs[name] = val
-	}
-
-	if *parseWorkers <= 0 {
-		*parseWorkers = fmlr.AutoWorkers()
-	}
-
-	cfg := core.Config{
-		IncludePaths: includes,
-		Defines:      defs,
-		CondMode:     condMode,
-		Parser:       &opts,
-		SingleConfig: *single,
-		ParseWorkers: *parseWorkers,
-	}
-	if !*noHeaderCache && !*single {
-		// One cache shared by every unit (and every worker: it is
-		// concurrency-safe, unlike the per-unit condition spaces).
-		opts := hcache.Options{}
-		if *storeDir != "" {
-			st, err := store.Open(*storeDir, store.Options{})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "superc:", err)
-				os.Exit(1)
-			}
-			opts.Backing = store.NewHeaderBacking(st, preprocessor.PayloadCodec())
-		}
-		cfg.HeaderCache = hcache.New(opts)
 	}
 	ff := fileFlags{
 		printAST: *printAST, project: *project, showStats: *showStats,
@@ -170,13 +93,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, "superc: -daemon serves summaries only; -ast/-project/-check/-print/-rename run in-process")
 		} else if exit, err := parseViaDaemon(*daemonAddr, *daemonOpts, daemon.ParseRequest{
 			Files:        files,
-			IncludePaths: includes,
-			Defines:      defs,
-			Mode:         *mode,
-			Opt:          *opt,
+			IncludePaths: cfg.IncludePaths,
+			Defines:      cfg.Defines,
+			Mode:         o.Mode,
+			Opt:          o.Opt,
 			Single:       *single,
-			Jobs:         *jobs,
-			ParseWorkers: *parseWorkers,
+			Jobs:         o.Jobs,
+			ParseWorkers: cfg.ParseWorkers,
 			Limits:       daemon.FromGuard(*limits),
 		}, *showStats); err != nil {
 			fmt.Fprintf(os.Stderr, "superc: %v; running in-process\n", err)
@@ -185,13 +108,7 @@ func main() {
 		}
 	}
 
-	nWorkers := *jobs
-	if nWorkers <= 0 {
-		nWorkers = runtime.GOMAXPROCS(0)
-	}
-	if nWorkers > len(files) {
-		nWorkers = len(files)
-	}
+	nWorkers := cli.Workers(o.Jobs, len(files))
 	if *check && len(files) > 1 && nWorkers > 1 {
 		// The cross-unit conflict index compares presence conditions, and
 		// conditions from different spaces must not mix — so -check keeps
@@ -207,7 +124,7 @@ func main() {
 		tool := core.New(cfg)
 		ix := analysis.NewIndex(tool.Space())
 		for _, file := range files {
-			exit |= processFile(tool, ix, file, condMode, ff, os.Stdout, os.Stderr)
+			exit |= processFile(tool, ix, file, ff, os.Stdout, os.Stderr)
 		}
 		if *check && len(files) > 1 {
 			// Cross-unit conflicts (same symbol defined in several files under
@@ -242,7 +159,7 @@ func main() {
 				o := &outs[i]
 				tool := core.New(cfg)
 				ix := analysis.NewIndex(tool.Space())
-				o.exit = processFile(tool, ix, files[i], condMode, ff, &o.stdout, &o.stderr)
+				o.exit = processFile(tool, ix, files[i], ff, &o.stdout, &o.stderr)
 			}
 		}()
 	}
@@ -331,7 +248,7 @@ type fileFlags struct {
 	limits    guard.Limits // per-unit resource budget (-timeout, -budget-*)
 }
 
-func processFile(tool *core.Tool, ix *analysis.Index, file string, condMode cond.Mode, ff fileFlags, stdout, stderr io.Writer) int {
+func processFile(tool *core.Tool, ix *analysis.Index, file string, ff fileFlags, stdout, stderr io.Writer) int {
 	if !ff.limits.Zero() {
 		// Fresh budget per unit: the sequential path reuses one tool across
 		// files, and budgets are single-use.
@@ -427,7 +344,7 @@ func processFile(tool *core.Tool, ix *analysis.Index, file string, condMode cond
 		if len(conflicts) == 0 {
 			fmt.Fprintf(stdout, "check: %s: no conflicting definitions\n", file)
 		}
-		if condMode == cond.ModeBDD {
+		if tool.Space().Mode() == cond.ModeBDD {
 			for _, cov := range unitIx.CoverageReport() {
 				if cov.Fraction < 1 {
 					fmt.Fprintf(stdout, "coverage: %s %s exists in %.1f%% of configurations\n",

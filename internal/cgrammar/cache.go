@@ -22,12 +22,8 @@ import (
 // missing directory, an unreadable file, a stale fingerprint, or a failed
 // decode all fall back to building from scratch (and rewrite the entry).
 //
-// Control surface, all to be exercised before the first Load call:
-//
-//   - DisableTableCache(true): build from scratch, never touch the disk
-//     (the cmd tools' -no-table-cache flag);
-//   - SUPERC_TABLE_CACHE_DIR / SetTableCacheDir: relocate the cache away
-//     from os.UserCacheDir()/superc.
+// SUPERC_TABLE_CACHE_DIR relocates the cache away from
+// os.UserCacheDir()/superc; set it before the first Load call.
 //
 // TableCacheState and TableCacheStats expose the hit/miss outcome for the
 // harness's metrics snapshot.
@@ -36,27 +32,14 @@ import (
 const cacheEnvVar = "SUPERC_TABLE_CACHE_DIR"
 
 var (
-	cacheDisabled atomic.Bool
-	cacheDirOver  atomic.Value // string override (SetTableCacheDir)
-	cacheState    atomic.Value // string: last outcome
-	cacheHits     stats.Counter
-	cacheMisses   stats.Counter
+	cacheState  atomic.Value // string: last outcome
+	cacheHits   stats.Counter
+	cacheMisses stats.Counter
 )
 
-// DisableTableCache turns the on-disk parse-table cache off (or back on).
-// Call it before the first Load; the singleton build consults it once.
-func DisableTableCache(v bool) { cacheDisabled.Store(v) }
-
-// SetTableCacheDir overrides the cache directory (tests, embedders). An
-// empty string restores the default resolution order: $SUPERC_TABLE_CACHE_DIR,
-// then os.UserCacheDir()/superc.
-func SetTableCacheDir(dir string) { cacheDirOver.Store(dir) }
-
-// TableCacheDir resolves the directory holding cached parse tables.
+// TableCacheDir resolves the directory holding cached parse tables:
+// $SUPERC_TABLE_CACHE_DIR, then os.UserCacheDir()/superc.
 func TableCacheDir() (string, error) {
-	if v, ok := cacheDirOver.Load().(string); ok && v != "" {
-		return v, nil
-	}
 	if v := os.Getenv(cacheEnvVar); v != "" {
 		return v, nil
 	}
@@ -75,7 +58,7 @@ func TableCacheStats() (hits, misses int64) {
 }
 
 // TableCacheState describes the most recent table-load outcome: "hit",
-// "miss", "disabled", "none" (no load yet), or "error: ...".
+// "miss", "none" (no load yet), or "error: ...".
 func TableCacheState() string {
 	if v, ok := cacheState.Load().(string); ok {
 		return v
@@ -100,10 +83,6 @@ func Fingerprint(g *lalr.Grammar) string {
 // possible. On a miss it builds the table and writes the cache entry
 // best-effort.
 func tableFor(g *lalr.Grammar) (*lalr.Table, error) {
-	if cacheDisabled.Load() {
-		setState("disabled")
-		return lalr.Build(g)
-	}
 	dir, err := TableCacheDir()
 	if err != nil {
 		setState("error: " + err.Error())

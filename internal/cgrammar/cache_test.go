@@ -122,20 +122,6 @@ func TestTableCacheCorruptEntryRebuilds(t *testing.T) {
 	}
 }
 
-func TestTableCacheDisabled(t *testing.T) {
-	c, info := newSkeleton()
-	DisableTableCache(true)
-	defer DisableTableCache(false)
-	table, err := tableFor(c.Grammar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	finish(c, info, table)
-	if got := TableCacheState(); got != "disabled" {
-		t.Errorf("state = %q, want disabled", got)
-	}
-}
-
 func TestFingerprintTracksGrammar(t *testing.T) {
 	a, _ := newSkeleton()
 	b, _ := newSkeleton()

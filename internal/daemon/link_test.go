@@ -266,3 +266,50 @@ func TestLinkFactsAcrossRestart(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkFactsKeyUnambiguous pins the persisted link-fact key: two
+// configurations whose old comma-joined encodings coincide must not share
+// facts, while spellings of one configuration (an omitted mode vs "bdd")
+// must.
+func TestLinkFactsKeyUnambiguous(t *testing.T) {
+	root := writeLinkTree(t)
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := startServer(t, NewServer(Config{Root: root, Store: st}))
+	link := func(mut func(*LinkRequest)) *LinkResponse {
+		t.Helper()
+		req := linkReq()
+		mut(&req)
+		resp, err := c.Link(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	for _, pair := range []struct {
+		name        string
+		first, then func(*LinkRequest)
+	}{
+		{"defines",
+			func(r *LinkRequest) { r.Defines = map[string]string{"A": "1,B=2"} },
+			func(r *LinkRequest) { r.Defines = map[string]string{"A": "1", "B": "2"} }},
+		{"include paths",
+			func(r *LinkRequest) { r.IncludePaths = []string{".", "x,y"} },
+			func(r *LinkRequest) { r.IncludePaths = []string{".", "x", "y"} }},
+	} {
+		if cold := link(pair.first); cold.FactsMisses != 2 || len(cold.Failed) != 0 {
+			t.Fatalf("%s: first request: %d misses, failed %+v", pair.name, cold.FactsMisses, cold.Failed)
+		}
+		if other := link(pair.then); other.FactsHits != 0 {
+			t.Errorf("%s: a different configuration reused %d units' facts", pair.name, other.FactsHits)
+		}
+	}
+
+	link(func(r *LinkRequest) { r.Mode = "" })
+	if bdd := link(func(r *LinkRequest) { r.Mode = "bdd" }); bdd.FactsHits != 2 {
+		t.Errorf(`mode "" and "bdd" keyed apart: %d hits, want 2`, bdd.FactsHits)
+	}
+}

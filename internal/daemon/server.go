@@ -19,10 +19,10 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/passes"
 	"repro/internal/cgrammar"
+	"repro/internal/cli"
 	"repro/internal/cond"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/fmlr"
 	"repro/internal/guard"
 	"repro/internal/harness"
 	"repro/internal/hcache"
@@ -271,36 +271,6 @@ func checkLocal(paths []string) error {
 	return nil
 }
 
-func condMode(name string) (cond.Mode, error) {
-	switch name {
-	case "", "bdd":
-		return cond.ModeBDD, nil
-	case "sat":
-		return cond.ModeSAT, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q", name)
-}
-
-func parserOpts(name string) (fmlr.Options, error) {
-	switch name {
-	case "", "all":
-		return fmlr.OptAll, nil
-	case "sharedlazy":
-		return fmlr.OptSharedLazy, nil
-	case "shared":
-		return fmlr.OptShared, nil
-	case "lazy":
-		return fmlr.OptLazy, nil
-	case "follow":
-		return fmlr.OptFollowOnly, nil
-	case "mapr":
-		return fmlr.OptMAPR, nil
-	case "mapr-largest":
-		return fmlr.OptMAPRLargest, nil
-	}
-	return fmlr.Options{}, fmt.Errorf("unknown optimization level %q", name)
-}
-
 func selectPasses(names []string) ([]*analysis.Analyzer, error) {
 	if len(names) == 0 {
 		return nil, nil
@@ -322,17 +292,10 @@ func selectPasses(names []string) ([]*analysis.Analyzer, error) {
 
 // jobs clamps a requested worker count to the server bound.
 func (s *Server) jobs(req, n int) int {
-	j := req
-	if j <= 0 || j > s.cfg.MaxJobs {
-		j = s.cfg.MaxJobs
+	if req <= 0 || req > s.cfg.MaxJobs {
+		req = s.cfg.MaxJobs
 	}
-	if j > n {
-		j = n
-	}
-	if j < 1 {
-		j = 1
-	}
-	return j
+	return cli.Workers(req, n)
 }
 
 // parseWorkers clamps a requested intra-unit worker count to the server
@@ -346,6 +309,72 @@ func (s *Server) parseWorkers(req int) int {
 		return s.cfg.MaxJobs
 	}
 	return req
+}
+
+// pipeline is the pipeline block every batch request carries in its flat
+// wire fields; each request type lifts its own into one with pipeline().
+type pipeline struct {
+	files, includePaths []string
+	defines             map[string]string
+	mode, opt           string
+	single              bool
+	parseWorkers        int
+	limits              Limits
+}
+
+func (r *LintRequest) pipeline() pipeline {
+	return pipeline{files: r.Files, includePaths: r.IncludePaths, defines: r.Defines,
+		mode: r.Mode, parseWorkers: r.ParseWorkers, limits: r.Limits}
+}
+
+func (r *ParseRequest) pipeline() pipeline {
+	return pipeline{files: r.Files, includePaths: r.IncludePaths, defines: r.Defines,
+		mode: r.Mode, opt: r.Opt, single: r.Single, parseWorkers: r.ParseWorkers, limits: r.Limits}
+}
+
+func (r *LinkRequest) pipeline() pipeline {
+	return pipeline{files: r.Files, includePaths: r.IncludePaths, defines: r.Defines,
+		mode: r.Mode, parseWorkers: r.ParseWorkers, limits: r.Limits}
+}
+
+func (r *CorpusRequest) pipeline() pipeline {
+	return pipeline{mode: r.Mode, opt: r.Opt, single: r.Single,
+		parseWorkers: r.ParseWorkers, limits: r.Limits}
+}
+
+// resolve validates a request's pipeline block and turns it into the
+// core.Config its units run under — names through the same lookups as the
+// CLI flags, paths confined to the root, parse workers clamped, the warm
+// header cache attached unless single-configuration — plus the per-unit
+// limits clamped to the server caps.
+func (s *Server) resolve(p pipeline) (core.Config, guard.Limits, error) {
+	mode, err := cli.ParseMode(p.mode)
+	if err != nil {
+		return core.Config{}, guard.Limits{}, err
+	}
+	opts, err := cli.ParseLevel(p.opt)
+	if err != nil {
+		return core.Config{}, guard.Limits{}, err
+	}
+	if err := checkLocal(p.files); err != nil {
+		return core.Config{}, guard.Limits{}, err
+	}
+	if err := checkLocal(p.includePaths); err != nil {
+		return core.Config{}, guard.Limits{}, err
+	}
+	cfg := core.Config{
+		FS:           rootFS{s.cfg.Root},
+		IncludePaths: p.includePaths,
+		Defines:      p.defines,
+		CondMode:     mode,
+		Parser:       &opts,
+		SingleConfig: p.single,
+		ParseWorkers: s.parseWorkers(p.parseWorkers),
+	}
+	if !p.single {
+		cfg.HeaderCache = s.hc
+	}
+	return cfg, Clamp(p.limits.ToGuard(), s.cfg.Caps), nil
 }
 
 // forEach runs fn over indices 0..n-1 on a bounded worker pool.
@@ -375,7 +404,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	mode, err := condMode(req.Mode)
+	cfg, limits, err := s.resolve(req.pipeline())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -387,23 +416,6 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	}
 	if analyzers == nil {
 		analyzers = passes.All()
-	}
-	if err := checkLocal(req.Files); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := checkLocal(req.IncludePaths); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	limits := Clamp(req.Limits.ToGuard(), s.cfg.Caps)
-	cfg := core.Config{
-		FS:           rootFS{s.cfg.Root},
-		IncludePaths: req.IncludePaths,
-		Defines:      req.Defines,
-		CondMode:     mode,
-		HeaderCache:  s.hc,
-		ParseWorkers: s.parseWorkers(req.ParseWorkers),
 	}
 	resp := LintResponse{Units: make([]LintUnit, len(req.Files))}
 	forEach(len(req.Files), s.jobs(req.Jobs, len(req.Files)), func(i int) {
@@ -458,36 +470,10 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	mode, err := condMode(req.Mode)
+	cfg, limits, err := s.resolve(req.pipeline())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	opts, err := parserOpts(req.Opt)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := checkLocal(req.Files); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := checkLocal(req.IncludePaths); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	limits := Clamp(req.Limits.ToGuard(), s.cfg.Caps)
-	cfg := core.Config{
-		FS:           rootFS{s.cfg.Root},
-		IncludePaths: req.IncludePaths,
-		Defines:      req.Defines,
-		CondMode:     mode,
-		Parser:       &opts,
-		SingleConfig: req.Single,
-		ParseWorkers: s.parseWorkers(req.ParseWorkers),
-	}
-	if !req.Single {
-		cfg.HeaderCache = s.hc
 	}
 	resp := ParseResponse{Units: make([]ParseUnit, len(req.Files))}
 	forEach(len(req.Files), s.jobs(req.Jobs, len(req.Files)), func(i int) {
@@ -554,30 +540,12 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	mode, err := condMode(req.Mode)
+	cfg, limits, err := s.resolve(req.pipeline())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := checkLocal(req.Files); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := checkLocal(req.IncludePaths); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	limits := Clamp(req.Limits.ToGuard(), s.cfg.Caps)
-	fs := rootFS{s.cfg.Root}
-	cfg := core.Config{
-		FS:           fs,
-		IncludePaths: req.IncludePaths,
-		Defines:      req.Defines,
-		CondMode:     mode,
-		HeaderCache:  s.hc,
-		ParseWorkers: s.parseWorkers(req.ParseWorkers),
-	}
-	fp := s.linkFingerprint(req, limits)
+	fp := linkFingerprint(cfg, limits)
 	useFacts := s.cfg.Store != nil && !req.NoFacts
 	facts := make([]*link.Facts, len(req.Files))
 	unitErrs := make([]string, len(req.Files))
@@ -590,7 +558,7 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 		// changing shared headers.
 		var key string
 		if useFacts {
-			if data, err := fs.ReadFile(file); err == nil {
+			if data, err := cfg.FS.ReadFile(file); err == nil {
 				key = fmt.Sprintf("%s\x00%s\x00%x", fp, file, sha256.Sum256(data))
 				if raw, ok := s.cfg.Store.Get(store.NSLink, key); ok {
 					if f, err := link.DecodeFacts(raw); err == nil {
@@ -666,18 +634,29 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, &resp)
 }
 
-// linkFingerprint keys the persisted link-fact cache: every request knob
-// that affects one unit's extracted facts, plus the protocol version (fact
-// shapes may change between builds). Jobs and ParseWorkers are deliberately
-// excluded — extraction is deterministic at any worker count.
-func (s *Server) linkFingerprint(req LinkRequest, limits guard.Limits) string {
-	defs := make([]string, 0, len(req.Defines))
-	for k, v := range req.Defines {
-		defs = append(defs, k+"="+v)
+// linkFingerprint keys the persisted link-fact cache: every resolved
+// setting that affects one unit's extracted facts, plus the protocol
+// version (fact shapes may change between builds). It is the JSON of one
+// canonical struct — JSON quotes every string and sorts map keys, so no two
+// configurations share a key, and an omitted mode keys like "bdd". Jobs and
+// ParseWorkers are deliberately excluded — extraction is deterministic at
+// any worker count.
+func linkFingerprint(cfg core.Config, limits guard.Limits) string {
+	key := struct {
+		Version      string
+		Mode         cond.Mode
+		IncludePaths []string
+		Defines      map[string]string
+		Limits       guard.Limits
+	}{Version: Version, Mode: cfg.CondMode, Limits: limits}
+	if len(cfg.IncludePaths) > 0 {
+		key.IncludePaths = cfg.IncludePaths
 	}
-	sort.Strings(defs)
-	return fmt.Sprintf("%s;mode=%s;inc=%s;defs=%s;limits=%+v",
-		Version, req.Mode, strings.Join(req.IncludePaths, ","), strings.Join(defs, ","), limits)
+	if len(cfg.Defines) > 0 {
+		key.Defines = cfg.Defines
+	}
+	data, _ := json.Marshal(key) // strings, ints and a string map always encode
+	return string(data)
 }
 
 func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
@@ -687,12 +666,7 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	mode, err := condMode(req.Mode)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opts, err := parserOpts(req.Opt)
+	cfg, limits, err := s.resolve(req.pipeline())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -702,7 +676,6 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	limits := Clamp(req.Limits.ToGuard(), s.cfg.Caps)
 	c := corpus.Generate(corpus.Params{Seed: req.Seed, CFiles: req.CFiles, GenHeaders: req.Headers})
 	fp := s.factsFingerprint(req, limits)
 
@@ -724,12 +697,12 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 			sub.CFiles[j] = c.CFiles[i]
 		}
 		results, m := harness.RunMetered(r.Context(), &sub, harness.RunConfig{
-			Mode:         mode,
-			Parser:       opts,
-			Single:       req.Single,
+			Mode:         cfg.CondMode,
+			Parser:       *cfg.Parser,
+			Single:       cfg.SingleConfig,
 			Jobs:         s.jobs(req.Jobs, len(missing)),
-			ParseWorkers: s.parseWorkers(req.ParseWorkers),
-			HeaderCache:  s.hc,
+			ParseWorkers: cfg.ParseWorkers,
+			HeaderCache:  cfg.HeaderCache,
 			Budget:       limits,
 			Analyzers:    analyzers,
 		})

@@ -34,7 +34,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -43,6 +42,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/cgrammar"
+	"repro/internal/cli"
 	"repro/internal/cond"
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -59,88 +59,25 @@ import (
 // IncludePaths are the corpus's include directories.
 var IncludePaths = []string{"include", "include/gen", "include/linux"}
 
-// DefaultJobs is the worker-pool width used when RunConfig.Jobs is zero;
-// zero means runtime.GOMAXPROCS(0). The cmd tools' -j flag sets it once at
-// startup, before any runs.
-var DefaultJobs int
-
-// DisableHeaderCache turns off the shared cross-unit header cache for runs
-// that do not override RunConfig.HeaderCache. The cmd tools' -no-header-cache
-// flag sets it once at startup.
-var DisableHeaderCache bool
-
-// DefaultBudget supplies per-unit resource limits for runs that leave
-// RunConfig.Budget zero. The cmd tools' -timeout/-budget-* flags set it once
-// at startup so that every run (Figure sweeps included) inherits it.
-var DefaultBudget guard.Limits
-
-// DefaultQuarantine enables retry-once-then-quarantine for runs that leave
-// RunConfig.Quarantine unset. The cmd tools' -quarantine flag sets it once
-// at startup.
-var DefaultQuarantine bool
-
-// DefaultParseWorkers is the intra-unit parse worker count used when
-// RunConfig.ParseWorkers is zero. 0 and 1 parse sequentially. The cmd tools'
-// -parse-workers flag sets it once at startup.
-var DefaultParseWorkers int
-
 // sharedHeaderCache is the process-wide default header cache, created on
 // first cached run so that repeated runs (benchmark arms, Figure sweeps)
 // keep sharing header work.
 var (
 	headerCacheOnce   sync.Once
 	sharedHeaderCache *hcache.Cache
-
-	storeMu     sync.Mutex
-	sharedStore *store.Store
 )
-
-// UseStore opens the on-disk artifact store at dir and installs it as the
-// durable layer beneath the process-wide header cache. It must be called
-// before the first cached run (the cmd tools call it while parsing flags);
-// calling it after the shared cache exists returns an error rather than
-// silently leaving the cache unbacked. maxBytes <= 0 keeps the store's
-// default bound.
-func UseStore(dir string, maxBytes int64) (*store.Store, error) {
-	s, err := store.Open(dir, store.Options{MaxBytes: maxBytes})
-	if err != nil {
-		return nil, err
-	}
-	storeMu.Lock()
-	defer storeMu.Unlock()
-	if sharedHeaderCache != nil {
-		return nil, fmt.Errorf("harness: UseStore called after the shared header cache was created")
-	}
-	sharedStore = s
-	return s, nil
-}
-
-// Store returns the artifact store installed by UseStore, or nil.
-func Store() *store.Store {
-	storeMu.Lock()
-	defer storeMu.Unlock()
-	return sharedStore
-}
 
 // headerCache resolves the cache a run should use: an explicit override, the
 // process-wide default, or nil when disabled (including single-configuration
 // mode, which the preprocessor would ignore the cache for anyway).
 func (cfg RunConfig) headerCache() *hcache.Cache {
-	if cfg.NoHeaderCache || DisableHeaderCache || cfg.Single {
+	if cfg.NoHeaderCache || cfg.Single {
 		return nil
 	}
 	if cfg.HeaderCache != nil {
 		return cfg.HeaderCache
 	}
-	headerCacheOnce.Do(func() {
-		storeMu.Lock()
-		defer storeMu.Unlock()
-		var backing hcache.Backing
-		if sharedStore != nil {
-			backing = store.NewHeaderBacking(sharedStore, preprocessor.PayloadCodec())
-		}
-		sharedHeaderCache = hcache.New(hcache.Options{Backing: backing})
-	})
+	headerCacheOnce.Do(func() { sharedHeaderCache = hcache.New(hcache.Options{}) })
 	return sharedHeaderCache
 }
 
@@ -151,33 +88,33 @@ type RunConfig struct {
 	Single     bool
 	KillSwitch int               // override kill switch (0: parser default)
 	Defines    map[string]string // single-configuration defines
-	// Jobs bounds the worker pool: 0 defers to DefaultJobs (then
-	// GOMAXPROCS), 1 is fully sequential.
+	// Jobs bounds the worker pool: 0 means GOMAXPROCS, 1 is fully
+	// sequential.
 	Jobs int
 	// ParseWorkers bounds intra-unit parallelism: with more than one worker
 	// the parser splits each unit at top-level declaration boundaries and
 	// parses the regions concurrently, with output proven byte-identical to
-	// the sequential parse. 0 defers to DefaultParseWorkers; 0/1 parse
-	// sequentially. It composes with Jobs: each of the Jobs units in flight
-	// may fan out up to ParseWorkers region parses.
+	// the sequential parse. 0 and 1 parse sequentially. It composes with
+	// Jobs: each of the Jobs units in flight may fan out up to ParseWorkers
+	// region parses.
 	ParseWorkers int
 	// IncludePaths overrides the corpus include directories for this run
 	// (empty defers to the package-level IncludePaths). The daemon sets it
 	// per request, since different corpora need different include roots.
 	IncludePaths []string
 	// HeaderCache overrides the shared cross-unit header cache for this run.
-	// nil uses the process-wide default cache unless NoHeaderCache (or the
-	// global DisableHeaderCache) is set.
+	// nil uses the process-wide default cache unless NoHeaderCache is set.
+	// When the cache is backed by an artifact store (store.HeaderBacking),
+	// Metrics reports that store's counters.
 	HeaderCache *hcache.Cache
 	// NoHeaderCache disables header caching for this run.
 	NoHeaderCache bool
-	// Budget sets per-unit resource ceilings (internal/guard). The zero
-	// value defers to DefaultBudget; all-zero limits still attach a budget
-	// so that context cancellation reaches in-flight units.
+	// Budget sets per-unit resource ceilings (internal/guard). All-zero
+	// limits still attach a budget so that context cancellation reaches
+	// in-flight units.
 	Budget guard.Limits
 	// Quarantine retries a failed or budget-tripped unit once and, on a
 	// second failure, marks it quarantined instead of retrying forever.
-	// False defers to DefaultQuarantine.
 	Quarantine bool
 	// Analyzers, when non-empty, runs the variability-aware analysis passes
 	// over every unit after parsing (internal/analysis); each unit's
@@ -191,51 +128,12 @@ type RunConfig struct {
 	Link bool
 }
 
-// limits resolves the effective per-unit resource limits.
-func (cfg RunConfig) limits() guard.Limits {
-	if cfg.Budget.Zero() {
-		return DefaultBudget
-	}
-	return cfg.Budget
-}
-
-// quarantine resolves whether retry-once-then-quarantine is active.
-func (cfg RunConfig) quarantine() bool {
-	return cfg.Quarantine || DefaultQuarantine
-}
-
-// parseWorkers resolves the effective intra-unit parse worker count.
-func (cfg RunConfig) parseWorkers() int {
-	if cfg.ParseWorkers != 0 {
-		return cfg.ParseWorkers
-	}
-	return DefaultParseWorkers
-}
-
 // includePaths resolves the effective include directories.
 func (cfg RunConfig) includePaths() []string {
 	if len(cfg.IncludePaths) > 0 {
 		return cfg.IncludePaths
 	}
 	return IncludePaths
-}
-
-// jobs resolves the effective worker count for n units.
-func (cfg RunConfig) jobs(n int) int {
-	j := cfg.Jobs
-	if j <= 0 {
-		j = DefaultJobs
-	}
-	if j <= 0 {
-		j = runtime.GOMAXPROCS(0)
-	}
-	if j > n {
-		j = n
-	}
-	if j < 1 {
-		j = 1
-	}
-	return j
 }
 
 // UnitResult is one compilation unit's measurements.
@@ -344,10 +242,10 @@ type Metrics struct {
 	HeaderBytesSaved  int64 // source bytes not re-preprocessed
 	HeaderEvictions   int64
 
-	// Artifact-store outcome for this run (delta of the process-wide
-	// store's counters; "off" unless UseStore configured one). Degraded is
-	// current state, not a delta: 1 when persistent write failures flipped
-	// the store read-only.
+	// Artifact-store outcome for this run (delta of the counters of the
+	// store backing the run's header cache; "off" when there is none).
+	// Degraded is current state, not a delta: 1 when persistent write
+	// failures flipped the store read-only.
 	StoreState     string
 	StoreHits      int64
 	StoreMisses    int64
@@ -590,17 +488,20 @@ func RunMetered(ctx context.Context, c *corpus.Corpus, cfg RunConfig) ([]UnitRes
 		parser.KillSwitch = cfg.KillSwitch
 	}
 	if parser.ParseWorkers == 0 {
-		parser.ParseWorkers = cfg.parseWorkers()
+		parser.ParseWorkers = cfg.ParseWorkers
 	}
-	jobs := cfg.jobs(len(c.CFiles))
+	jobs := cli.Workers(cfg.Jobs, len(c.CFiles))
 	out := make([]UnitResult, len(c.CFiles))
 	col := newCollector()
 	hc := cfg.headerCache()
 	var hcBefore hcache.Snapshot
+	var st *store.Store
 	if hc != nil {
 		hcBefore = hc.Stats()
+		if b, ok := hc.Backing().(*store.HeaderBacking); ok {
+			st = b.S
+		}
 	}
-	st := Store()
 	var stBefore store.Snapshot
 	if st != nil {
 		stBefore = st.Stats()
@@ -621,7 +522,7 @@ func RunMetered(ctx context.Context, c *corpus.Corpus, cfg RunConfig) ([]UnitRes
 				}
 				col.inFlight.Enter()
 				r := runUnitSafe(ctx, c, cfg, parser, hc, c.CFiles[i])
-				if cfg.quarantine() && r.unhealthy() && ctx.Err() == nil {
+				if cfg.Quarantine && r.unhealthy() && ctx.Err() == nil {
 					retry := runUnitSafe(ctx, c, cfg, parser, hc, c.CFiles[i])
 					retry.Retried = true
 					if retry.unhealthy() {
@@ -780,7 +681,7 @@ func runUnit(ctx context.Context, c *corpus.Corpus, cfg RunConfig, parser fmlr.O
 	// Every unit gets its own budget even when all limits are zero: the
 	// budget carries the run context into the stage loop heads, so
 	// cancelling the run abandons in-flight units, not just queued ones.
-	budget := guard.New(ctx, cfg.limits())
+	budget := guard.New(ctx, cfg.Budget)
 	faultinject.At(faultinject.PointHarnessUnit, cf, budget)
 	parser.Budget = budget
 	// Each unit gets a fresh tool so that condition-space growth (BDD node
@@ -978,6 +879,18 @@ var Levels = []Level{
 	{"MAPR", fmlr.OptMAPR},
 }
 
+// withLevel is base with one Figure 8 optimization level and kill switch.
+func withLevel(base RunConfig, parser fmlr.Options, killSwitch int) RunConfig {
+	base.Parser, base.KillSwitch = parser, killSwitch
+	return base
+}
+
+// withTool is base as one Figure 9 tool: a condition mode and parser level.
+func withTool(base RunConfig, mode cond.Mode, parser fmlr.Options) RunConfig {
+	base.Mode, base.Parser = mode, parser
+	return base
+}
+
 // Figure8Row is one optimization level's aggregate subparser statistics.
 type Figure8Row struct {
 	Name        string
@@ -988,11 +901,12 @@ type Figure8Row struct {
 }
 
 // Figure8 measures subparser counts per main-loop iteration for every
-// optimization level (paper Figure 8a).
-func Figure8(c *corpus.Corpus, killSwitch int) []Figure8Row {
+// optimization level (paper Figure 8a). Each level runs under base with
+// only the parser level and kill switch overridden.
+func Figure8(c *corpus.Corpus, base RunConfig, killSwitch int) []Figure8Row {
 	var rows []Figure8Row
 	for _, lv := range Levels {
-		results := Run(c, RunConfig{Parser: lv.Opts, KillSwitch: killSwitch})
+		results := Run(c, withLevel(base, lv.Opts, killSwitch))
 		agg := &stats.Sample{}
 		killed := 0
 		for i := range results {
@@ -1037,14 +951,14 @@ func RenderFigure8a(rows []Figure8Row, killSwitch int) string {
 // counts (paper Figure 8b). The MAPR rows are omitted: their distributions
 // are dominated by kill-switch aborts (see Figure 8a), and Figure 8b's
 // point in the paper is the separation between the FMLR levels.
-func Figure8b(c *corpus.Corpus, killSwitch, points int) string {
+func Figure8b(c *corpus.Corpus, base RunConfig, killSwitch, points int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 8b: cumulative distribution of subparser counts per iteration\n")
 	for _, lv := range Levels {
 		if lv.Opts.NoChoiceMerge {
 			continue // MAPR baselines: see Figure 8a
 		}
-		results := Run(c, RunConfig{Parser: lv.Opts, KillSwitch: killSwitch})
+		results := Run(c, withLevel(base, lv.Opts, killSwitch))
 		agg := &stats.Sample{}
 		killed := 0
 		for i := range results {
@@ -1075,10 +989,11 @@ type Figure9Result struct {
 	TypeChef *stats.Sample
 }
 
-// Figure9 runs both tools over the corpus.
-func Figure9(c *corpus.Corpus) Figure9Result {
-	superc := Run(c, RunConfig{Mode: cond.ModeBDD, Parser: fmlr.OptAll})
-	chef := Run(c, RunConfig{Mode: cond.ModeSAT, Parser: fmlr.OptFollowOnly})
+// Figure9 runs both tools over the corpus under base, overriding only the
+// condition mode and parser level.
+func Figure9(c *corpus.Corpus, base RunConfig) Figure9Result {
+	superc := Run(c, withTool(base, cond.ModeBDD, fmlr.OptAll))
+	chef := Run(c, withTool(base, cond.ModeSAT, fmlr.OptFollowOnly))
 	r := Figure9Result{SuperC: &stats.Sample{}, TypeChef: &stats.Sample{}}
 	for i := range superc {
 		r.SuperC.AddDuration(superc[i].TotalTime)
@@ -1114,8 +1029,8 @@ func RenderFigure9(r Figure9Result, points int) string {
 
 // Figure10 renders the SuperC latency breakdown by stage against
 // compilation-unit size (paper Figure 10).
-func Figure10(c *corpus.Corpus) string {
-	results := Run(c, RunConfig{Mode: cond.ModeBDD, Parser: fmlr.OptAll})
+func Figure10(c *corpus.Corpus, base RunConfig) string {
+	results := Run(c, withTool(base, cond.ModeBDD, fmlr.OptAll))
 	sort.Slice(results, func(i, j int) bool { return results[i].Bytes < results[j].Bytes })
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 10: SuperC latency breakdown per compilation unit (sorted by size)\n")
@@ -1131,9 +1046,11 @@ func Figure10(c *corpus.Corpus) string {
 }
 
 // GccBaseline measures single-configuration processing (the paper's gcc
-// comparison: one branch per conditional, concrete macro table).
-func GccBaseline(c *corpus.Corpus, defines map[string]string) (*stats.Sample, []UnitResult) {
-	results := Run(c, RunConfig{Single: true, Defines: defines, Parser: fmlr.OptAll})
+// comparison: one branch per conditional, concrete macro table) under base.
+func GccBaseline(c *corpus.Corpus, base RunConfig, defines map[string]string) (*stats.Sample, []UnitResult) {
+	cfg := withTool(base, cond.ModeBDD, fmlr.OptAll)
+	cfg.Single, cfg.Defines = true, defines
+	results := Run(c, cfg)
 	s := &stats.Sample{}
 	for i := range results {
 		s.AddDuration(results[i].TotalTime)
@@ -1141,10 +1058,10 @@ func GccBaseline(c *corpus.Corpus, defines map[string]string) (*stats.Sample, []
 	return s, results
 }
 
-// RenderGcc prints the single-configuration comparison.
-func RenderGcc(c *corpus.Corpus) string {
-	single, _ := GccBaseline(c, map[string]string{"CONFIG_64BIT": "1", "CONFIG_KERNEL_MODE": "1"})
-	full := Run(c, RunConfig{Mode: cond.ModeBDD, Parser: fmlr.OptAll})
+// RenderGcc prints the single-configuration comparison under base.
+func RenderGcc(c *corpus.Corpus, base RunConfig) string {
+	single, _ := GccBaseline(c, base, map[string]string{"CONFIG_64BIT": "1", "CONFIG_KERNEL_MODE": "1"})
+	full := Run(c, withTool(base, cond.ModeBDD, fmlr.OptAll))
 	fullS := &stats.Sample{}
 	for i := range full {
 		fullS.AddDuration(full[i].TotalTime)

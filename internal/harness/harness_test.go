@@ -68,7 +68,7 @@ func TestTable3Renders(t *testing.T) {
 func TestFigure8Shape(t *testing.T) {
 	c := smallCorpus()
 	const kill = 800
-	rows := Figure8(c, kill)
+	rows := Figure8(c, RunConfig{}, kill)
 	byName := map[string]Figure8Row{}
 	for _, r := range rows {
 		byName[r.Name] = r
@@ -104,10 +104,10 @@ func TestFigure8Shape(t *testing.T) {
 // few times before declaring the relationship inverted.
 func TestFigure9Shape(t *testing.T) {
 	c := corpus.Generate(corpus.Params{Seed: 9, CFiles: 4, GenHeaders: 8})
-	Figure9(c) // warm-up: absorb per-process one-time costs untimed
+	Figure9(c, RunConfig{}) // warm-up: absorb per-process one-time costs untimed
 	var r Figure9Result
 	for attempt := 0; attempt < 3; attempt++ {
-		r = Figure9(c)
+		r = Figure9(c, RunConfig{})
 		if r.SuperC.Len() == 0 || r.TypeChef.Len() == 0 {
 			t.Fatal("empty samples")
 		}
@@ -127,7 +127,7 @@ func TestFigure9Shape(t *testing.T) {
 
 func TestFigure10Renders(t *testing.T) {
 	c := smallCorpus()
-	out := Figure10(c)
+	out := Figure10(c, RunConfig{})
 	if !strings.Contains(out, "lex(ms)") || !strings.Contains(out, ".c") {
 		t.Errorf("render:\n%s", out)
 	}
@@ -141,7 +141,7 @@ func TestFigure10Renders(t *testing.T) {
 // and is reported by BenchmarkGccBaseline instead.)
 func TestGccBaselineShape(t *testing.T) {
 	c := smallCorpus()
-	single, results := GccBaseline(c, map[string]string{"CONFIG_64BIT": "1"})
+	single, results := GccBaseline(c, RunConfig{}, map[string]string{"CONFIG_64BIT": "1"})
 	for _, r := range results {
 		if r.ParseFail {
 			t.Errorf("%s failed in single-config mode", r.File)

@@ -224,6 +224,9 @@ func New(opts Options) *Cache {
 // Canon exposes the cache's shared fingerprint canonicalizer.
 func (c *Cache) Canon() *Canon { return c.canon }
 
+// Backing returns the durable layer beneath the cache (nil when none).
+func (c *Cache) Backing() Backing { return c.backing }
+
 // LookupLex returns the Level-1 entry for a content hash. An in-memory miss
 // consults the backing store, installing what it finds.
 func (c *Cache) LookupLex(hash string) (*LexEntry, bool) {
