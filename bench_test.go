@@ -368,12 +368,12 @@ func BenchmarkParallelHarness(b *testing.B) {
 				units += len(results)
 			}
 			b.StopTimer()
-			if m.FailedUnits > 0 {
-				b.Fatalf("%d units failed", m.FailedUnits)
+			if n := m.Get("harness_failed_units"); n > 0 {
+				b.Fatalf("%d units failed", n)
 			}
 			b.ReportMetric(float64(units)/b.Elapsed().Seconds(), "units/sec")
-			b.ReportMetric(float64(m.MaxInFlight), "max-in-flight")
-			b.ReportMetric(float64(m.Forks)/float64(m.Units), "forks/unit")
+			b.ReportMetric(float64(m.Get("harness_max_in_flight")), "max-in-flight")
+			b.ReportMetric(float64(m.Get("harness_forks"))/float64(m.Get("harness_units")), "forks/unit")
 			hits, _ := cgrammar.TableCacheStats()
 			b.ReportMetric(float64(hits), "table-cache-hits")
 		})

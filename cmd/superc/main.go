@@ -44,6 +44,7 @@ import (
 	"repro/internal/guard"
 	"repro/internal/printer"
 	"repro/internal/refactor"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -326,7 +327,7 @@ func processFile(tool *core.Tool, ix *analysis.Index, file string, ff fileFlags,
 			u.Includes, u.Conditionals, u.MaxCondDepth)
 		if res.AST != nil {
 			fmt.Fprintf(stdout, "parse: %d iterations, max %d subparsers (p99 %d), %d forks, %d merges, %d typedef forks; AST: %d nodes, %d choice nodes\n",
-				p.Iterations, p.MaxSubparsers, p.Percentile(0.99), p.Forks, p.Merges, p.TypedefForks,
+				p.Iterations, p.MaxSubparsers, stats.Hist(p.SubparserHist).Percentile(0.99), p.Forks, p.Merges, p.TypedefForks,
 				res.AST.Count(), res.AST.CountChoices())
 		}
 		fmt.Fprintf(stdout, "tables: cache %s\n", cgrammar.TableCacheState())

@@ -189,9 +189,13 @@ func (t *Tool) ParseFile(path string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := fmlr.New(t.space, t.lang, t.parserOptions())
-	parse := eng.ParseUnit(unit)
-	return &Result{Unit: unit, AST: parse.AST, Parse: parse}, nil
+	return t.Parse(unit), nil
+}
+
+// Parse runs the FMLR parser over a preprocessed unit.
+func (t *Tool) Parse(unit *preprocessor.Unit) *Result {
+	parse := fmlr.New(t.space, t.lang, t.parserOptions()).ParseUnit(unit)
+	return &Result{Unit: unit, AST: parse.AST, Parse: parse}
 }
 
 // ParseString parses C source text directly (convenience for tests, small
@@ -205,9 +209,7 @@ func (t *Tool) ParseString(name, src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := fmlr.New(t.space, t.lang, t.parserOptions())
-	parse := eng.ParseUnit(unit)
-	return &Result{Unit: unit, AST: parse.AST, Parse: parse}, nil
+	return t.Parse(unit), nil
 }
 
 // overlayFS serves one in-memory file on top of a base file system.

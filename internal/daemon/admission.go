@@ -28,6 +28,18 @@ type admission struct {
 	admitted, queuedTotal, shed stats.Counter
 }
 
+// admissionFields names the valve's counters and gauges for the metrics
+// registry.
+var admissionFields = stats.Fields[admission]{
+	stats.NewField("admission_admitted", stats.KindCounter, "Batch requests admitted.", func(a *admission) int64 { return a.admitted.Load() }),
+	stats.NewField("admission_queued_total", stats.KindCounter, "Batch requests that waited in the admission queue.", func(a *admission) int64 { return a.queuedTotal.Load() }),
+	stats.NewField("admission_shed", stats.KindCounter, "Batch requests shed with 429 or 503.", func(a *admission) int64 { return a.shed.Load() }),
+	stats.NewField("admission_in_flight", stats.KindGauge, "Batch requests executing now.", func(a *admission) int64 { return a.inFlight.Load() }),
+	stats.NewField("admission_queued", stats.KindGauge, "Batch requests waiting for a slot now.", func(a *admission) int64 { return a.queued.Load() }),
+	stats.NewField("draining", stats.KindGauge, "1 while the server drains.", func(a *admission) int64 { return stats.Flag(a.draining.Load()) }),
+	stats.NewField("ready", stats.KindGauge, "1 while new batch work would be admitted.", func(a *admission) int64 { return stats.Flag(a.ready()) }),
+}
+
 // newAdmission sizes the valve: maxInFlight concurrent batches, queueDepth
 // waiting positions, wait as the queue's patience.
 func newAdmission(maxInFlight, queueDepth int, wait time.Duration) *admission {

@@ -160,7 +160,7 @@ func TestServerShedsWith429(t *testing.T) {
 	if fr.StatusCode != http.StatusOK {
 		t.Fatalf("in-flight request got %d after a shed; want 200", fr.StatusCode)
 	}
-	if got := s.counters()["admission_shed"]; got != 1 {
+	if got := s.snapshot().Get("admission_shed"); got != 1 {
 		t.Errorf("admission_shed = %d; want 1", got)
 	}
 }
@@ -225,7 +225,7 @@ func TestGracefulDrain(t *testing.T) {
 	if len(lintResp.Units) != 1 || lintResp.Units[0].Failed {
 		t.Fatalf("in-flight response incomplete: %+v", lintResp)
 	}
-	if got := s.counters()["draining"]; got != 1 {
+	if got := s.snapshot().Get("draining"); got != 1 {
 		t.Errorf("draining counter = %d; want 1", got)
 	}
 }

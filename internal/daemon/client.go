@@ -85,8 +85,8 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	return o
 }
 
-// ClientMetrics is a snapshot of the client's resilience counters, surfaced
-// through harness.Metrics and cstats -metrics.
+// ClientMetrics is a snapshot of the client's resilience counters; cstats
+// -daemon -metrics prints it as its "daemon client" line.
 type ClientMetrics struct {
 	Attempts     int64  // HTTP attempts issued (first tries + retries)
 	Retries      int64  // attempts that were retries

@@ -3,10 +3,13 @@ package daemon
 import (
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +21,7 @@ import (
 	"repro/internal/fmlr"
 	"repro/internal/guard"
 	"repro/internal/harness"
+	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -424,7 +428,127 @@ func TestStatsAndMetrics(t *testing.T) {
 	if stats.Counters["requests_lint"] != 1 || stats.Counters["units_total"] != 1 {
 		t.Fatalf("counters = %v", stats.Counters)
 	}
-	if _, ok := stats.Counters["hcache_header_hits"]; !ok {
-		t.Error("hcache counters missing from stats")
+	// The names outside readers scrape: bench/daemon.go, the CI workflow and
+	// scripts/daemon_smoke.sh.
+	for _, name := range []string{
+		"hcache_header_hits", "hcache_header_misses", "hcache_lex_hits", "hcache_lex_misses",
+		"hcache_bytes_saved", "store_hits", "store_misses", "store_writes", "store_bytes",
+		"link_facts_hits", "link_facts_misses", "admission_queued_total", "admission_shed",
+		"facts_hits",
+	} {
+		if _, ok := stats.Counters[name]; !ok {
+			t.Errorf("/v1/stats lacks %s", name)
+		}
+	}
+}
+
+// TestLintCountsFailedUnits checks that /v1/lint units fold into the shared
+// harness_* totals like every other endpoint's: an unparseable file raises
+// harness_failed_units by one.
+func TestLintCountsFailedUnits(t *testing.T) {
+	root := writeTestTree(t)
+	if err := os.WriteFile(filepath.Join(root, "bad.c"), []byte("int x = ;\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := startServer(t, NewServer(Config{Root: root}))
+	before, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Lint(&LintRequest{Files: []string{"bad.c"}, Mode: "bdd"}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int64{"harness_failed_units": 1, "harness_units": 1} {
+		if d := after.Counters[name] - before.Counters[name]; d != want {
+			t.Errorf("%s rose by %d, want %d", name, d, want)
+		}
+	}
+}
+
+// TestMetricSurfaces checks that every registered instrument renders on
+// every surface that registers it: the harness text block for a run's
+// names, /v1/stats and /metrics for superd's, which share the per-unit,
+// link, header cache and store declarations. /metrics must type each name
+// once, before its value, with exactly the declared gauges typed gauge.
+func TestMetricSurfaces(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(Config{Root: writeTestTree(t), Store: st})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c, err := Dial(strings.TrimPrefix(ts.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Lint(&LintRequest{Files: []string{"a.c"}, IncludePaths: []string{"inc"}, Mode: "bdd"}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := regexp.MustCompile(`^superd_[a-z0-9_]+ -?[0-9]+$`)
+	types := map[string]string{}
+	values := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(body), "\n"), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 4 && f[0] == "#" && f[1] == "TYPE":
+			types[f[2]] = f[3]
+		case len(f) >= 3 && f[0] == "#" && f[1] == "HELP":
+		case sample.MatchString(line):
+			if types[f[0]] == "" || values[f[0]] {
+				t.Errorf("/metrics: %s repeated or not typed first", f[0])
+			}
+			values[f[0]] = true
+		default:
+			t.Errorf("/metrics: malformed line %q", line)
+		}
+	}
+	var gauges []string
+	for _, d := range registry.Descs() {
+		if _, ok := snap.Counters[d.Name]; !ok {
+			t.Errorf("/v1/stats lacks %s", d.Name)
+		}
+		if !values["superd_"+d.Name] {
+			t.Errorf("/metrics lacks %s", d.Name)
+		}
+		if d.Kind == stats.KindGauge {
+			gauges = append(gauges, d.Name)
+			if typ := types["superd_"+d.Name]; typ != "gauge" {
+				t.Errorf("/metrics types gauge %s as %q", d.Name, typ)
+			}
+		}
+	}
+	if len(snap.Counters) != len(registry.Descs()) || len(values) != len(registry.Descs()) {
+		t.Errorf("surfaces render %d and %d names for %d declared", len(snap.Counters), len(values), len(registry.Descs()))
+	}
+	wantGauges := []string{"admission_in_flight", "admission_queued", "draining", "ready", "store_degraded", "store_entries", "store_bytes"}
+	if !reflect.DeepEqual(gauges, wantGauges) {
+		t.Errorf("gauges = %v, want %v", gauges, wantGauges)
+	}
+
+	_, m := harness.RunMetered(context.Background(), corpus.Generate(corpus.Params{Seed: 1, CFiles: 2, GenHeaders: 2}),
+		harness.RunConfig{Parser: fmlr.OptAll, Jobs: 1})
+	text := m.String()
+	for name := range m.Map() {
+		if !strings.Contains(text, " "+name+"=") {
+			t.Errorf("harness text block lacks %s", name)
+		}
 	}
 }

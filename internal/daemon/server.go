@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -76,16 +77,44 @@ type Server struct {
 	// handler (drain tests hold requests in flight with it).
 	afterAdmit func()
 
-	reqLint, reqParse, reqCorpus stats.Counter
-	reqLink                      stats.Counter
-	units                        stats.Counter
-	factsHits, factsMisses       stats.Counter
-	linkUnits, linkFindings      stats.Counter
-	linkFactsHits, linkFactsMiss stats.Counter
-	failedUnits, killedUnits     stats.Counter
-	budgetTrips                  stats.Counter
-	forks, merges                stats.Counter
+	// counts holds the serverDescs counters; units and links total every
+	// endpoint's finished units and link runs under the harness and link
+	// declarations, so those names mean what they mean in a harness run.
+	counts, units, links *stats.CounterSet
 }
+
+// Server counters: the slots of Server.counts.
+const (
+	reqLint = iota
+	reqParse
+	reqLink
+	reqCorpus
+	unitsTotal
+	factsHits
+	factsMisses
+	linkFactsHits
+	linkFactsMisses
+	numCounters
+)
+
+var serverDescs = []stats.Desc{
+	reqLint:         {Name: "requests_lint", Help: "Lint requests received."},
+	reqParse:        {Name: "requests_parse", Help: "Parse requests received."},
+	reqLink:         {Name: "requests_link", Help: "Link requests received."},
+	reqCorpus:       {Name: "requests_corpus", Help: "Corpus requests received."},
+	unitsTotal:      {Name: "units_total", Help: "Units named by batch requests, served from facts or computed."},
+	factsHits:       {Name: "facts_hits", Help: "Corpus units served from the facts cache."},
+	factsMisses:     {Name: "facts_misses", Help: "Corpus units computed for want of cached facts."},
+	linkFactsHits:   {Name: "link_facts_hits", Help: "Link units whose facts came from the store."},
+	linkFactsMisses: {Name: "link_facts_misses", Help: "Link units parsed to extract their facts."},
+}
+
+// registry is every instrument superd exposes, in /metrics order.
+var registry = stats.NewRegistry(slices.Concat(
+	[][]stats.Desc{serverDescs, admissionFields.Descs()},
+	harness.UnitDescs(),
+	[][]stats.Desc{link.Fields.Descs(), hcache.Fields.Descs(), store.Fields.Descs()},
+)...)
 
 // NewServer builds a server over cfg. The header cache is created here —
 // backed by cfg.Store when present — and lives for the server's lifetime.
@@ -124,6 +153,10 @@ func NewServer(cfg Config) *Server {
 		mux:   http.NewServeMux(),
 		adm:   newAdmission(cfg.MaxInFlight, queueDepth, cfg.QueueWait),
 		start: time.Now(),
+
+		counts: stats.NewCounterSet(numCounters),
+		units:  stats.NewCounterSet(len(harness.UnitFields)),
+		links:  stats.NewCounterSet(len(link.Fields)),
 	}
 	s.mux.HandleFunc("POST /v1/lint", s.admit(s.handleLint))
 	s.mux.HandleFunc("POST /v1/parse", s.admit(s.handleParse))
@@ -398,7 +431,7 @@ func forEach(n, workers int, fn func(i int)) {
 }
 
 func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
-	s.reqLint.Inc()
+	s.counts.Inc(reqLint)
 	var req LintRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request: %v", err)
@@ -421,7 +454,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	forEach(len(req.Files), s.jobs(req.Jobs, len(req.Files)), func(i int) {
 		resp.Units[i] = s.lintUnit(r.Context(), cfg, req.Files[i], analyzers, limits)
 	})
-	s.units.Add(int64(len(req.Files)))
+	s.counts.Add(unitsTotal, int64(len(req.Files)))
 	writeJSON(w, &resp)
 }
 
@@ -432,10 +465,11 @@ func (s *Server) lintUnit(ctx context.Context, cfg core.Config, file string, ana
 	tool := core.New(cfg)
 	budget := guard.New(ctx, limits)
 	tool.SetBudget(budget)
-	res, err := tool.ParseFile(file)
-	if err != nil {
+	m, res := harness.Measure(tool, file)
+	defer s.finish(&m, budget)
+	if res == nil {
 		u.Failed = true
-		u.Errors = fmt.Sprintf("clint: %s: %v\n", file, err)
+		u.Errors = fmt.Sprintf("clint: %s: %s\n", file, m.Err)
 		return u
 	}
 	var errs strings.Builder
@@ -457,14 +491,19 @@ func (s *Server) lintUnit(ctx context.Context, cfg core.Config, file string, ana
 		u.Diags[i] = FromAnalysis(d)
 	}
 	u.Stats = result.Stats
-	if d := budget.Trip(); d != nil {
-		s.budgetTrips.Inc()
-	}
+	m.Analysis = result
 	return u
 }
 
+// finish records a unit one of the tool endpoints measured: its budget
+// outcome, then the harness_* totals every endpoint shares.
+func (s *Server) finish(m *harness.UnitResult, budget *guard.Budget) {
+	m.Budget = budget.Trip()
+	harness.UnitFields.Fold(s.units, m)
+}
+
 func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
-	s.reqParse.Inc()
+	s.counts.Inc(reqParse)
 	var req ParseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request: %v", err)
@@ -480,7 +519,7 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		resp.Units[i] = s.parseUnit(r.Context(), cfg, req.Files[i], limits)
 	})
 	resp.TableCache = cgrammar.TableCacheState()
-	s.units.Add(int64(len(req.Files)))
+	s.counts.Add(unitsTotal, int64(len(req.Files)))
 	writeJSON(w, &resp)
 }
 
@@ -491,9 +530,10 @@ func (s *Server) parseUnit(ctx context.Context, cfg core.Config, file string, li
 	tool := core.New(cfg)
 	budget := guard.New(ctx, limits)
 	tool.SetBudget(budget)
-	res, err := tool.ParseFile(file)
-	if err != nil {
-		u.Err = err.Error()
+	m, res := harness.Measure(tool, file)
+	defer s.finish(&m, budget)
+	if res == nil {
+		u.Err = m.Err
 		return u
 	}
 	u.PreDiags = res.Unit.Diags
@@ -504,15 +544,7 @@ func (s *Server) parseUnit(ctx context.Context, cfg core.Config, file string, li
 	u.Killed = res.Parse.Killed
 	u.Pre = res.Unit.Stats
 	u.Pre.LexTime = 0
-	p := res.Parse.Stats
-	u.Parse = ParseStats{
-		Iterations:    p.Iterations,
-		MaxSubparsers: p.MaxSubparsers,
-		P99:           p.Percentile(0.99),
-		Forks:         p.Forks,
-		Merges:        p.Merges,
-		TypedefForks:  p.TypedefForks,
-	}
+	u.Parse = parseStats(&m)
 	if res.AST != nil {
 		u.HasAST = true
 		u.Parse.ASTNodes = res.AST.Count()
@@ -520,21 +552,12 @@ func (s *Server) parseUnit(ctx context.Context, cfg core.Config, file string, li
 	}
 	if d := budget.Trip(); d != nil {
 		u.BudgetErr = fmt.Sprintf("%v", d)
-		s.budgetTrips.Inc()
-	}
-	s.forks.Add(int64(p.Forks))
-	s.merges.Add(int64(p.Merges))
-	if res.Parse.Killed {
-		s.killedUnits.Inc()
-	}
-	if res.AST == nil {
-		s.failedUnits.Inc()
 	}
 	return u
 }
 
 func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
-	s.reqLink.Inc()
+	s.counts.Inc(reqLink)
 	var req LinkRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request: %v", err)
@@ -574,9 +597,10 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 		tool := core.New(cfg)
 		budget := guard.New(r.Context(), limits)
 		tool.SetBudget(budget)
-		res, err := tool.ParseFile(file)
-		if err != nil {
-			unitErrs[i] = fmt.Sprintf("%s: %v\n", file, err)
+		m, res := harness.Measure(tool, file)
+		defer s.finish(&m, budget)
+		if res == nil {
+			unitErrs[i] = fmt.Sprintf("%s: %s\n", file, m.Err)
 			return
 		}
 		if res.AST == nil {
@@ -591,13 +615,9 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 			Budget: tool.Budget(),
 		})
 		facts[i] = f
-		tripped := budget.Trip() != nil
-		if tripped {
-			s.budgetTrips.Inc()
-		}
 		// Budget-tripped extractions may be truncated; only complete fact
 		// sets persist.
-		if key != "" && !tripped {
+		if key != "" && budget.Trip() == nil {
 			if data, err := f.Encode(); err == nil {
 				s.cfg.Store.Put(store.NSLink, key, data)
 			}
@@ -626,11 +646,10 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 			resp.Failed = append(resp.Failed, LinkUnit{File: req.Files[i], Errors: e})
 		}
 	}
-	s.units.Add(int64(len(req.Files)))
-	s.linkUnits.Add(int64(lr.Stats.Units))
-	s.linkFindings.Add(int64(len(lr.Findings)))
-	s.linkFactsHits.Add(hits.Load())
-	s.linkFactsMiss.Add(misses.Load())
+	s.counts.Add(unitsTotal, int64(len(req.Files)))
+	s.counts.Add(linkFactsHits, hits.Load())
+	s.counts.Add(linkFactsMisses, misses.Load())
+	link.Fields.Fold(s.links, &lr.Stats)
 	writeJSON(w, &resp)
 }
 
@@ -660,7 +679,7 @@ func linkFingerprint(cfg core.Config, limits guard.Limits) string {
 }
 
 func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
-	s.reqCorpus.Inc()
+	s.counts.Inc(reqCorpus)
 	var req CorpusRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request: %v", err)
@@ -696,7 +715,7 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 		for j, i := range missing {
 			sub.CFiles[j] = c.CFiles[i]
 		}
-		results, m := harness.RunMetered(r.Context(), &sub, harness.RunConfig{
+		results, _ := harness.RunMetered(r.Context(), &sub, harness.RunConfig{
 			Mode:         cfg.CondMode,
 			Parser:       *cfg.Parser,
 			Single:       cfg.SingleConfig,
@@ -707,6 +726,7 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 			Analyzers:    analyzers,
 		})
 		for j, i := range missing {
+			harness.UnitFields.Fold(s.units, &results[j])
 			u := toCorpusUnit(&results[j])
 			resp.Units[i] = u
 			// A unit that errored (cancelled run, panic) is not a
@@ -716,15 +736,10 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 				store.PutGob(s.cfg.Store, store.NSFacts, fp+"\x00"+c.CFiles[i], &u)
 			}
 		}
-		s.failedUnits.Add(int64(m.FailedUnits))
-		s.killedUnits.Add(int64(m.KilledUnits))
-		s.budgetTrips.Add(int64(m.BudgetTrips))
-		s.forks.Add(m.Forks)
-		s.merges.Add(m.Merges)
 	}
-	s.factsHits.Add(resp.FactsHits)
-	s.factsMisses.Add(resp.FactsMisses)
-	s.units.Add(int64(len(c.CFiles)))
+	s.counts.Add(factsHits, resp.FactsHits)
+	s.counts.Add(factsMisses, resp.FactsMisses)
+	s.counts.Add(unitsTotal, int64(len(c.CFiles)))
 	writeJSON(w, &resp)
 }
 
@@ -741,6 +756,14 @@ func (s *Server) factsFingerprint(req CorpusRequest, limits guard.Limits) string
 		strings.Join(names, ","), limits)
 }
 
+// parseStats is the wire summary of a measured unit's parse.
+func parseStats(r *harness.UnitResult) ParseStats {
+	p := &r.Parse
+	return ParseStats{Iterations: p.Iterations, MaxSubparsers: p.MaxSubparsers,
+		P99: stats.Hist(p.SubparserHist).Percentile(0.99), Forks: p.Forks, Merges: p.Merges,
+		TypedefForks: p.TypedefForks, ChoiceNodes: r.ChoiceNodes}
+}
+
 // toCorpusUnit extracts the deterministic subset of a harness result.
 func toCorpusUnit(r *harness.UnitResult) CorpusUnit {
 	u := CorpusUnit{
@@ -751,15 +774,7 @@ func toCorpusUnit(r *harness.UnitResult) CorpusUnit {
 		Killed:    r.Killed,
 		ParseFail: r.ParseFail,
 		Err:       r.Err,
-		Parse: ParseStats{
-			Iterations:    r.Parse.Iterations,
-			MaxSubparsers: r.Parse.MaxSubparsers,
-			P99:           r.Parse.Percentile(0.99),
-			Forks:         r.Parse.Forks,
-			Merges:        r.Parse.Merges,
-			TypedefForks:  r.Parse.TypedefForks,
-			ChoiceNodes:   r.ChoiceNodes,
-		},
+		Parse:     parseStats(r),
 	}
 	u.Pre.LexTime = 0
 	if a := r.Analysis; a != nil {
@@ -773,85 +788,30 @@ func toCorpusUnit(r *harness.UnitResult) CorpusUnit {
 	return u
 }
 
-// counters collects every exposed counter under stable names.
-func (s *Server) counters() map[string]int64 {
-	m := map[string]int64{
-		"requests_lint":        s.reqLint.Load(),
-		"requests_parse":       s.reqParse.Load(),
-		"requests_link":        s.reqLink.Load(),
-		"requests_corpus":      s.reqCorpus.Load(),
-		"units_total":          s.units.Load(),
-		"facts_hits":           s.factsHits.Load(),
-		"facts_misses":         s.factsMisses.Load(),
-		"link_units":           s.linkUnits.Load(),
-		"link_findings":        s.linkFindings.Load(),
-		"link_facts_hits":      s.linkFactsHits.Load(),
-		"link_facts_misses":    s.linkFactsMiss.Load(),
-		"harness_failed_units": s.failedUnits.Load(),
-		"harness_killed_units": s.killedUnits.Load(),
-		"harness_budget_trips": s.budgetTrips.Load(),
-		"harness_forks":        s.forks.Load(),
-		"harness_merges":       s.merges.Load(),
-	}
-	m["admission_admitted"] = s.adm.admitted.Load()
-	m["admission_queued_total"] = s.adm.queuedTotal.Load()
-	m["admission_shed"] = s.adm.shed.Load()
-	m["admission_in_flight"] = s.adm.inFlight.Load()
-	m["admission_queued"] = s.adm.queued.Load()
-	m["draining"] = b2i(s.adm.draining.Load())
-	m["ready"] = b2i(s.adm.ready())
+// snapshot reads every instrument: the server's own counters, admission,
+// the shared unit and link totals, and the header cache and store.
+func (s *Server) snapshot() stats.Snapshot {
 	hc := s.hc.Stats()
-	m["hcache_header_hits"] = hc.HeaderHits
-	m["hcache_header_misses"] = hc.HeaderMisses
-	m["hcache_lex_hits"] = hc.LexHits
-	m["hcache_lex_misses"] = hc.LexMisses
-	m["hcache_bytes_saved"] = hc.BytesSaved
-	m["hcache_evictions"] = hc.Evictions
+	var st store.Snapshot
 	if s.cfg.Store != nil {
-		st := s.cfg.Store.Stats()
-		m["store_hits"] = st.Hits
-		m["store_misses"] = st.Misses
-		m["store_writes"] = st.Writes
-		m["store_evictions"] = st.Evictions
-		m["store_corrupt"] = st.Corrupt
-		m["store_entries"] = st.Entries
-		m["store_bytes"] = st.Bytes
-		m["store_scrubbed"] = st.Scrubbed
-		m["store_tmp_swept"] = st.TmpSwept
-		m["store_write_errors"] = st.WriteErrors
-		m["store_read_errors"] = st.ReadErrors
-		m["store_degraded"] = st.Degraded
+		st = s.cfg.Store.Stats()
 	}
-	return m
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
+	return registry.Snapshot(s.counts.Snapshot(), admissionFields.Values(s.adm), s.units.Snapshot(),
+		s.links.Snapshot(), hcache.Fields.Values(&hc), store.Fields.Values(&st))
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, &StatsResponse{
 		Version:  Version,
 		Uptime:   time.Since(s.start).Round(time.Millisecond).String(),
-		Counters: s.counters(),
+		Counters: s.snapshot().Map(),
 	})
 }
 
-// handleMetrics renders the counters in Prometheus text exposition format.
+// handleMetrics renders the snapshot in Prometheus text exposition format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	c := s.counters()
-	names := make([]string, 0, len(c))
-	for n := range c {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	for _, n := range names {
-		fmt.Fprintf(w, "superd_%s %d\n", n, c[n])
-	}
+	_ = s.snapshot().WritePrometheus(w, "superd_") // a failed write means the scraper hung up
 }
 
 // handleHealthz serves both probes. Liveness (the default) is always 200

@@ -118,30 +118,6 @@ type Stats struct {
 	StreamFallbacks    int
 }
 
-// Percentile returns the q-quantile (0..1) of the per-iteration subparser
-// counts.
-func (s *Stats) Percentile(q float64) int {
-	total := 0
-	keys := make([]int, 0, len(s.SubparserHist))
-	for k, n := range s.SubparserHist {
-		keys = append(keys, k)
-		total += n
-	}
-	sort.Ints(keys)
-	if total == 0 {
-		return 0
-	}
-	want := int(q * float64(total))
-	seen := 0
-	for _, k := range keys {
-		seen += s.SubparserHist[k]
-		if seen > want {
-			return k
-		}
-	}
-	return keys[len(keys)-1]
-}
-
 // Diagnostic is a configuration-aware parse error.
 type Diagnostic struct {
 	Cond cond.Cond

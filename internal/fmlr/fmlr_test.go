@@ -9,6 +9,7 @@ import (
 	"repro/internal/cgrammar"
 	"repro/internal/cond"
 	"repro/internal/preprocessor"
+	"repro/internal/stats"
 )
 
 // parseSrc preprocesses and FMLR-parses main.c from files.
@@ -444,10 +445,10 @@ int main(void) {
 
 func TestStatsPercentile(t *testing.T) {
 	st := Stats{SubparserHist: map[int]int{1: 90, 2: 9, 10: 1}}
-	if p := st.Percentile(0.5); p != 1 {
+	if p := stats.Hist(st.SubparserHist).Percentile(0.5); p != 1 {
 		t.Errorf("p50 = %d", p)
 	}
-	if p := st.Percentile(0.99); p != 10 {
+	if p := stats.Hist(st.SubparserHist).Percentile(0.99); p != 10 {
 		t.Errorf("p99 = %d, want 10", p)
 	}
 }

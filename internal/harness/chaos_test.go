@@ -100,10 +100,10 @@ func TestChaosCorpus(t *testing.T) {
 	if got, want := strings.Join(mA.Quarantined, ","), strings.Join(mB.Quarantined, ","); got != want {
 		t.Errorf("quarantine sets differ between identically-faulted runs:\n A: %s\n B: %s", got, want)
 	}
-	if mA.QuarantinedUnits != len(mA.Quarantined) {
-		t.Errorf("QuarantinedUnits=%d but %d paths listed", mA.QuarantinedUnits, len(mA.Quarantined))
+	if n := mA.Get("harness_quarantined_units"); n != int64(len(mA.Quarantined)) {
+		t.Errorf("harness_quarantined_units=%d but %d paths listed", n, len(mA.Quarantined))
 	}
-	if !fromEnv && mA.QuarantinedUnits == 0 {
+	if !fromEnv && len(mA.Quarantined) == 0 {
 		t.Errorf("default chaos seed injected no quarantining fault; raise Rate or change the default seed")
 	}
 
@@ -146,13 +146,13 @@ func TestChaosCorpus(t *testing.T) {
 	}
 
 	// The faulted runs' trip accounting must reach the metrics snapshot.
-	if mA.BudgetTrips > 0 {
+	if trips := mA.Get("harness_budget_trips"); trips > 0 {
 		total := int64(0)
-		for _, n := range mA.TripsByAxis {
-			total += n
+		for a := guard.AxisNone + 1; a < guard.NumAxes; a++ {
+			total += mA.Get("harness_trips_" + metricName(a.String()))
 		}
-		if total != int64(mA.BudgetTrips) {
-			t.Errorf("TripsByAxis sums to %d, BudgetTrips=%d", total, mA.BudgetTrips)
+		if total != trips {
+			t.Errorf("per-axis trips sum to %d, harness_budget_trips=%d", total, trips)
 		}
 	}
 	if !strings.Contains(mA.String(), "quarantined") {
@@ -185,14 +185,14 @@ func TestChaosHeaderCachePoint(t *testing.T) {
 	}
 	_, mA := run()
 	_, mB := run()
-	if mA.QuarantinedUnits != len(c.CFiles) {
-		t.Errorf("exhaust-on-every-unit quarantined %d of %d units", mA.QuarantinedUnits, len(c.CFiles))
+	if n := mA.Get("harness_quarantined_units"); n != int64(len(c.CFiles)) {
+		t.Errorf("exhaust-on-every-unit quarantined %d of %d units", n, len(c.CFiles))
 	}
 	if strings.Join(mA.Quarantined, ",") != strings.Join(mB.Quarantined, ",") {
 		t.Errorf("sequential header-cache chaos not deterministic:\n A: %v\n B: %v", mA.Quarantined, mB.Quarantined)
 	}
-	if mA.TripsByAxis[guard.AxisFault] == 0 {
-		t.Errorf("expected fault-injected trips, axis counts: %v", mA.TripsByAxis)
+	if mA.Get("harness_trips_fault_injected") == 0 {
+		t.Errorf("expected fault-injected trips, counts: %v", mA.Map())
 	}
 }
 
@@ -230,8 +230,8 @@ func TestDeadlineAbandonsInFlightUnit(t *testing.T) {
 	if r.Budget.Axis != guard.AxisWall && r.Budget.Axis != guard.AxisCancel {
 		t.Errorf("trip axis = %v, want wall-clock or cancelled", r.Budget.Axis)
 	}
-	if m.BudgetTrips != 1 {
-		t.Errorf("BudgetTrips = %d, want 1", m.BudgetTrips)
+	if n := m.Get("harness_budget_trips"); n != 1 {
+		t.Errorf("harness_budget_trips = %d, want 1", n)
 	}
 }
 
@@ -261,11 +261,11 @@ func TestBudgetLimitsFlowThroughRunConfig(t *testing.T) {
 		Parser: fmlr.OptAll,
 		Budget: guard.Limits{Tokens: 50},
 	})
-	if m.BudgetTrips != len(c.CFiles) {
-		t.Fatalf("BudgetTrips = %d, want %d (every unit)", m.BudgetTrips, len(c.CFiles))
+	if n := m.Get("harness_budget_trips"); n != int64(len(c.CFiles)) {
+		t.Fatalf("harness_budget_trips = %d, want %d (every unit)", n, len(c.CFiles))
 	}
-	if m.TripsByAxis[guard.AxisTokens] != int64(len(c.CFiles)) {
-		t.Errorf("token-axis trips = %d, want %d", m.TripsByAxis[guard.AxisTokens], len(c.CFiles))
+	if n := m.Get("harness_trips_tokens"); n != int64(len(c.CFiles)) {
+		t.Errorf("harness_trips_tokens = %d, want %d", n, len(c.CFiles))
 	}
 	for i := range results {
 		if results[i].Budget == nil {

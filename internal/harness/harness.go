@@ -26,9 +26,10 @@
 // whose first attempt panics or trips its budget is retried once; a second
 // failure quarantines the unit, which Metrics reports by path.
 //
-// While a run is in flight the workers maintain lock-free counters
-// (stats.Counter/Timer/HighWater); RunMetered returns their final values as
-// a Metrics snapshot alongside the results.
+// Once the pool drains, RunMetered folds every unit through the per-unit
+// instruments declared once in UnitGroups (metrics.go) and returns them,
+// with the run's cache, store and link totals, as a Metrics snapshot
+// alongside the results.
 package harness
 
 import (
@@ -164,7 +165,6 @@ type UnitResult struct {
 	BDDOpHits      int64
 	BDDOpMisses    int64
 	BDDOpEvictions int64
-	BDDTableSlots  int // unique-table capacity at end of unit
 	CondOps        int64
 	CondFastPaths  int64
 
@@ -175,301 +175,6 @@ type UnitResult struct {
 	// LinkFacts is the unit's conditional link facts (nil unless
 	// RunConfig.Link is set and the unit parsed).
 	LinkFacts *link.Facts
-}
-
-// Metrics is a snapshot of one run's per-stage observability counters.
-type Metrics struct {
-	Jobs        int // effective worker-pool width
-	Units       int // units processed (== corpus size unless cancelled)
-	FailedUnits int // ParseFail or recorded Err
-	KilledUnits int // subparser kill switch trips
-	MaxInFlight int // high-water mark of concurrently processing units
-
-	// Resource-governor outcomes (internal/guard).
-	BudgetTrips      int      // units that tripped a budget axis and degraded
-	TripsByAxis      []int64  // trips per guard.Axis (indexed by Axis value)
-	RetriedUnits     int      // units whose recorded result is a retry
-	QuarantinedUnits int      // units that failed both attempts
-	Quarantined      []string // quarantined unit paths, sorted
-
-	// Cumulative per-stage work across all units (sums of per-unit wall
-	// time; with N workers this can exceed WallTime by up to N×).
-	LexTime        time.Duration
-	PreprocessTime time.Duration
-	ParseTime      time.Duration
-	WallTime       time.Duration // elapsed time of the whole run
-
-	// Engine totals across units.
-	Forks        int64
-	Merges       int64
-	TypedefForks int64
-	BDDNodes     int64 // presence-condition nodes allocated, summed over units
-
-	// Parse-stage hot-path caches, summed over units.
-	FollowHits      int64 // follow-set template memo hits
-	FollowMisses    int64
-	SubparserReuses int64 // free-list recycles
-	SubparserAllocs int64
-	BDDOpHits       int64 // BDD op-cache hits (BDD mode)
-	BDDOpMisses     int64
-	BDDOpEvictions  int64
-	CondOps         int64 // presence-condition ops issued by the parser stack
-	CondFastPaths   int64 // resolved by cond's simplification layer pre-BDD
-
-	// Stream-fused token pipeline flow, summed over units. Streamed tokens
-	// went through the parser's chunk-cursor fast path without ever being
-	// materialized as forest elements; materialized tokens took the classic
-	// element path (conditional regions, fallbacks, or streaming disabled).
-	TokensStreamed     int64
-	TokensMaterialized int64
-	StreamFallbacks    int64 // fast-path bail-outs to the materialized path
-	// StreamBytesAvoided estimates the forest bytes never allocated thanks to
-	// streaming: streamed tokens × per-token element+segment footprint.
-	StreamBytesAvoided int64
-
-	// Parse-table cache outcome (process-wide, from package cgrammar).
-	TableCacheHits   int64
-	TableCacheMisses int64
-	TableCacheState  string
-
-	// Cross-unit header cache outcome for this run (delta of the shared
-	// cache's counters across the run).
-	HeaderCacheState  string // "on" or "off"
-	HeaderCacheHits   int64  // Level-2 (preprocessed header) replays
-	HeaderCacheMisses int64
-	HeaderLexHits     int64 // Level-1 (lexed token stream) hits
-	HeaderLexMisses   int64
-	HeaderBytesSaved  int64 // source bytes not re-preprocessed
-	HeaderEvictions   int64
-
-	// Artifact-store outcome for this run (delta of the counters of the
-	// store backing the run's header cache; "off" when there is none).
-	// Degraded is current state, not a delta: 1 when persistent write
-	// failures flipped the store read-only.
-	StoreState     string
-	StoreHits      int64
-	StoreMisses    int64
-	StoreWrites    int64
-	StoreEvictions int64
-	StoreCorrupt   int64
-	StoreWriteErrs int64
-	StoreReadErrs  int64
-	StoreDegraded  int64
-
-	// Daemon thin-client resilience outcome ("" unless the run went through
-	// a superd client; then DaemonState is the circuit breaker's position).
-	DaemonState        string
-	DaemonAttempts     int64
-	DaemonRetries      int64
-	DaemonSheds        int64
-	DaemonBreakerOpens int64
-
-	// Variability-aware analysis counters (zero unless RunConfig.Analyzers).
-	AnalysisPasses      int64            // passes run, summed over units
-	AnalysisDiags       int64            // diagnostics reported
-	AnalysisByPass      map[string]int64 // diagnostics per pass name
-	WitnessChecks       int64            // witnesses extracted and independently re-verified
-	WitnessFailures     int64            // witnesses the independent SAT check rejected
-	InfeasibleDropped   int64            // diagnostics dropped for unsatisfiable conditions
-	SkippedErrorRegions int64            // opaque _Error regions analysis refused to enter
-
-	// Whole-corpus link outcome (nil/zero unless RunConfig.Link). LinkResult
-	// holds the findings in total deterministic order with their conditions
-	// in its own space; the counters mirror its Stats for rendering.
-	LinkResult          *link.Result
-	LinkUnits           int64
-	LinkSymbols         int64
-	LinkFacts           int64
-	LinkFindings        int64
-	LinkByFamily        map[string]int64
-	LinkSATChecks       int64
-	LinkWitnessChecks   int64
-	LinkWitnessFailures int64
-}
-
-// String renders the snapshot as the block cmd/fmlrbench prints.
-func (m Metrics) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "harness metrics (jobs=%d)\n", m.Jobs)
-	fmt.Fprintf(&b, "  units: %d processed, %d failed, %d killed; max in flight %d\n",
-		m.Units, m.FailedUnits, m.KilledUnits, m.MaxInFlight)
-	fmt.Fprintf(&b, "  guard: %d budget trips, %d retried, %d quarantined",
-		m.BudgetTrips, m.RetriedUnits, m.QuarantinedUnits)
-	var axes []string
-	for a, n := range m.TripsByAxis {
-		if n > 0 {
-			axes = append(axes, fmt.Sprintf("%s %d", guard.Axis(a), n))
-		}
-	}
-	if len(axes) > 0 {
-		fmt.Fprintf(&b, " (%s)", strings.Join(axes, ", "))
-	}
-	b.WriteByte('\n')
-	for _, q := range m.Quarantined {
-		fmt.Fprintf(&b, "    quarantined: %s\n", q)
-	}
-	fmt.Fprintf(&b, "  stage time: lex %.3fms, preprocess %.3fms, parse %.3fms (wall %.3fms)\n",
-		1e3*m.LexTime.Seconds(), 1e3*m.PreprocessTime.Seconds(),
-		1e3*m.ParseTime.Seconds(), 1e3*m.WallTime.Seconds())
-	fmt.Fprintf(&b, "  engine: %d forks (%d typedef), %d merges, %d BDD nodes\n",
-		m.Forks, m.TypedefForks, m.Merges, m.BDDNodes)
-	rate := func(hits, misses int64) string {
-		if hits+misses == 0 {
-			return "n/a"
-		}
-		return fmt.Sprintf("%.1f%%", 100*float64(hits)/float64(hits+misses))
-	}
-	fmt.Fprintf(&b, "  follow memo: %d hits, %d misses (%s); subparser pool: %d reuses, %d allocs\n",
-		m.FollowHits, m.FollowMisses, rate(m.FollowHits, m.FollowMisses),
-		m.SubparserReuses, m.SubparserAllocs)
-	fmt.Fprintf(&b, "  BDD op cache: %d hits, %d misses (%s), %d evictions; cond fast-paths: %d of %d ops (%s)\n",
-		m.BDDOpHits, m.BDDOpMisses, rate(m.BDDOpHits, m.BDDOpMisses), m.BDDOpEvictions,
-		m.CondFastPaths, m.CondOps, rate(m.CondFastPaths, m.CondOps-m.CondFastPaths))
-	fmt.Fprintf(&b, "  token stream: %d streamed, %d materialized (%s), %d fallbacks; ~%d KiB forest avoided\n",
-		m.TokensStreamed, m.TokensMaterialized, rate(m.TokensStreamed, m.TokensMaterialized),
-		m.StreamFallbacks, m.StreamBytesAvoided/1024)
-	fmt.Fprintf(&b, "  table cache: %s (%d hits, %d misses this process)\n",
-		m.TableCacheState, m.TableCacheHits, m.TableCacheMisses)
-	fmt.Fprintf(&b, "  header cache: %s (%d hits, %d misses; lex %d hits, %d misses; %d bytes saved, %d evictions)\n",
-		m.HeaderCacheState, m.HeaderCacheHits, m.HeaderCacheMisses,
-		m.HeaderLexHits, m.HeaderLexMisses, m.HeaderBytesSaved, m.HeaderEvictions)
-	fmt.Fprintf(&b, "  artifact store: %s", m.StoreState)
-	if m.StoreState != "off" {
-		fmt.Fprintf(&b, " (%d hits, %d misses, %d writes, %d evictions, %d corrupt)",
-			m.StoreHits, m.StoreMisses, m.StoreWrites, m.StoreEvictions, m.StoreCorrupt)
-		if m.StoreWriteErrs > 0 || m.StoreReadErrs > 0 {
-			fmt.Fprintf(&b, " (%d write errors, %d read errors)", m.StoreWriteErrs, m.StoreReadErrs)
-		}
-		if m.StoreDegraded > 0 {
-			b.WriteString(" DEGRADED read-only")
-		}
-	}
-	b.WriteByte('\n')
-	if m.DaemonState != "" {
-		fmt.Fprintf(&b, "  daemon client: %d attempts, %d retries, %d sheds, %d breaker opens; breaker %s\n",
-			m.DaemonAttempts, m.DaemonRetries, m.DaemonSheds, m.DaemonBreakerOpens, m.DaemonState)
-	}
-	if m.AnalysisPasses > 0 || m.AnalysisDiags > 0 {
-		fmt.Fprintf(&b, "  analysis: %d passes run, %d diagnostics; %d witness checks (%d failed), %d infeasible dropped, %d error regions skipped\n",
-			m.AnalysisPasses, m.AnalysisDiags, m.WitnessChecks, m.WitnessFailures,
-			m.InfeasibleDropped, m.SkippedErrorRegions)
-		names := make([]string, 0, len(m.AnalysisByPass))
-		for n := range m.AnalysisByPass {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Fprintf(&b, "    %s: %d\n", n, m.AnalysisByPass[n])
-		}
-	}
-	if m.LinkResult != nil {
-		fmt.Fprintf(&b, "  link: %d units, %d symbols, %d facts; %d findings; %d SAT checks, %d witness checks (%d failed)\n",
-			m.LinkUnits, m.LinkSymbols, m.LinkFacts, m.LinkFindings,
-			m.LinkSATChecks, m.LinkWitnessChecks, m.LinkWitnessFailures)
-		fams := make([]string, 0, len(m.LinkByFamily))
-		for f := range m.LinkByFamily {
-			fams = append(fams, f)
-		}
-		sort.Strings(fams)
-		for _, f := range fams {
-			fmt.Fprintf(&b, "    link/%s: %d\n", f, m.LinkByFamily[f])
-		}
-	}
-	return b.String()
-}
-
-// collector accumulates metrics from worker goroutines.
-type collector struct {
-	failed, killed  stats.Counter
-	inFlight        stats.HighWater
-	lex, pre, parse stats.Timer
-	forks, merges   stats.Counter
-	typedefForks    stats.Counter
-	bddNodes        stats.Counter
-
-	followHits, followMisses stats.Counter
-	spReuses, spAllocs       stats.Counter
-	tokStreamed, tokMat      stats.Counter
-	streamFallbacks          stats.Counter
-	opHits, opMisses         stats.Counter
-	opEvictions              stats.Counter
-	condOps, condFastPaths   stats.Counter
-
-	budgetTrips          stats.Counter
-	axisTrips            *stats.CounterSet
-	retried, quarantined stats.Counter
-	quarMu               sync.Mutex
-	quarantinedFiles     []string
-
-	anPasses, anDiags stats.Counter
-	anWitChecks       stats.Counter
-	anWitFailures     stats.Counter
-	anInfeasible      stats.Counter
-	anErrRegions      stats.Counter
-	anByPassMu        sync.Mutex
-	anByPass          map[string]int64
-}
-
-func newCollector() *collector {
-	return &collector{
-		axisTrips: stats.NewCounterSet(int(guard.NumAxes)),
-		anByPass:  make(map[string]int64),
-	}
-}
-
-// add folds one finished unit into the collector.
-func (col *collector) add(r *UnitResult) {
-	if r.ParseFail || r.Err != "" {
-		col.failed.Inc()
-	}
-	if r.Killed {
-		col.killed.Inc()
-	}
-	if r.Budget != nil {
-		col.budgetTrips.Inc()
-		col.axisTrips.Inc(int(r.Budget.Axis))
-	}
-	if r.Retried {
-		col.retried.Inc()
-	}
-	if r.Quarantined {
-		col.quarantined.Inc()
-		col.quarMu.Lock()
-		col.quarantinedFiles = append(col.quarantinedFiles, r.File)
-		col.quarMu.Unlock()
-	}
-	col.lex.Add(r.LexTime)
-	col.pre.Add(r.PreTime)
-	col.parse.Add(r.ParseTime)
-	col.forks.Add(int64(r.Parse.Forks))
-	col.merges.Add(int64(r.Parse.Merges))
-	col.typedefForks.Add(int64(r.Parse.TypedefForks))
-	col.bddNodes.Add(int64(r.BDDNodes))
-	col.followHits.Add(int64(r.Parse.FollowHits))
-	col.followMisses.Add(int64(r.Parse.FollowMisses))
-	col.spReuses.Add(int64(r.Parse.SubparserReuses))
-	col.spAllocs.Add(int64(r.Parse.SubparserAllocs))
-	col.tokStreamed.Add(int64(r.Parse.TokensStreamed))
-	col.tokMat.Add(int64(r.Parse.TokensMaterialized))
-	col.streamFallbacks.Add(int64(r.Parse.StreamFallbacks))
-	col.opHits.Add(r.BDDOpHits)
-	col.opMisses.Add(r.BDDOpMisses)
-	col.opEvictions.Add(r.BDDOpEvictions)
-	col.condOps.Add(r.CondOps)
-	col.condFastPaths.Add(r.CondFastPaths)
-	if a := r.Analysis; a != nil {
-		col.anPasses.Add(int64(a.Stats.PassesRun))
-		col.anDiags.Add(int64(a.Stats.Diagnostics))
-		col.anWitChecks.Add(int64(a.Stats.WitnessChecks))
-		col.anWitFailures.Add(int64(a.Stats.WitnessFailures))
-		col.anInfeasible.Add(int64(a.Stats.InfeasibleDropped))
-		col.anErrRegions.Add(int64(a.Stats.ErrorRegions))
-		col.anByPassMu.Lock()
-		for pass, n := range a.Stats.ByPass {
-			col.anByPass[pass] += int64(n)
-		}
-		col.anByPassMu.Unlock()
-	}
 }
 
 // Run processes every compilation unit of the corpus under cfg.
@@ -492,20 +197,15 @@ func RunMetered(ctx context.Context, c *corpus.Corpus, cfg RunConfig) ([]UnitRes
 	}
 	jobs := cli.Workers(cfg.Jobs, len(c.CFiles))
 	out := make([]UnitResult, len(c.CFiles))
-	col := newCollector()
+	var inFlight stats.HighWater
 	hc := cfg.headerCache()
-	var hcBefore hcache.Snapshot
 	var st *store.Store
 	if hc != nil {
-		hcBefore = hc.Stats()
 		if b, ok := hc.Backing().(*store.HeaderBacking); ok {
 			st = b.S
 		}
 	}
-	var stBefore store.Snapshot
-	if st != nil {
-		stBefore = st.Stats()
-	}
+	before := snapshot(runTotals{}, make([]int64, len(UnitFields)), link.Stats{}, hc, st)
 	start := time.Now()
 
 	work := make(chan int)
@@ -517,10 +217,9 @@ func RunMetered(ctx context.Context, c *corpus.Corpus, cfg RunConfig) ([]UnitRes
 			for i := range work {
 				if ctx.Err() != nil {
 					out[i] = UnitResult{File: c.CFiles[i], ParseFail: true, Err: "run cancelled"}
-					col.add(&out[i])
 					continue
 				}
-				col.inFlight.Enter()
+				inFlight.Enter()
 				r := runUnitSafe(ctx, c, cfg, parser, hc, c.CFiles[i])
 				if cfg.Quarantine && r.unhealthy() && ctx.Err() == nil {
 					retry := runUnitSafe(ctx, c, cfg, parser, hc, c.CFiles[i])
@@ -530,9 +229,8 @@ func RunMetered(ctx context.Context, c *corpus.Corpus, cfg RunConfig) ([]UnitRes
 					}
 					r = retry
 				}
-				col.inFlight.Exit()
+				inFlight.Exit()
 				out[i] = r
-				col.add(&out[i])
 			}
 		}()
 	}
@@ -542,55 +240,18 @@ func RunMetered(ctx context.Context, c *corpus.Corpus, cfg RunConfig) ([]UnitRes
 	close(work)
 	wg.Wait()
 
-	hits, misses := cgrammar.TableCacheStats()
-	m := Metrics{
-		Jobs:               jobs,
-		Units:              len(out),
-		FailedUnits:        int(col.failed.Load()),
-		KilledUnits:        int(col.killed.Load()),
-		MaxInFlight:        int(col.inFlight.Max()),
-		LexTime:            col.lex.Total(),
-		PreprocessTime:     col.pre.Total(),
-		ParseTime:          col.parse.Total(),
-		WallTime:           time.Since(start),
-		Forks:              col.forks.Load(),
-		Merges:             col.merges.Load(),
-		TypedefForks:       col.typedefForks.Load(),
-		BDDNodes:           col.bddNodes.Load(),
-		FollowHits:         col.followHits.Load(),
-		FollowMisses:       col.followMisses.Load(),
-		SubparserReuses:    col.spReuses.Load(),
-		SubparserAllocs:    col.spAllocs.Load(),
-		TokensStreamed:     col.tokStreamed.Load(),
-		TokensMaterialized: col.tokMat.Load(),
-		StreamFallbacks:    col.streamFallbacks.Load(),
-		StreamBytesAvoided: col.tokStreamed.Load() * fmlr.BytesPerStreamedToken,
-		BDDOpHits:          col.opHits.Load(),
-		BDDOpMisses:        col.opMisses.Load(),
-		BDDOpEvictions:     col.opEvictions.Load(),
-		CondOps:            col.condOps.Load(),
-		CondFastPaths:      col.condFastPaths.Load(),
-		BudgetTrips:        int(col.budgetTrips.Load()),
-		TripsByAxis:        col.axisTrips.Snapshot(),
-		RetriedUnits:       int(col.retried.Load()),
-		QuarantinedUnits:   int(col.quarantined.Load()),
-		TableCacheHits:     hits,
-		TableCacheMisses:   misses,
-		TableCacheState:    cgrammar.TableCacheState(),
-		HeaderCacheState:   "off",
-		StoreState:         "off",
+	run := runTotals{jobs: int64(jobs), maxInFlight: inFlight.Max(), wallNS: int64(time.Since(start))}
+	run.tableCacheHits, run.tableCacheMisses = cgrammar.TableCacheStats()
+	var m Metrics
+	units := stats.NewCounterSet(len(UnitFields))
+	for i := range out {
+		UnitFields.Fold(units, &out[i])
+		if out[i].Quarantined {
+			m.Quarantined = append(m.Quarantined, out[i].File)
+		}
 	}
-	sort.Strings(col.quarantinedFiles)
-	m.Quarantined = col.quarantinedFiles
-	if len(cfg.Analyzers) > 0 {
-		m.AnalysisPasses = col.anPasses.Load()
-		m.AnalysisDiags = col.anDiags.Load()
-		m.WitnessChecks = col.anWitChecks.Load()
-		m.WitnessFailures = col.anWitFailures.Load()
-		m.InfeasibleDropped = col.anInfeasible.Load()
-		m.SkippedErrorRegions = col.anErrRegions.Load()
-		m.AnalysisByPass = col.anByPass
-	}
+	sort.Strings(m.Quarantined)
+	var linkStats link.Stats
 	if cfg.Link {
 		// The join runs after the pool drains, over facts in corpus order —
 		// worker scheduling cannot reach it, so the findings are a pure
@@ -605,42 +266,10 @@ func RunMetered(ctx context.Context, c *corpus.Corpus, cfg RunConfig) ([]UnitRes
 		if hc != nil {
 			canon = hc.Canon()
 		}
-		lr := link.Link(facts, canon)
-		m.LinkResult = lr
-		m.LinkUnits = int64(lr.Stats.Units)
-		m.LinkSymbols = int64(lr.Stats.Symbols)
-		m.LinkFacts = int64(lr.Stats.Facts)
-		m.LinkFindings = int64(lr.Stats.Findings)
-		m.LinkSATChecks = int64(lr.Stats.SATChecks)
-		m.LinkWitnessChecks = int64(lr.Stats.WitnessChecks)
-		m.LinkWitnessFailures = int64(lr.Stats.WitnessFailures)
-		m.LinkByFamily = make(map[string]int64, len(lr.Stats.ByFamily))
-		for f, n := range lr.Stats.ByFamily {
-			m.LinkByFamily[f] = int64(n)
-		}
+		m.LinkResult = link.Link(facts, canon)
+		linkStats = m.LinkResult.Stats
 	}
-	if hc != nil {
-		d := hc.Stats().Sub(hcBefore)
-		m.HeaderCacheState = "on"
-		m.HeaderCacheHits = d.HeaderHits
-		m.HeaderCacheMisses = d.HeaderMisses
-		m.HeaderLexHits = d.LexHits
-		m.HeaderLexMisses = d.LexMisses
-		m.HeaderBytesSaved = d.BytesSaved
-		m.HeaderEvictions = d.Evictions
-	}
-	if st != nil {
-		d := st.Stats().Sub(stBefore)
-		m.StoreState = "on"
-		m.StoreHits = d.Hits
-		m.StoreMisses = d.Misses
-		m.StoreWrites = d.Writes
-		m.StoreEvictions = d.Evictions
-		m.StoreCorrupt = d.Corrupt
-		m.StoreWriteErrs = d.WriteErrors
-		m.StoreReadErrs = d.ReadErrors
-		m.StoreDegraded = d.Degraded
-	}
+	m.Snapshot = snapshot(run, units.Snapshot(), linkStats, hc, st).Sub(before)
 	return out, m
 }
 
@@ -698,65 +327,63 @@ func runUnit(ctx context.Context, c *corpus.Corpus, cfg RunConfig, parser fmlr.O
 		HeaderCache:  hc,
 		Budget:       budget,
 	})
+	res, parsed := Measure(tool, cf)
+	if parsed != nil {
+		if parsed.AST != nil {
+			res.ChoiceNodes = parsed.AST.CountChoices()
+		}
+		// Analysis runs under the same per-unit budget: a trip degrades to
+		// the passes already completed, never hangs the unit.
+		au := &analysis.Unit{File: cf, Space: tool.Space(), AST: parsed.AST, PP: parsed.Unit, Budget: budget}
+		if len(cfg.Analyzers) > 0 {
+			res.Analysis = analysis.Run(au, cfg.Analyzers)
+		}
+		if cfg.Link && parsed.AST != nil {
+			res.LinkFacts = analysis.ExtractLinkFacts(au)
+		}
+	}
+	res.Budget = budget.Trip()
+	return res
+}
+
+// Measure preprocesses and parses file with tool, timing each stage, and
+// returns the unit's measurements with the parse result — nil when
+// preprocessing failed, which the UnitResult then records. Callers fill in
+// what they need beyond that (ChoiceNodes, Analysis, LinkFacts) and the
+// Budget outcome before folding the result through UnitFields.
+func Measure(tool *core.Tool, file string) (UnitResult, *core.Result) {
+	res := UnitResult{File: file}
 	start := time.Now()
-	unit, err := tool.Preprocess(cf)
+	unit, err := tool.Preprocess(file)
 	preTotal := time.Since(start)
-	res := UnitResult{File: cf}
 	if err != nil {
 		res.ParseFail = true
 		res.Err = err.Error()
-		res.Budget = budget.Trip()
-		return res
+		return res, nil
 	}
 	parseStart := time.Now()
-	eng := fmlr.New(tool.Space(), cgrammar.MustLoad(), parser)
-	parse := eng.ParseUnit(unit)
+	parsed := tool.Parse(unit)
 	res.ParseTime = time.Since(parseStart)
 	res.Bytes = unit.Stats.Bytes
 	res.Tokens = unit.Stats.Tokens
 	res.Pre = unit.Stats
-	res.Parse = parse.Stats
-	res.Killed = parse.Killed
-	res.ParseFail = parse.AST == nil
+	res.Parse = parsed.Parse.Stats
+	res.Killed = parsed.Parse.Killed
+	res.ParseFail = parsed.AST == nil
 	res.LexTime = unit.Stats.LexTime
 	res.PreTime = preTotal - unit.Stats.LexTime
 	res.TotalTime = preTotal + res.ParseTime
-	if parse.AST != nil {
-		res.ChoiceNodes = parse.AST.CountChoices()
-	}
 	if bf := tool.Space().BDD(); bf != nil {
 		res.BDDNodes = bf.NumNodes()
 		cs := bf.Stats()
 		res.BDDOpHits = cs.OpHits
 		res.BDDOpMisses = cs.OpMisses
 		res.BDDOpEvictions = cs.OpEvictions
-		res.BDDTableSlots = cs.TableSlots
 	}
 	hot := tool.Space().Hot
 	res.CondOps = hot.Ops
 	res.CondFastPaths = hot.FastPaths
-	if len(cfg.Analyzers) > 0 {
-		// Analysis runs under the same per-unit budget: a trip degrades to
-		// the passes already completed, never hangs the unit.
-		res.Analysis = analysis.Run(&analysis.Unit{
-			File:   cf,
-			Space:  tool.Space(),
-			AST:    parse.AST,
-			PP:     unit,
-			Budget: budget,
-		}, cfg.Analyzers)
-	}
-	if cfg.Link && parse.AST != nil {
-		res.LinkFacts = analysis.ExtractLinkFacts(&analysis.Unit{
-			File:   cf,
-			Space:  tool.Space(),
-			AST:    parse.AST,
-			PP:     unit,
-			Budget: budget,
-		})
-	}
-	res.Budget = budget.Trip()
-	return res
+	return res, parsed
 }
 
 // Table2a renders the developer's view of preprocessor usage (paper
@@ -907,28 +534,32 @@ func Figure8(c *corpus.Corpus, base RunConfig, killSwitch int) []Figure8Row {
 	var rows []Figure8Row
 	for _, lv := range Levels {
 		results := Run(c, withLevel(base, lv.Opts, killSwitch))
-		agg := &stats.Sample{}
-		killed := 0
-		for i := range results {
-			if results[i].Killed {
-				killed++
-				continue
-			}
-			for count, iters := range results[i].Parse.SubparserHist {
-				for k := 0; k < iters; k++ {
-					agg.AddInt(count)
-				}
-			}
-		}
+		agg, killed := subparserHist(results)
 		rows = append(rows, Figure8Row{
 			Name:        lv.Name,
-			P99:         int(agg.Percentile(0.99)),
-			Max:         int(agg.Max()),
+			P99:         agg.Percentile(0.99),
+			Max:         agg.Percentile(1),
 			KilledUnits: killed,
 			TotalUnits:  len(results),
 		})
 	}
 	return rows
+}
+
+// subparserHist pools the per-iteration subparser counts of the units that
+// finished under the kill switch, and counts the killed ones.
+func subparserHist(results []UnitResult) (stats.Hist, int) {
+	agg, killed := stats.Hist{}, 0
+	for i := range results {
+		if results[i].Killed {
+			killed++
+			continue
+		}
+		for v, n := range results[i].Parse.SubparserHist {
+			agg[v] += n
+		}
+	}
+	return agg, killed
 }
 
 // RenderFigure8a prints Figure 8a's table.
@@ -959,19 +590,7 @@ func Figure8b(c *corpus.Corpus, base RunConfig, killSwitch, points int) string {
 			continue // MAPR baselines: see Figure 8a
 		}
 		results := Run(c, withLevel(base, lv.Opts, killSwitch))
-		agg := &stats.Sample{}
-		killed := 0
-		for i := range results {
-			if results[i].Killed {
-				killed++
-				continue
-			}
-			for count, iters := range results[i].Parse.SubparserHist {
-				for k := 0; k < iters; k++ {
-					agg.AddInt(count)
-				}
-			}
-		}
+		agg, killed := subparserHist(results)
 		if killed == len(results) {
 			fmt.Fprintf(&b, "%s: all units exceeded the kill switch\n", lv.Name)
 			continue

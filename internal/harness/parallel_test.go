@@ -65,8 +65,8 @@ func TestParallelKillSwitch(t *testing.T) {
 	if killed == len(results) {
 		t.Error("every unit tripped the kill switch; expected survivors")
 	}
-	if m.KilledUnits != killed {
-		t.Errorf("Metrics.KilledUnits = %d, counted %d", m.KilledUnits, killed)
+	if n := m.Get("harness_killed_units"); n != int64(killed) {
+		t.Errorf("harness_killed_units = %d, counted %d", n, killed)
 	}
 }
 
@@ -92,8 +92,8 @@ func TestParallelPanicRecovered(t *testing.T) {
 			t.Errorf("%s: healthy unit failed: %+v", r.File, r)
 		}
 	}
-	if m.FailedUnits != 1 {
-		t.Errorf("Metrics.FailedUnits = %d, want 1", m.FailedUnits)
+	if n := m.Get("harness_failed_units"); n != 1 {
+		t.Errorf("harness_failed_units = %d, want 1", n)
 	}
 }
 
@@ -112,8 +112,8 @@ func TestParallelCancellation(t *testing.T) {
 			t.Errorf("%s: Err = %q, want cancellation record", r.File, r.Err)
 		}
 	}
-	if m.FailedUnits != len(results) {
-		t.Errorf("Metrics.FailedUnits = %d, want %d", m.FailedUnits, len(results))
+	if n := m.Get("harness_failed_units"); n != int64(len(results)) {
+		t.Errorf("harness_failed_units = %d, want %d", n, len(results))
 	}
 }
 
@@ -122,32 +122,28 @@ func TestParallelCancellation(t *testing.T) {
 func TestMetricsSnapshot(t *testing.T) {
 	c := smallCorpus()
 	results, m := RunMetered(context.Background(), c, RunConfig{Parser: fmlr.OptAll, Jobs: 4})
-	if m.Units != len(results) || m.FailedUnits != 0 || m.KilledUnits != 0 {
-		t.Errorf("unit counts: %+v", m)
+	if m.Get("harness_units") != int64(len(results)) || m.Get("harness_failed_units") != 0 || m.Get("harness_killed_units") != 0 {
+		t.Errorf("unit counts: %v", m.Map())
 	}
-	if m.Jobs != 4 {
-		t.Errorf("Jobs = %d, want 4", m.Jobs)
+	if n := m.Get("harness_jobs"); n != 4 {
+		t.Errorf("harness_jobs = %d, want 4", n)
 	}
-	if m.MaxInFlight < 1 || m.MaxInFlight > 4 {
-		t.Errorf("MaxInFlight = %d, want 1..4", m.MaxInFlight)
+	if n := m.Get("harness_max_in_flight"); n < 1 || n > 4 {
+		t.Errorf("harness_max_in_flight = %d, want 1..4", n)
 	}
-	if m.ParseTime <= 0 || m.WallTime <= 0 {
-		t.Errorf("missing stage times: %+v", m)
+	if m.Get("harness_parse_ns") <= 0 || m.Get("harness_wall_ns") <= 0 {
+		t.Errorf("missing stage times: %v", m.Map())
 	}
-	if m.Forks <= 0 || m.Merges <= 0 {
-		t.Errorf("missing engine totals: %+v", m)
+	if m.Get("harness_forks") <= 0 || m.Get("harness_merges") <= 0 {
+		t.Errorf("missing engine totals: %v", m.Map())
 	}
-	if m.BDDNodes <= 0 {
-		t.Errorf("BDDNodes = %d, want > 0 in BDD mode", m.BDDNodes)
+	if n := m.Get("harness_bdd_nodes"); n <= 0 {
+		t.Errorf("harness_bdd_nodes = %d, want > 0 in BDD mode", n)
 	}
-	if m.TableCacheState == "none" {
-		t.Error("table cache state never recorded despite grammar load")
+	if m.Get("table_cache_hits")+m.Get("table_cache_misses") == 0 {
+		t.Error("table cache outcome never recorded despite grammar load")
 	}
-	out := m.String()
-	for _, want := range []string{"harness metrics", "units:", "stage time:", "table cache:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Metrics.String missing %q:\n%s", want, out)
-		}
+	if out := m.String(); !strings.HasPrefix(out, "harness metrics\n") {
+		t.Errorf("Metrics.String lacks its header:\n%s", out)
 	}
-	_ = results
 }

@@ -69,8 +69,9 @@ func TestStorePersistedHeaderCacheOracle(t *testing.T) {
 		got := preprocessUnit(f, warm)
 		sameForest(t, f, ref[i], got)
 	}
-	delta := st.Stats().Sub(populated)
-	total := delta.Hits + delta.Misses
+	after := st.Stats()
+	hits := after.Hits - populated.Hits
+	total := hits + after.Misses - populated.Misses
 	if total == 0 {
 		t.Fatal("warm run never consulted the store")
 	}
@@ -78,11 +79,11 @@ func TestStorePersistedHeaderCacheOracle(t *testing.T) {
 	// are non-portable: they are never persisted and miss once per process
 	// before recomputing. The bound tolerates that tail while still failing
 	// if replay broadly stops reaching the store.
-	if rate := float64(delta.Hits) / float64(total); rate < 0.8 {
-		t.Errorf("warm store hit rate %.2f (%d/%d); want > 0.8", rate, delta.Hits, total)
+	if rate := float64(hits) / float64(total); rate < 0.8 {
+		t.Errorf("warm store hit rate %.2f (%d/%d); want > 0.8", rate, hits, total)
 	}
-	if delta.Corrupt != 0 {
-		t.Errorf("warm run found %d corrupt artifacts", delta.Corrupt)
+	if n := after.Corrupt - populated.Corrupt; n != 0 {
+		t.Errorf("warm run found %d corrupt artifacts", n)
 	}
 }
 
@@ -95,18 +96,15 @@ func TestStoreWarmRunMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() []UnitResult {
-		res, _ := RunMetered(context.Background(), c, RunConfig{
+	run := func() ([]UnitResult, Metrics) {
+		return RunMetered(context.Background(), c, RunConfig{
 			Parser:      fmlr.OptAll,
 			HeaderCache: storeCache(st),
 		})
-		return res
 	}
-	coldRes := run()
-	afterCold := st.Stats()
-	warmRes := run()
-	delta := st.Stats().Sub(afterCold)
-	if delta.Hits == 0 {
+	coldRes, _ := run()
+	warmRes, warm := run()
+	if warm.Get("store_hits") == 0 {
 		t.Fatal("warm RunMetered hit the store zero times")
 	}
 	if len(coldRes) != len(warmRes) {

@@ -143,18 +143,15 @@ type Snapshot struct {
 	HeaderEntries            int64 // current Level-2 population
 }
 
-// Sub returns s - o, for delta reporting across a run.
-func (s Snapshot) Sub(o Snapshot) Snapshot {
-	return Snapshot{
-		LexHits:       s.LexHits - o.LexHits,
-		LexMisses:     s.LexMisses - o.LexMisses,
-		HeaderHits:    s.HeaderHits - o.HeaderHits,
-		HeaderMisses:  s.HeaderMisses - o.HeaderMisses,
-		BytesSaved:    s.BytesSaved - o.BytesSaved,
-		Evictions:     s.Evictions - o.Evictions,
-		LexEntries:    s.LexEntries,
-		HeaderEntries: s.HeaderEntries,
-	}
+// Fields names the Snapshot counters for the metrics registry: harness run
+// deltas and superd's lifetime totals render these names.
+var Fields = stats.Fields[Snapshot]{
+	stats.NewField("hcache_header_hits", stats.KindCounter, "Level-2 preprocessed-header replays.", func(s *Snapshot) int64 { return s.HeaderHits }),
+	stats.NewField("hcache_header_misses", stats.KindCounter, "Level-2 header lookups that found no replayable entry.", func(s *Snapshot) int64 { return s.HeaderMisses }),
+	stats.NewField("hcache_lex_hits", stats.KindCounter, "Level-1 lexed-token-stream hits.", func(s *Snapshot) int64 { return s.LexHits }),
+	stats.NewField("hcache_lex_misses", stats.KindCounter, "Level-1 lexed-token-stream misses.", func(s *Snapshot) int64 { return s.LexMisses }),
+	stats.NewField("hcache_bytes_saved", stats.KindCounter, "Source bytes not re-preprocessed thanks to Level-2 hits.", func(s *Snapshot) int64 { return s.BytesSaved }),
+	stats.NewField("hcache_evictions", stats.KindCounter, "Entries dropped by either level's LRU bound.", func(s *Snapshot) int64 { return s.Evictions }),
 }
 
 // Options bounds a Cache.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cond"
+	"repro/internal/stats"
 )
 
 func TestLexLevelLRU(t *testing.T) {
@@ -78,15 +79,12 @@ func TestBytesSavedCounting(t *testing.T) {
 }
 
 func TestSnapshotSub(t *testing.T) {
+	reg := stats.NewRegistry(Fields.Descs())
 	a := Snapshot{LexHits: 5, HeaderHits: 3, BytesSaved: 100, LexEntries: 7}
 	b := Snapshot{LexHits: 2, HeaderHits: 1, BytesSaved: 40, LexEntries: 4}
-	d := a.Sub(b)
-	if d.LexHits != 3 || d.HeaderHits != 2 || d.BytesSaved != 60 {
-		t.Errorf("delta = %+v", d)
-	}
-	// Population counters stay absolute, not differenced.
-	if d.LexEntries != 7 {
-		t.Errorf("LexEntries = %d, want 7", d.LexEntries)
+	d := reg.Snapshot(Fields.Values(&a)).Sub(reg.Snapshot(Fields.Values(&b)))
+	if d.Get("hcache_lex_hits") != 3 || d.Get("hcache_header_hits") != 2 || d.Get("hcache_bytes_saved") != 60 {
+		t.Errorf("delta = %v", d.Map())
 	}
 }
 

@@ -22,9 +22,11 @@ package link
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/cond"
 	"repro/internal/hcache"
+	"repro/internal/stats"
 )
 
 // FactKind classifies one conditional link fact.
@@ -173,6 +175,29 @@ type Stats struct {
 	WitnessChecks   int // witnesses extracted and independently re-verified
 	WitnessFailures int // witnesses the independent evaluation rejected
 }
+
+// families are the finding families, in the order Fields counts them.
+var families = []string{"undef-ref", "multidef", "type-mismatch"}
+
+// Fields names the Stats counters for the metrics registry, plus one
+// findings counter per family: harness runs and superd's /v1/link totals
+// render these names.
+var Fields = func() stats.Fields[Stats] {
+	fs := stats.Fields[Stats]{
+		stats.NewField("link_units", stats.KindCounter, "Fact sets joined.", func(s *Stats) int64 { return int64(s.Units) }),
+		stats.NewField("link_symbols", stats.KindCounter, "Distinct external symbols.", func(s *Stats) int64 { return int64(s.Symbols) }),
+		stats.NewField("link_facts", stats.KindCounter, "Link facts joined.", func(s *Stats) int64 { return int64(s.Facts) }),
+		stats.NewField("link_findings", stats.KindCounter, "Link findings reported.", func(s *Stats) int64 { return int64(s.Findings) }),
+		stats.NewField("link_sat_checks", stats.KindCounter, "Satisfiability gates evaluated.", func(s *Stats) int64 { return int64(s.SATChecks) }),
+		stats.NewField("link_witness_checks", stats.KindCounter, "Finding witnesses extracted and re-verified.", func(s *Stats) int64 { return int64(s.WitnessChecks) }),
+		stats.NewField("link_witness_failures", stats.KindCounter, "Finding witnesses the independent evaluation rejected.", func(s *Stats) int64 { return int64(s.WitnessFailures) }),
+	}
+	for _, f := range families {
+		fs = append(fs, stats.NewField("link_findings_"+strings.ReplaceAll(f, "-", "_"), stats.KindCounter,
+			"Link findings of family "+f+".", func(s *Stats) int64 { return int64(s.ByFamily[f]) }))
+	}
+	return fs
+}()
 
 // Result is one corpus-wide link run: findings in total deterministic
 // order, plus the run's counters. Space is the linker's own ModeBDD space

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cond"
 	"repro/internal/hcache"
+	"repro/internal/stats"
 	"repro/internal/token"
 )
 
@@ -169,6 +170,14 @@ func TestHeaderCacheDifferentialScenarios(t *testing.T) {
 	}
 }
 
+var cacheMetrics = stats.NewRegistry(hcache.Fields.Descs())
+
+// cacheDelta is hc's counter change since before, by metric name.
+func cacheDelta(hc *hcache.Cache, before hcache.Snapshot) stats.Snapshot {
+	after := hc.Stats()
+	return cacheMetrics.Snapshot(hcache.Fields.Values(&after)).Sub(cacheMetrics.Snapshot(hcache.Fields.Values(&before)))
+}
+
 func TestHeaderCacheHitsOnSecondUnit(t *testing.T) {
 	files := map[string]string{
 		"main.c":           "#include <config.h>\nint x = LIMIT;\n",
@@ -181,15 +190,15 @@ func TestHeaderCacheHitsOnSecondUnit(t *testing.T) {
 		t.Fatalf("first unit should only miss: %+v", before)
 	}
 	ppWith(t, files, hc, cond.ModeBDD, nil)
-	d := hc.Stats().Sub(before)
-	if d.HeaderHits != 1 || d.HeaderMisses != 0 {
-		t.Errorf("second unit: hits=%d misses=%d, want 1 hit 0 misses", d.HeaderHits, d.HeaderMisses)
+	d := cacheDelta(hc, before)
+	if d.Get("hcache_header_hits") != 1 || d.Get("hcache_header_misses") != 0 {
+		t.Errorf("second unit: hits=%d misses=%d, want 1 hit 0 misses", d.Get("hcache_header_hits"), d.Get("hcache_header_misses"))
 	}
-	if d.LexHits != 1 {
-		t.Errorf("second unit should hit Level 1 for main.c: lex hits=%d", d.LexHits)
+	if d.Get("hcache_lex_hits") != 1 {
+		t.Errorf("second unit should hit Level 1 for main.c: lex hits=%d", d.Get("hcache_lex_hits"))
 	}
-	if d.BytesSaved != int64(len(files["include/config.h"])) {
-		t.Errorf("BytesSaved=%d, want header size %d", d.BytesSaved, len(files["include/config.h"]))
+	if d.Get("hcache_bytes_saved") != int64(len(files["include/config.h"])) {
+		t.Errorf("BytesSaved=%d, want header size %d", d.Get("hcache_bytes_saved"), len(files["include/config.h"]))
 	}
 }
 
@@ -209,9 +218,9 @@ func TestHeaderCacheFingerprint(t *testing.T) {
 		before := hc.Stats()
 		// UNRELATED is not in x.h's interaction set: the fingerprint matches.
 		ppWith(t, mk("#define UNRELATED 7\n"), hc, cond.ModeBDD, nil)
-		d := hc.Stats().Sub(before)
-		if d.HeaderHits != 1 {
-			t.Errorf("hits=%d, want 1 (UNRELATED must not affect the fingerprint)", d.HeaderHits)
+		d := cacheDelta(hc, before)
+		if d.Get("hcache_header_hits") != 1 {
+			t.Errorf("hits=%d, want 1 (UNRELATED must not affect the fingerprint)", d.Get("hcache_header_hits"))
 		}
 	})
 	t.Run("observed macro forces miss", func(t *testing.T) {
@@ -220,17 +229,17 @@ func TestHeaderCacheFingerprint(t *testing.T) {
 		before := hc.Stats()
 		// TUNE is read by x.h: defining it must miss and re-record.
 		ppWith(t, mk("#define TUNE 9\n"), hc, cond.ModeBDD, nil)
-		d := hc.Stats().Sub(before)
-		if d.HeaderHits != 0 || d.HeaderMisses != 1 {
-			t.Errorf("hits=%d misses=%d, want a miss (TUNE is observed)", d.HeaderHits, d.HeaderMisses)
+		d := cacheDelta(hc, before)
+		if d.Get("hcache_header_hits") != 0 || d.Get("hcache_header_misses") != 1 {
+			t.Errorf("hits=%d misses=%d, want a miss (TUNE is observed)", d.Get("hcache_header_hits"), d.Get("hcache_header_misses"))
 		}
 		// Both macro states now have entries: each repeats as a hit.
 		mid := hc.Stats()
 		ppWith(t, mk(""), hc, cond.ModeBDD, nil)
 		ppWith(t, mk("#define TUNE 9\n"), hc, cond.ModeBDD, nil)
-		d = hc.Stats().Sub(mid)
-		if d.HeaderHits != 2 || d.HeaderMisses != 0 {
-			t.Errorf("replays: hits=%d misses=%d, want 2 hits", d.HeaderHits, d.HeaderMisses)
+		d = cacheDelta(hc, mid)
+		if d.Get("hcache_header_hits") != 2 || d.Get("hcache_header_misses") != 0 {
+			t.Errorf("replays: hits=%d misses=%d, want 2 hits", d.Get("hcache_header_hits"), d.Get("hcache_header_misses"))
 		}
 	})
 	t.Run("guard already defined degenerates to skip", func(t *testing.T) {
@@ -258,9 +267,9 @@ func TestHeaderCacheInvalidationOnMutation(t *testing.T) {
 	// Mutated header: the content hash changes, so the stale entry is
 	// unreachable and the run must miss and produce the new output.
 	u, s := ppWith(t, v2, hc, cond.ModeBDD, nil)
-	d := hc.Stats().Sub(before)
-	if d.HeaderHits != 0 || d.HeaderMisses != 1 {
-		t.Errorf("mutated header: hits=%d misses=%d, want pure miss", d.HeaderHits, d.HeaderMisses)
+	d := cacheDelta(hc, before)
+	if d.Get("hcache_header_hits") != 0 || d.Get("hcache_header_misses") != 1 {
+		t.Errorf("mutated header: hits=%d misses=%d, want pure miss", d.Get("hcache_header_hits"), d.Get("hcache_header_misses"))
 	}
 	if got := textOf(s, u.EnsureSegments(), nil); !strings.Contains(got, "2") {
 		t.Errorf("stale value replayed: %q", got)
@@ -413,8 +422,8 @@ func TestHeaderCacheCounterPoisoned(t *testing.T) {
 	ppWith(t, files, hc, cond.ModeBDD, nil)
 	before := hc.Stats()
 	ppWith(t, files, hc, cond.ModeBDD, nil)
-	d := hc.Stats().Sub(before)
-	if d.HeaderHits != 0 {
-		t.Errorf("__COUNTER__ header replayed: %d hits", d.HeaderHits)
+	d := cacheDelta(hc, before)
+	if d.Get("hcache_header_hits") != 0 {
+		t.Errorf("__COUNTER__ header replayed: %d hits", d.Get("hcache_header_hits"))
 	}
 }

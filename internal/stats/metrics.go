@@ -1,14 +1,11 @@
 package stats
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
-// Concurrency-safe instruments for the parallel harness. Sample (stats.go)
-// aggregates measurements after a run; these types are written from many
-// worker goroutines while a run is in progress and read by a snapshot at
-// the end, so they carry no locks — just atomics.
+// Concurrency-safe instruments for the parallel harness and superd. Sample
+// (stats.go) aggregates measurements after a run; these types are written
+// from many worker goroutines while a run is in progress and read by a
+// snapshot at the end, so they carry no locks — just atomics.
 
 // Counter is an atomic event counter.
 type Counter struct{ v atomic.Int64 }
@@ -22,38 +19,22 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Load returns the current count.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Timer accumulates wall-clock time across goroutines. The total is the
-// sum of per-unit stage durations, so with N workers it can exceed the
-// run's elapsed time by up to a factor of N — it measures work, not
-// latency.
-type Timer struct{ ns atomic.Int64 }
-
-// Add accumulates one observed duration.
-func (t *Timer) Add(d time.Duration) { t.ns.Add(int64(d)) }
-
-// Total returns the accumulated time.
-func (t *Timer) Total() time.Duration { return time.Duration(t.ns.Load()) }
-
 // CounterSet is a fixed-width vector of atomic counters, indexed by a
-// small enum (e.g. guard.Axis). Snapshot copies it for rendering.
+// small enum or by position in a Fields table (Fields.Fold). Snapshot
+// copies it for rendering.
 type CounterSet struct{ v []atomic.Int64 }
 
 // NewCounterSet returns a set with n slots.
 func NewCounterSet(n int) *CounterSet { return &CounterSet{v: make([]atomic.Int64, n)} }
 
 // Inc adds one to slot i; out-of-range indices are ignored.
-func (s *CounterSet) Inc(i int) {
-	if s != nil && i >= 0 && i < len(s.v) {
-		s.v[i].Add(1)
-	}
-}
+func (s *CounterSet) Inc(i int) { s.Add(i, 1) }
 
-// Load returns slot i's count.
-func (s *CounterSet) Load(i int) int64 {
-	if s == nil || i < 0 || i >= len(s.v) {
-		return 0
+// Add adds n to slot i; out-of-range indices are ignored.
+func (s *CounterSet) Add(i int, n int64) {
+	if s != nil && i >= 0 && i < len(s.v) {
+		s.v[i].Add(n)
 	}
-	return s.v[i].Load()
 }
 
 // Snapshot copies the current counts.

@@ -25,24 +25,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestTimerConcurrent(t *testing.T) {
-	var tm Timer
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				tm.Add(time.Millisecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := tm.Total(); got != 800*time.Millisecond {
-		t.Errorf("Timer = %v, want 800ms", got)
-	}
-}
-
 func TestHighWaterConcurrent(t *testing.T) {
 	var h HighWater
 	var wg sync.WaitGroup

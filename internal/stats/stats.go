@@ -1,16 +1,20 @@
 // Package stats provides the small statistics toolkit behind the
-// evaluation harness: percentiles over per-unit measurements (Table 3's
-// 50th·90th·100th format), cumulative distributions (Figures 8b and 9),
-// and simple aggregation helpers.
+// evaluation harness and superd: percentiles over per-unit measurements
+// (Table 3's 50th·90th·100th format), cumulative distributions (Figures 8b
+// and 9), and the metrics registry every surface renders.
 //
-// Two kinds of instruments live here with different concurrency rules:
+// Three kinds of tools live here with different concurrency rules:
 //
-//   - Sample (this file) collects observations after the fact and is NOT
-//     safe for concurrent use; the harness aggregates per-unit results
-//     into Samples only once a run has completed.
-//   - Counter, Timer, and HighWater (metrics.go) are lock-free atomics
-//     written by the harness's worker goroutines while a parallel run is
-//     in progress and read via harness.Metrics snapshots.
+//   - Sample and Hist (this file) hold observations after the fact and are
+//     NOT safe for concurrent use; both answer percentiles and CDFs by the
+//     same nearest-rank rule, Sample over raw values and Hist over a
+//     value→count histogram (Figure 8's per-iteration subparser counts).
+//   - Counter, CounterSet and HighWater (metrics.go) are lock-free atomics
+//     written by worker goroutines while a run or request is in flight.
+//   - Registry and Snapshot (registry.go) declare each counter, gauge and
+//     duration once — name, help text, kind — and render one fixed-order
+//     snapshot as the harness's text block, superd's /v1/stats map and its
+//     Prometheus /metrics text.
 package stats
 
 import (
@@ -55,17 +59,20 @@ func (s *Sample) Percentile(q float64) float64 {
 		return 0
 	}
 	s.sort()
-	if q >= 1 {
-		return s.values[len(s.values)-1]
+	return s.values[rank(q, len(s.values))]
+}
+
+// rank is the 0-based index of the nearest-rank q-quantile among n > 0
+// sorted observations: q ≤ 0 is the minimum, q ≥ 1 the maximum.
+func rank(q float64, n int) int {
+	i := int(q * float64(n))
+	if i < 0 {
+		return 0
 	}
-	if q <= 0 {
-		return s.values[0]
+	if i >= n {
+		return n - 1
 	}
-	idx := int(q * float64(len(s.values)))
-	if idx >= len(s.values) {
-		idx = len(s.values) - 1
-	}
-	return s.values[idx]
+	return i
 }
 
 // Sum returns the total of all observations.
@@ -114,28 +121,40 @@ type CDFPoint struct {
 
 // CDF returns up to points evenly spaced cumulative-distribution samples.
 func (s *Sample) CDF(points int) []CDFPoint {
-	if len(s.values) == 0 || points <= 0 {
+	s.sort()
+	return cdf(points, len(s.values), func(i int) float64 { return s.values[i] })
+}
+
+// cdf samples the distribution of n sorted observations at points evenly
+// spaced fractions; at returns the observation of 0-based rank i.
+func cdf(points, n int, at func(i int) float64) []CDFPoint {
+	if n == 0 || points <= 0 {
 		return nil
 	}
-	s.sort()
 	out := make([]CDFPoint, 0, points)
 	for i := 1; i <= points; i++ {
 		frac := float64(i) / float64(points)
-		idx := int(frac*float64(len(s.values))) - 1
+		idx := int(frac*float64(n)) - 1
 		if idx < 0 {
 			idx = 0
 		}
-		if idx >= len(s.values) {
-			idx = len(s.values) - 1
+		if idx >= n {
+			idx = n - 1
 		}
-		out = append(out, CDFPoint{Value: s.values[idx], Fraction: frac})
+		out = append(out, CDFPoint{Value: at(idx), Fraction: frac})
 	}
 	return out
 }
 
+// Distribution is what RenderCDF draws: a Sample or a Hist.
+type Distribution interface {
+	Len() int
+	CDF(points int) []CDFPoint
+}
+
 // RenderCDF prints a textual CDF table with a header, matching the
 // harness's figure output style.
-func RenderCDF(name string, s *Sample, points int) string {
+func RenderCDF(name string, s Distribution, points int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s (n=%d)\n", name, s.Len())
 	fmt.Fprintf(&b, "%10s  %8s\n", "fraction", "value")
@@ -145,19 +164,45 @@ func RenderCDF(name string, s *Sample, points int) string {
 	return b.String()
 }
 
-// Histogram folds per-iteration count histograms (map[count]iterations)
-// into a Sample weighted by iterations.
-func Histogram(h map[int]int) *Sample {
-	s := &Sample{}
-	keys := make([]int, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
+// Hist is a histogram of integer observations: value → number of times
+// observed. Its percentiles and CDF are those of the Sample holding every
+// observation, without expanding them.
+type Hist map[int]int
+
+// Len returns the number of observations.
+func (h Hist) Len() int {
+	n := 0
+	for _, c := range h {
+		n += c
 	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		for i := 0; i < h[k]; i++ {
-			s.AddInt(k)
+	return n
+}
+
+// Percentile returns the q-quantile (0 ≤ q ≤ 1) by the nearest-rank
+// method; Percentile(1) is the maximum and an empty histogram gives 0.
+func (h Hist) Percentile(q float64) int {
+	if n := h.Len(); n > 0 {
+		return h.at(rank(q, n))
+	}
+	return 0
+}
+
+// CDF returns up to points evenly spaced cumulative-distribution samples.
+func (h Hist) CDF(points int) []CDFPoint {
+	return cdf(points, h.Len(), func(i int) float64 { return float64(h.at(i)) })
+}
+
+// at returns the observation of 0-based rank i < h.Len().
+func (h Hist) at(i int) int {
+	vals := make([]int, 0, len(h))
+	for v := range h {
+		vals = append(vals, v)
+	}
+	sort.Ints(vals)
+	for _, v := range vals {
+		if i -= h[v]; i < 0 {
+			return v
 		}
 	}
-	return s
+	return vals[len(vals)-1]
 }

@@ -102,11 +102,55 @@ func TestRenderCDF(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	s := Histogram(map[int]int{1: 3, 5: 1})
-	if s.Len() != 4 {
-		t.Fatalf("len = %d", s.Len())
+	h := Hist{1: 3, 5: 1}
+	if h.Len() != 4 {
+		t.Fatalf("len = %d", h.Len())
 	}
-	if s.Max() != 5 || s.Percentile(0.5) != 1 {
-		t.Errorf("max=%v p50=%v", s.Max(), s.Percentile(0.5))
+	if h.Percentile(1) != 5 || h.Percentile(0.5) != 1 {
+		t.Errorf("max=%v p50=%v", h.Percentile(1), h.Percentile(0.5))
+	}
+	if (Hist{}).Percentile(0.99) != 0 || (Hist{}).CDF(4) != nil {
+		t.Error("empty histogram should be all zeros")
+	}
+}
+
+// TestHistMatchesExpandedSample pins Hist to the Sample holding every
+// observation it counts: the same nearest-rank percentiles (Figure 8a's
+// 99th and max, superc's p99) and the same CDF (Figure 8b).
+func TestHistMatchesExpandedSample(t *testing.T) {
+	for _, h := range []Hist{
+		{1: 90, 2: 9, 10: 1},
+		{1: 42000, 2: 800, 3: 50, 6: 10},
+		{7: 1},
+		{1: 3, 2: 0, 4: 2},
+	} {
+		s := &Sample{}
+		for v, n := range h {
+			for i := 0; i < n; i++ {
+				s.AddInt(v)
+			}
+		}
+		if h.Len() != s.Len() {
+			t.Fatalf("%v: Len %d vs %d", h, h.Len(), s.Len())
+		}
+		for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 0.999, 1} {
+			if got, want := h.Percentile(q), int(s.Percentile(q)); got != want {
+				t.Errorf("%v: P(%v) = %d, expanded %d", h, q, got, want)
+			}
+		}
+		for _, points := range []int{1, 3, 10} {
+			got, want := h.CDF(points), s.CDF(points)
+			if len(got) != len(want) {
+				t.Fatalf("%v: CDF(%d) has %d points, expanded %d", h, points, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("%v: CDF(%d)[%d] = %+v, expanded %+v", h, points, i, got[i], want[i])
+				}
+			}
+		}
+		if got, want := RenderCDF("h", h, 10), RenderCDF("h", s, 10); got != want {
+			t.Errorf("%v: rendered CDF differs:\n%s\nexpanded:\n%s", h, got, want)
+		}
 	}
 }

@@ -110,24 +110,22 @@ type Snapshot struct {
 	Bytes       int64 // current total payload bytes
 }
 
-// Sub returns s - o for the cumulative counters (population and state fields
-// are carried over from s), mirroring hcache.Snapshot.Sub for delta
-// reporting.
-func (s Snapshot) Sub(o Snapshot) Snapshot {
-	return Snapshot{
-		Hits:        s.Hits - o.Hits,
-		Misses:      s.Misses - o.Misses,
-		Writes:      s.Writes - o.Writes,
-		Evictions:   s.Evictions - o.Evictions,
-		Corrupt:     s.Corrupt - o.Corrupt,
-		Scrubbed:    s.Scrubbed - o.Scrubbed,
-		TmpSwept:    s.TmpSwept - o.TmpSwept,
-		WriteErrors: s.WriteErrors - o.WriteErrors,
-		ReadErrors:  s.ReadErrors - o.ReadErrors,
-		Degraded:    s.Degraded,
-		Entries:     s.Entries,
-		Bytes:       s.Bytes,
-	}
+// Fields names the Snapshot values for the metrics registry: harness run
+// deltas and superd's lifetime totals render these names. Degraded,
+// Entries and Bytes are current state: gauges, which a delta keeps.
+var Fields = stats.Fields[Snapshot]{
+	stats.NewField("store_hits", stats.KindCounter, "Store lookups that found a valid artifact.", func(s *Snapshot) int64 { return s.Hits }),
+	stats.NewField("store_misses", stats.KindCounter, "Store lookups that found nothing.", func(s *Snapshot) int64 { return s.Misses }),
+	stats.NewField("store_writes", stats.KindCounter, "Artifacts written.", func(s *Snapshot) int64 { return s.Writes }),
+	stats.NewField("store_evictions", stats.KindCounter, "Artifacts dropped by the size bound.", func(s *Snapshot) int64 { return s.Evictions }),
+	stats.NewField("store_corrupt", stats.KindCounter, "Artifacts dropped for failing their checksum.", func(s *Snapshot) int64 { return s.Corrupt }),
+	stats.NewField("store_scrubbed", stats.KindCounter, "Torn artifacts quarantined by the open-time scrub.", func(s *Snapshot) int64 { return s.Scrubbed }),
+	stats.NewField("store_tmp_swept", stats.KindCounter, "Interrupted-write temp files removed at open.", func(s *Snapshot) int64 { return s.TmpSwept }),
+	stats.NewField("store_write_errors", stats.KindCounter, "Transient write failures, swallowed.", func(s *Snapshot) int64 { return s.WriteErrors }),
+	stats.NewField("store_read_errors", stats.KindCounter, "Transient read failures; the entry is kept.", func(s *Snapshot) int64 { return s.ReadErrors }),
+	stats.NewField("store_degraded", stats.KindGauge, "1 once persistent write failures made the store read-only.", func(s *Snapshot) int64 { return s.Degraded }),
+	stats.NewField("store_entries", stats.KindGauge, "Artifacts currently stored.", func(s *Snapshot) int64 { return s.Entries }),
+	stats.NewField("store_bytes", stats.KindGauge, "Payload bytes currently stored.", func(s *Snapshot) int64 { return s.Bytes }),
 }
 
 // CrashPoint names a simulated crash inside the artifact write path, for the

@@ -8,7 +8,10 @@
 #   3. Serve the same batch again (warm) and require that (a) the output is
 #      byte-identical to the cold run and to the checked-in golden JSON,
 #      (b) the batch was actually daemon-served (no in-process fallback),
-#      and (c) the store hit counter rose across the warm batch.
+#      (c) the store hit counter rose across the warm batch, and (d) the
+#      live /metrics text is well-formed: every sample line is
+#      `superd_<name> <int>`, typed by an earlier `# TYPE` line, and no
+#      name repeats.
 #   4. Tear down and fail on any leaked process.
 #
 # Requires curl (for /healthz and /metrics). Run via `make daemon-smoke`.
@@ -56,6 +59,19 @@ metric() {
     curl -fsS "http://$ADDR/metrics" | awk -v m="superd_$1" '$1 == m { print $2 }'
 }
 
+check_metrics_shape() {
+    curl -fsS "http://$ADDR/metrics" >"$WORK/metrics.txt"
+    awk '
+        /^# TYPE / { typed[$3] = 1; next }
+        /^#/ { next }
+        !/^superd_[a-z0-9_]+ -?[0-9]+$/ { print "malformed: " $0; bad = 1; next }
+        !($1 in typed) { print "not typed first: " $1; bad = 1 }
+        $1 in seen { print "repeated: " $1; bad = 1 }
+        { seen[$1] = 1 }
+        END { exit bad }
+    ' "$WORK/metrics.txt" || { echo "daemon-smoke: /metrics is malformed"; exit 1; }
+}
+
 # clint exits 1 when diagnostics are reported; that is the expected status.
 run_batch() {
     set +e
@@ -82,6 +98,7 @@ hits_before=$(metric store_hits)
 run_batch "$WORK/warm.json"
 hits_after=$(metric store_hits)
 misses=$(metric store_misses)
+check_metrics_shape
 stop_daemon
 
 diff "$WORK/cold.json" "$WORK/warm.json" \
