@@ -87,7 +87,7 @@ daemon-smoke:
 	@sh scripts/daemon_smoke.sh
 
 # clint -link over the seeded two-unit link corpus must reproduce the golden
-# text exactly, at -j1 and -j8 (CI's link-smoke). clint exits 1 when findings
+# text exactly, at -j1, at -j8 and in SAT condition mode (CI's link-smoke). clint exits 1 when findings
 # are reported, so the expected-failure status is checked explicitly.
 link-smoke:
 	@$(GO) build -o clint.smoke ./cmd/clint
@@ -98,5 +98,9 @@ link-smoke:
 	@cd examples/link && ../../clint.smoke -link -j 8 -parse-workers 4 -I . a.c b.c > ../../link.got8.txt; \
 		status=$$?; \
 		if [ "$$status" -ne 1 ]; then echo "clint -link -j8 exit $$status, want 1"; rm -f clint.smoke link.got.txt link.got8.txt; exit 1; fi
-	@diff link.got.txt link.got8.txt && echo "link-smoke: golden match at -j1 and -j8"
-	@rm -f clint.smoke link.got.txt link.got8.txt
+	@diff link.got.txt link.got8.txt || { rm -f clint.smoke link.got.txt link.got8.txt; exit 1; }
+	@cd examples/link && ../../clint.smoke -link -mode sat -I . a.c b.c > ../../link.gotsat.txt; \
+		status=$$?; \
+		if [ "$$status" -ne 1 ]; then echo "clint -link -mode sat exit $$status, want 1"; rm -f clint.smoke link.got.txt link.got8.txt link.gotsat.txt; exit 1; fi
+	@diff link.gotsat.txt examples/link/golden.txt && echo "link-smoke: golden match at -j1, -j8 and -mode sat"
+	@rm -f clint.smoke link.got.txt link.got8.txt link.gotsat.txt

@@ -256,23 +256,8 @@ func (ix *Index) CoverageReport() []Coverage {
 	return out
 }
 
-// DeclaredName digs out the first identifier declarator beneath a
+// declaredNamePos digs out the first identifier declarator beneath a
 // declaration or function definition, staying on the declarator spine.
-func DeclaredName(n *ast.Node) string {
-	name, _, _ := declaredNamePos(n)
-	return name
-}
-
-// DeclaredNamePos is DeclaredName with the declarator's source position.
-func DeclaredNamePos(n *ast.Node) (name string, line, col int) {
-	return declaredNamePos(n)
-}
-
-// HasLeaf reports whether the subtree contains a token with the given text
-// (choice alternatives included) — used by passes to spot storage-class and
-// typedef specifiers.
-func HasLeaf(n *ast.Node, text string) bool { return containsLeaf(n, text) }
-
 func declaredNamePos(n *ast.Node) (name string, line, col int) {
 	ast.Walk(n, func(m *ast.Node) bool {
 		if name != "" {

@@ -27,6 +27,8 @@ type Unit struct {
 	AST    *ast.Node          // choice AST; nil when the parse produced nothing
 	PP     *preprocessor.Unit // preprocessor records; nil for AST-only analysis
 	Budget *guard.Budget      // optional resource governor (nil: ungoverned)
+
+	res *Resolution // memo of Resolution
 }
 
 // Analyzer is one analysis pass.
@@ -113,9 +115,7 @@ func Run(u *Unit, analyzers []*Analyzer) *Result {
 	facts := NewIndex(u.Space)
 	if u.AST != nil {
 		facts.AddUnit(u.File, u.AST)
-		w := &Walker{Space: u.Space}
-		w.Walk(u.AST, u.Space.True(), func(*ast.Node, cond.Cond) bool { return true })
-		res.Stats.ErrorRegions = w.SkippedErrors
+		res.Stats.ErrorRegions = u.Resolution().ErrorRegions
 	}
 
 	sorted := append([]*Analyzer(nil), analyzers...)

@@ -4,30 +4,29 @@ package analysis
 // variability-aware linker (internal/link). It walks the unit's choice AST
 // and emits, per external symbol, presence-conditioned link facts:
 // definitions, tentative definitions, extern declarations and prototypes,
-// and references that resolve outside the unit's internal names. Conditions
-// leave the unit's space as space-independent formulas (one exporter per
-// unit, so the DAG sharing survives), and the linker composes them across
-// units through hcache.Canon ids.
+// and references that resolve outside the unit's internal names (the
+// escaped uses of the unit's Resolution). Conditions leave the unit's space
+// as space-independent formulas (one exporter per unit, so the DAG sharing
+// survives), and the linker composes them across units through hcache.Canon
+// ids.
 //
 // The unit-internal name set — static objects and functions, typedefs, and
-// file-scope enumerators — is collected first into a symtab.Table scope, so
-// references subtract it: a use of a static never becomes a cross-unit
-// fact. Type signatures are canonical strings built from the declaration's
-// specifier words and declarator shape (declared name replaced by "@",
-// parameter names elided, storage classes dropped, braced struct/enum
-// bodies collapsed to their tag), so two units spelling the same type
-// compare equal byte-wise; conditional declaration fragments fork the
-// signature into per-condition variants.
+// enumerators — is collected in the same pass that emits the facts, and
+// finish subtracts it from every reference: a use of a static never becomes
+// a cross-unit fact, even when the use precedes the definition. Type
+// signatures are canonical strings built from the declaration's specifier
+// words and declarator shape (declared name replaced by "@", parameter
+// names elided, storage classes dropped, braced struct/enum bodies
+// collapsed to their tag), so two units spelling the same type compare
+// equal byte-wise; conditional declaration fragments fork the signature
+// into per-condition variants.
 
 import (
 	"sort"
 
 	"repro/internal/ast"
-	"repro/internal/cgrammar"
 	"repro/internal/cond"
 	"repro/internal/link"
-	"repro/internal/symtab"
-	"repro/internal/token"
 )
 
 // maxSigVariants caps the per-declaration signature fork: a declaration
@@ -43,18 +42,10 @@ func ExtractLinkFacts(u *Unit) *link.Facts {
 	x := &extractor{
 		unit:     u,
 		space:    u.Space,
-		internal: symtab.New(u.Space),
+		internal: make(map[string]cond.Cond),
 		facts:    make(map[factKey]*factAcc),
-		refs:     make(map[refKey]*refAcc),
 	}
 	if u.AST != nil {
-		// Pass A: the unit-internal name set, needed before any reference
-		// can be classified (a static defined after its use is still
-		// internal — C file scope is flat for linkage purposes).
-		x.collecting = true
-		x.top(u.AST, x.space.True())
-		// Pass B: fact emission and reference collection.
-		x.collecting = false
 		x.top(u.AST, x.space.True())
 	}
 	return x.finish()
@@ -70,23 +61,11 @@ type factKey struct {
 
 type factAcc struct{ c cond.Cond }
 
-type refKey struct {
-	name      string
-	line, col int
-}
-
-type refAcc struct {
-	file string
-	c    cond.Cond
-}
-
 type extractor struct {
-	unit       *Unit
-	space      *cond.Space
-	collecting bool          // pass A: only populate the internal table
-	internal   *symtab.Table // statics, typedefs, file-scope enumerators
-	facts      map[factKey]*factAcc
-	refs       map[refKey]*refAcc
+	unit     *Unit
+	space    *cond.Space
+	internal map[string]cond.Cond // statics, typedefs, enumerators
+	facts    map[factKey]*factAcc
 }
 
 // top iterates external declarations, conjoining hoisted choice conditions.
@@ -116,41 +95,23 @@ func (x *extractor) top(n *ast.Node, c cond.Cond) {
 	}
 }
 
-// declaration handles one file-scope declaration: internal names in pass A,
-// facts plus initializer references in pass B.
+// declaration handles one file-scope declaration: static and typedef names
+// (and every enumerator) join the unit-internal set, the rest emit facts.
 func (x *extractor) declaration(n *ast.Node, c cond.Cond) {
 	if len(n.Children) < 2 {
 		return
 	}
-	specs := n.Children[1-1]
-	specVars := x.sigVariants(specs, false)
-	if x.collecting {
-		// File-scope enumerators are constants with no linkage; register
-		// every Enumerator in the declaration (specifier side included).
-		x.collectEnumerators(n, c)
-		for _, sv := range specVars {
-			if !sv.isTypedef && !sv.isStatic {
-				continue
-			}
-			vc := x.space.And(c, sv.c)
-			x.eachDeclRoot(n.Children[1], vc, func(root *ast.Node, rc cond.Cond) {
-				for _, site := range x.declSites(root, rc, false) {
-					if sv.isTypedef {
-						x.internal.DefineTypedef(site.name, site.c)
-					} else {
-						x.internal.DefineObject(site.name, site.c)
-					}
-				}
-			})
-		}
-		return
-	}
+	x.collectEnumerators(n, c)
+	specVars := x.sigVariants(n.Children[0], false)
 	x.eachDeclRoot(n.Children[1], c, func(root *ast.Node, rc cond.Cond) {
 		sites := x.declSites(root, rc, false)
 		declVars := x.sigVariants(root, false)
 		for _, sv := range specVars {
 			if sv.isTypedef || sv.isStatic {
-				continue // internal; pass A recorded it
+				for _, site := range sites {
+					x.internalName(site.name, x.space.And(site.c, sv.c))
+				}
+				continue
 			}
 			for _, site := range sites {
 				base := x.space.And(site.c, sv.c)
@@ -173,40 +134,28 @@ func (x *extractor) declaration(n *ast.Node, c cond.Cond) {
 				}
 			}
 		}
-		// Initializer expressions at file scope reference other symbols
-		// (int *p = &other_unit_obj;).
-		if w := x.refWalker(); root.Label == "InitializedDeclarator" && len(root.Children) > 1 {
-			for _, init := range root.Children[1:] {
-				w.walk(init, rc, true)
-			}
-		}
 	})
 }
 
-// functionDefinition emits the definition fact (unless static) and walks
-// the body for references.
+// functionDefinition emits the definition fact, or makes a static function
+// unit-internal.
 func (x *extractor) functionDefinition(n *ast.Node, c cond.Cond) {
 	if len(n.Children) == 0 {
 		return
 	}
-	specs, decl := x.splitFuncDef(n)
+	x.collectEnumerators(n, c)
+	specs, decl := splitFuncDef(n)
 	specVars := x.sigVariants(specs, false)
 	sites := x.declSites(decl, c, false)
-	if x.collecting {
-		x.collectEnumerators(n, c)
-		for _, sv := range specVars {
-			if !sv.isStatic {
-				continue
-			}
-			for _, site := range sites {
-				x.internal.DefineObject(site.name, x.space.And(site.c, sv.c))
-			}
-		}
-		return
-	}
 	declVars := x.sigVariants(decl, false)
 	for _, sv := range specVars {
-		if sv.isStatic || sv.isTypedef {
+		if sv.isStatic {
+			for _, site := range sites {
+				x.internalName(site.name, x.space.And(site.c, sv.c))
+			}
+			continue
+		}
+		if sv.isTypedef {
 			continue
 		}
 		for _, site := range sites {
@@ -223,36 +172,17 @@ func (x *extractor) functionDefinition(n *ast.Node, c cond.Cond) {
 			}
 		}
 	}
-	// References: parameters open a scope wrapping the body; the walker's
-	// table holds only function-local names, so anything that escapes it
-	// (and the internal set) is a cross-unit reference.
-	w := x.refWalker()
-	w.table.EnterScope()
-	w.defineParams(decl, c)
-	for _, ch := range n.Children {
-		if ch != nil && ch.Label == "CompoundStatement" {
-			w.walk(ch, c, false)
-		}
-	}
-	w.table.ExitScope()
 }
 
-// splitFuncDef separates a FunctionDefinition's specifier child from its
-// declarator child (either may be missing or a choice).
-func (x *extractor) splitFuncDef(n *ast.Node) (specs, decl *ast.Node) {
-	for _, ch := range n.Children {
-		if ch == nil || ch.Label == "CompoundStatement" {
-			continue
-		}
-		if ch.Label == "DeclarationSpecifiers" && specs == nil && decl == nil {
-			specs = ch
-			continue
-		}
-		if decl == nil {
-			decl = ch
-		}
+// internalName adds a unit-internal name under c.
+func (x *extractor) internalName(name string, c cond.Cond) {
+	if x.space.IsFalse(c) {
+		return
 	}
-	return specs, decl
+	if have, ok := x.internal[name]; ok {
+		c = x.space.Or(have, c)
+	}
+	x.internal[name] = c
 }
 
 // collectEnumerators registers every Enumerator name in the subtree as a
@@ -268,7 +198,7 @@ func (x *extractor) collectEnumerators(n *ast.Node, c cond.Cond) {
 		return
 	}
 	if n.Label == "Enumerator" && len(n.Children) > 0 && n.Children[0].Kind == ast.KindToken {
-		x.internal.DefineObject(n.Children[0].Text(), c)
+		x.internalName(n.Children[0].Text(), c)
 	}
 	for _, ch := range n.Children {
 		x.collectEnumerators(ch, c)
@@ -574,25 +504,6 @@ func (x *extractor) fact(site declSite, kind link.FactKind, sig string, c cond.C
 	x.facts[key] = &factAcc{c: c}
 }
 
-// ref records one reference sighting after subtracting local declarations
-// and the unit-internal name set.
-func (x *extractor) ref(tok token.Token, c cond.Cond) {
-	c = x.space.AndNot(c, x.internal.Declared(tok.Text))
-	if x.space.IsFalse(c) {
-		return
-	}
-	file := tok.File
-	if file == "" {
-		file = x.unit.File
-	}
-	key := refKey{name: tok.Text, line: tok.Line, col: tok.Col}
-	if acc, ok := x.refs[key]; ok {
-		acc.c = x.space.Or(acc.c, c)
-		return
-	}
-	x.refs[key] = &refAcc{file: file, c: c}
-}
-
 // finish merges facts and references into canonical order and exports every
 // condition through one exporter, preserving formula sharing.
 func (x *extractor) finish() *link.Facts {
@@ -623,25 +534,37 @@ func (x *extractor) finish() *link.Facts {
 			Cond: ex.Export(x.facts[k].c),
 		})
 	}
-	rkeys := make([]refKey, 0, len(x.refs))
-	for k := range x.refs {
-		rkeys = append(rkeys, k)
+	// References: the resolution's escaped uses, minus the unit-internal
+	// names. The subtraction distributes over the sightings' disjunction,
+	// so one subtraction per use suffices.
+	var refs []Use
+	for _, u := range x.unit.Resolution().Uses {
+		if in, ok := x.internal[u.Tok.Text]; ok {
+			u.Escaped = x.space.AndNot(u.Escaped, in)
+		}
+		if !x.space.IsFalse(u.Escaped) {
+			refs = append(refs, u)
+		}
 	}
-	sort.Slice(rkeys, func(i, j int) bool {
-		a, b := rkeys[i], rkeys[j]
+	sort.Slice(refs, func(i, j int) bool {
+		a, b := refs[i].Tok, refs[j].Tok
 		switch {
-		case a.name != b.name:
-			return a.name < b.name
-		case a.line != b.line:
-			return a.line < b.line
+		case a.Text != b.Text:
+			return a.Text < b.Text
+		case a.Line != b.Line:
+			return a.Line < b.Line
 		default:
-			return a.col < b.col
+			return a.Col < b.Col
 		}
 	})
-	for _, k := range rkeys {
-		bySym[k.name] = append(bySym[k.name], link.Fact{
-			Kind: link.KindRef, File: x.refs[k].file, Line: k.line, Col: k.col,
-			Cond: ex.Export(x.refs[k].c),
+	for _, u := range refs {
+		file := u.Tok.File
+		if file == "" {
+			file = x.unit.File
+		}
+		bySym[u.Tok.Text] = append(bySym[u.Tok.Text], link.Fact{
+			Kind: link.KindRef, File: file, Line: u.Tok.Line, Col: u.Tok.Col,
+			Cond: ex.Export(u.Escaped),
 		})
 	}
 	out := &link.Facts{Unit: x.unit.File}
@@ -650,209 +573,6 @@ func (x *extractor) finish() *link.Facts {
 	}
 	out.Normalize()
 	return out
-}
-
-// refWalker returns the body/initializer reference walker sharing the
-// extractor's accumulators. Its symbol table holds only function-local
-// names: file-scope names deliberately stay out, so a unit referencing its
-// own conditional definition still emits the reference and the linker sees
-// the gap when no configuration's definition covers it.
-func (x *extractor) refWalker() *linkRefWalker {
-	return &linkRefWalker{x: x, space: x.space, table: symtab.New(x.space)}
-}
-
-// linkRefWalker mirrors the undefuse pass's traversal — scopes, declarator
-// registration, and namespace skips proven there — but records escapes as
-// link references instead of diagnostics.
-type linkRefWalker struct {
-	x     *extractor
-	space *cond.Space
-	table *symtab.Table
-}
-
-func (w *linkRefWalker) walk(n *ast.Node, c cond.Cond, inBody bool) {
-	if n == nil || w.space.IsFalse(c) || n.IsError() {
-		return
-	}
-	switch n.Kind {
-	case ast.KindToken:
-		if inBody && n.Tok.Kind == token.Identifier {
-			w.use(*n.Tok, c)
-		}
-		return
-	case ast.KindChoice:
-		for _, alt := range n.Alts {
-			w.walk(alt.Node, w.space.And(c, alt.Cond), inBody)
-		}
-		return
-	}
-	switch n.Label {
-	case "CompoundStatement":
-		w.table.EnterScope()
-		for _, ch := range n.Children {
-			w.walk(ch, c, true)
-		}
-		w.table.ExitScope()
-		return
-	case "Declaration":
-		w.declaration(n, c, inBody)
-		return
-	case "FunctionDefinition":
-		w.functionDefinition(n, c)
-		return
-	case "MemberExpr", "ArrowExpr":
-		if len(n.Children) > 0 {
-			w.walk(n.Children[0], c, inBody)
-		}
-		return
-	case "LabelStatement":
-		if len(n.Children) > 0 {
-			w.walk(n.Children[len(n.Children)-1], c, inBody)
-		}
-		return
-	case "GotoStatement", "TypeName", "StructSpecifier", "EnumSpecifier", "FieldDesignator":
-		return
-	}
-	for _, ch := range n.Children {
-		w.walk(ch, c, inBody)
-	}
-}
-
-func (w *linkRefWalker) declaration(n *ast.Node, c cond.Cond, inBody bool) {
-	if len(n.Children) < 2 {
-		return
-	}
-	// Block-scope enumerators are local constants, not references.
-	w.declareEnumerators(n.Children[0], c)
-	isTypedef := HasLeaf(n.Children[0], "typedef")
-	w.declare(n.Children[1], c, isTypedef, inBody)
-}
-
-func (w *linkRefWalker) declareEnumerators(n *ast.Node, c cond.Cond) {
-	if n == nil || w.space.IsFalse(c) || n.IsError() {
-		return
-	}
-	if n.Kind == ast.KindChoice {
-		for _, alt := range n.Alts {
-			w.declareEnumerators(alt.Node, w.space.And(c, alt.Cond))
-		}
-		return
-	}
-	if n.Label == "Enumerator" && len(n.Children) > 0 && n.Children[0].Kind == ast.KindToken {
-		w.table.DefineObject(n.Children[0].Text(), c)
-	}
-	for _, ch := range n.Children {
-		w.declareEnumerators(ch, c)
-	}
-}
-
-func (w *linkRefWalker) declare(n *ast.Node, c cond.Cond, isTypedef, inBody bool) {
-	if n == nil || w.space.IsFalse(c) || n.IsError() {
-		return
-	}
-	switch n.Kind {
-	case ast.KindToken:
-		return
-	case ast.KindChoice:
-		for _, alt := range n.Alts {
-			w.declare(alt.Node, w.space.And(c, alt.Cond), isTypedef, inBody)
-		}
-		return
-	}
-	switch n.Label {
-	case "IdentifierDeclarator":
-		if len(n.Children) == 1 && n.Children[0].Kind == ast.KindToken {
-			w.define(n.Children[0].Text(), c, isTypedef)
-		}
-		return
-	case "InitializedDeclarator":
-		if len(n.Children) > 0 {
-			w.declare(n.Children[0], c, isTypedef, inBody)
-			for _, init := range n.Children[1:] {
-				if inBody {
-					w.walk(init, c, true)
-				}
-			}
-		}
-		return
-	case "ParameterDeclaration", "StructSpecifier", "EnumSpecifier":
-		return
-	}
-	for _, ch := range n.Children {
-		w.declare(ch, c, isTypedef, inBody)
-	}
-}
-
-func (w *linkRefWalker) functionDefinition(n *ast.Node, c cond.Cond) {
-	if name, _, _ := DeclaredNamePos(n); name != "" {
-		w.define(name, c, false)
-	}
-	w.table.EnterScope()
-	w.defineParams(n, c)
-	for _, ch := range n.Children {
-		if ch != nil && ch.Label == "CompoundStatement" {
-			w.walk(ch, c, false)
-		}
-	}
-	w.table.ExitScope()
-}
-
-func (w *linkRefWalker) defineParams(n *ast.Node, c cond.Cond) {
-	if n == nil || w.space.IsFalse(c) || n.IsError() {
-		return
-	}
-	if n.Kind == ast.KindChoice {
-		for _, alt := range n.Alts {
-			w.defineParams(alt.Node, w.space.And(c, alt.Cond))
-		}
-		return
-	}
-	if n.Label == "ParameterDeclaration" {
-		// declaredNamePos prunes at ParameterDeclaration nodes (it digs
-		// function names, skipping their params), so dig the children.
-		for _, ch := range n.Children {
-			if name, _, _ := DeclaredNamePos(ch); name != "" {
-				w.define(name, c, false)
-				break
-			}
-		}
-		return
-	}
-	if n.Label == "CompoundStatement" {
-		return
-	}
-	for _, ch := range n.Children {
-		w.defineParams(ch, c)
-	}
-}
-
-func (w *linkRefWalker) define(name string, c cond.Cond, isTypedef bool) {
-	if name == "" {
-		return
-	}
-	if isTypedef {
-		w.table.DefineTypedef(name, c)
-	} else {
-		w.table.DefineObject(name, c)
-	}
-}
-
-// use records an identifier sighting, subtracting the locally-declared
-// condition; what escapes becomes a link reference (the extractor further
-// subtracts the unit-internal names). Keywords lex as identifiers in this
-// pipeline (reclassification is a parse-time concern), so they are filtered
-// here — unlike undefuse, the linker cannot rely on the "never declared
-// anywhere" filter, because never-declared names are exactly the undef-ref
-// candidates.
-func (w *linkRefWalker) use(tok token.Token, c cond.Cond) {
-	if cgrammar.IsKeyword(tok.Text) {
-		return
-	}
-	escaped := w.space.AndNot(c, w.table.Declared(tok.Text))
-	if w.space.IsFalse(escaped) {
-		return
-	}
-	w.x.ref(tok, escaped)
 }
 
 // LinkDiagnostic converts a corpus-level linker finding into a framework

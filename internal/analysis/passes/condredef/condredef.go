@@ -8,13 +8,7 @@
 // changes how downstream code parses).
 package condredef
 
-import (
-	"repro/internal/analysis"
-	"repro/internal/ast"
-	"repro/internal/cond"
-	"repro/internal/symtab"
-	"repro/internal/token"
-)
+import "repro/internal/analysis"
 
 // Analyzer is the conditional-redefinition pass.
 var Analyzer = &analysis.Analyzer{
@@ -24,8 +18,6 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(p *analysis.Pass) error {
-	u := p.Unit
-
 	// File scope: the shared symbol index already holds every top-level
 	// definition with its condition; report overlapping pairs kind-aware.
 	for _, c := range p.Facts.ConflictingDefinitions() {
@@ -36,11 +28,17 @@ func run(p *analysis.Pass) error {
 		})
 	}
 
-	// Block scopes: walk function bodies with a conditional symbol table,
-	// reporting definitions that overlap an existing same-scope entry.
-	if u.AST != nil {
-		w := &redefWalker{pass: p, space: u.Space, table: symtab.New(u.Space)}
-		w.walk(u.AST, u.Space.True(), false)
+	// Block scopes: the resolution's same-scope overlaps.
+	for _, d := range p.Unit.Resolution().Redefs {
+		if !d.CrossKind {
+			p.Reportf(*d.Tok, d.Cond, "%q redefined in the same scope under an overlapping condition", d.Tok.Text)
+			continue
+		}
+		kinds := "an object and a typedef"
+		if d.Typedef {
+			kinds = "a typedef and an object"
+		}
+		p.Reportf(*d.Tok, d.Cond, "%q is %s in the same scope under an overlapping condition", d.Tok.Text, kinds)
 	}
 	return nil
 }
@@ -54,137 +52,4 @@ func conflictMsg(c analysis.Conflict) string {
 	}
 	return "\"" + c.Name + "\" defined as " + c.A.Kind.String() + " and as " +
 		c.B.Kind.String() + " under an overlapping condition"
-}
-
-// redefWalker traverses the AST tracking C scopes. The file scope is handled
-// by the index above, so definitions are only registered and checked once
-// inside a function body (inBody).
-type redefWalker struct {
-	pass  *analysis.Pass
-	space *cond.Space
-	table *symtab.Table
-}
-
-func (w *redefWalker) walk(n *ast.Node, c cond.Cond, inBody bool) {
-	if n == nil || w.space.IsFalse(c) || n.IsError() {
-		return
-	}
-	switch n.Kind {
-	case ast.KindToken:
-		return
-	case ast.KindChoice:
-		for _, alt := range n.Alts {
-			w.walk(alt.Node, w.space.And(c, alt.Cond), inBody)
-		}
-		return
-	}
-	switch n.Label {
-	case "CompoundStatement":
-		w.table.EnterScope()
-		for _, ch := range n.Children {
-			w.walk(ch, c, true)
-		}
-		w.table.ExitScope()
-		return
-	case "Declaration":
-		if inBody {
-			w.declaration(n, c)
-			return
-		}
-	case "StructSpecifier", "EnumSpecifier":
-		// Member and enumerator names live in their own namespaces.
-		return
-	}
-	for _, ch := range n.Children {
-		w.walk(ch, c, inBody)
-	}
-}
-
-// declaration registers a block-scope declaration's names, reporting
-// overlaps with existing same-scope entries first. Distinct textual
-// definitions visited through different choice alternatives carry disjoint
-// conditions, so re-visits of one definition never self-conflict.
-func (w *redefWalker) declaration(n *ast.Node, c cond.Cond) {
-	if len(n.Children) < 2 {
-		return
-	}
-	isTypedef := analysis.HasLeaf(n.Children[0], "typedef")
-	if analysis.HasLeaf(n.Children[0], "extern") {
-		return // a block-scope extern declaration refers, it does not define
-	}
-	w.declarators(n.Children[1], c, isTypedef)
-}
-
-func (w *redefWalker) declarators(n *ast.Node, c cond.Cond, isTypedef bool) {
-	if n == nil || w.space.IsFalse(c) || n.IsError() {
-		return
-	}
-	switch n.Kind {
-	case ast.KindToken:
-		return
-	case ast.KindChoice:
-		for _, alt := range n.Alts {
-			w.declarators(alt.Node, w.space.And(c, alt.Cond), isTypedef)
-		}
-		return
-	}
-	if n.Label == "IdentifierDeclarator" && len(n.Children) == 1 && n.Children[0].Kind == ast.KindToken {
-		leaf := n.Children[0]
-		w.define(leaf.Text(), *leaf.Tok, c, isTypedef)
-		return
-	}
-	if n.Label == "InitializedDeclarator" {
-		// Stay on the declarator spine: the initializer's identifiers are
-		// uses, not definitions.
-		if len(n.Children) > 0 {
-			w.declarators(n.Children[0], c, isTypedef)
-		}
-		return
-	}
-	switch n.Label {
-	case "BracedInitializer", "ParameterDeclaration":
-		return
-	}
-	for _, ch := range n.Children {
-		w.declarators(ch, c, isTypedef)
-	}
-}
-
-func (w *redefWalker) define(name string, tok token.Token, c cond.Cond, isTypedef bool) {
-	if name == "" {
-		return
-	}
-	if tdCond, objCond, ok := w.table.CurrentScope(name); ok {
-		sameKind, crossKind := objCond, tdCond
-		if isTypedef {
-			sameKind, crossKind = tdCond, objCond
-		}
-		if ov := andDefined(w.space, crossKind, c); ov != nil {
-			kinds := "an object and a typedef"
-			if isTypedef {
-				kinds = "a typedef and an object"
-			}
-			w.pass.Reportf(tok, *ov, "%q is %s in the same scope under an overlapping condition", name, kinds)
-		} else if ov := andDefined(w.space, sameKind, c); ov != nil {
-			w.pass.Reportf(tok, *ov, "%q redefined in the same scope under an overlapping condition", name)
-		}
-	}
-	if isTypedef {
-		w.table.DefineTypedef(name, c)
-	} else {
-		w.table.DefineObject(name, c)
-	}
-}
-
-// andDefined conjoins, treating the zero Cond as false; nil means the
-// overlap is infeasible.
-func andDefined(s *cond.Space, a, b cond.Cond) *cond.Cond {
-	if a == (cond.Cond{}) {
-		return nil
-	}
-	ov := s.And(a, b)
-	if s.IsFalse(ov) {
-		return nil
-	}
-	return &ov
 }

@@ -9,7 +9,6 @@ package deadbranch
 import (
 	"repro/internal/analysis"
 	"repro/internal/ast"
-	"repro/internal/cond"
 	"repro/internal/token"
 )
 
@@ -35,27 +34,12 @@ func run(p *analysis.Pass) error {
 	// share choice nodes across paths, so one incoming path excluding an
 	// alternative is normal; the alternative is dead only when the union of
 	// every path condition reaching its node misses it.
-	reach := make(map[*ast.Node]cond.Cond)
-	var order []*ast.Node
-	w := &analysis.Walker{Space: u.Space}
-	w.Walk(u.AST, u.Space.True(), func(n *ast.Node, c cond.Cond) bool {
-		if n.Kind != ast.KindChoice {
-			return true
-		}
-		if have, ok := reach[n]; ok {
-			reach[n] = u.Space.Or(have, c)
-		} else {
-			reach[n] = c
-			order = append(order, n)
-		}
-		return true
-	})
-	for _, n := range order {
-		for _, alt := range n.Alts {
+	for _, r := range u.Resolution().Reach {
+		for _, alt := range r.Node.Alts {
 			if alt.Node == nil {
 				continue
 			}
-			if !u.Space.IsFalse(alt.Cond) && u.Space.IsFalse(u.Space.And(reach[n], alt.Cond)) {
+			if !u.Space.IsFalse(alt.Cond) && u.Space.IsFalse(u.Space.And(r.Cond, alt.Cond)) {
 				p.Reportf(firstTok(alt.Node), alt.Cond,
 					"choice alternative is infeasible on its path: no configuration selects it")
 			}

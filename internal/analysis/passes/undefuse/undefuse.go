@@ -7,13 +7,7 @@
 // case, and the witness pins a failing configuration.
 package undefuse
 
-import (
-	"repro/internal/analysis"
-	"repro/internal/ast"
-	"repro/internal/cond"
-	"repro/internal/symtab"
-	"repro/internal/token"
-)
+import "repro/internal/analysis"
 
 // Analyzer is the conditionally-undeclared-use pass.
 var Analyzer = &analysis.Analyzer{
@@ -23,209 +17,18 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(p *analysis.Pass) error {
-	if p.Unit.AST == nil {
-		return nil
-	}
-	w := &useWalker{
-		pass:  p,
-		space: p.Unit.Space,
-		table: symtab.New(p.Unit.Space),
-		uses:  make(map[useKey]*useSite),
-	}
-	w.walk(p.Unit.AST, p.Unit.Space.True(), false)
 	s := p.Unit.Space
-	for _, u := range w.uses {
-		// Never declared under any configuration containing the use: a
-		// uniform error an ordinary compiler reports, not a variability
-		// bug. The check is global — hoisting can order an alternative
-		// with the use before the alternative with the declaration.
-		if s.IsFalse(u.declared) || s.IsFalse(u.missing) {
+	for _, u := range p.Unit.Resolution().Uses {
+		// A name never declared under any configuration containing the use
+		// is a uniform error an ordinary compiler reports, not a
+		// variability bug; the check is global — hoisting can order an
+		// alternative with the use before the alternative with the
+		// declaration. (Top-level uses leave Declared False: only function
+		// bodies are checked.)
+		if s.IsFalse(u.Declared) || s.IsFalse(u.Missing) {
 			continue
 		}
-		p.Reportf(u.tok, u.missing, "identifier %q is undeclared under some configurations reaching this use", u.tok.Text)
+		p.Reportf(*u.Tok, u.Missing, "identifier %q is undeclared under some configurations reaching this use", u.Tok.Text)
 	}
 	return nil
-}
-
-// useKey merges sightings of one textual use reached through several choice
-// alternatives (their conditions are disjoint; the finding is their union).
-type useKey struct {
-	name      string
-	line, col int
-}
-
-type useSite struct {
-	tok      token.Token
-	missing  cond.Cond // union over sightings: path reached without a declaration
-	declared cond.Cond // union over sightings: declaration in scope at the use
-}
-
-type useWalker struct {
-	pass  *analysis.Pass
-	space *cond.Space
-	table *symtab.Table
-	uses  map[useKey]*useSite
-}
-
-func (w *useWalker) walk(n *ast.Node, c cond.Cond, inBody bool) {
-	if n == nil || w.space.IsFalse(c) || n.IsError() {
-		return
-	}
-	switch n.Kind {
-	case ast.KindToken:
-		if inBody && n.Tok.Kind == token.Identifier {
-			w.use(*n.Tok, c)
-		}
-		return
-	case ast.KindChoice:
-		for _, alt := range n.Alts {
-			w.walk(alt.Node, w.space.And(c, alt.Cond), inBody)
-		}
-		return
-	}
-	switch n.Label {
-	case "CompoundStatement":
-		w.table.EnterScope()
-		for _, ch := range n.Children {
-			w.walk(ch, c, true)
-		}
-		w.table.ExitScope()
-		return
-	case "Declaration":
-		w.declaration(n, c, inBody)
-		return
-	case "FunctionDefinition":
-		w.functionDefinition(n, c)
-		return
-	case "MemberExpr", "ArrowExpr":
-		// The member name lives in the struct's namespace, not the ordinary
-		// one; only the object expression contains uses.
-		if len(n.Children) > 0 {
-			w.walk(n.Children[0], c, inBody)
-		}
-		return
-	case "LabelStatement":
-		// "name: stmt" — the label is not an ordinary identifier.
-		if len(n.Children) > 0 {
-			w.walk(n.Children[len(n.Children)-1], c, inBody)
-		}
-		return
-	case "GotoStatement", "TypeName", "StructSpecifier", "EnumSpecifier", "FieldDesignator":
-		return
-	}
-	for _, ch := range n.Children {
-		w.walk(ch, c, inBody)
-	}
-}
-
-// declaration registers every declared name, then (in a body) walks the
-// initializers for uses.
-func (w *useWalker) declaration(n *ast.Node, c cond.Cond, inBody bool) {
-	if len(n.Children) < 2 {
-		return
-	}
-	isTypedef := analysis.HasLeaf(n.Children[0], "typedef")
-	w.declare(n.Children[1], c, isTypedef, inBody)
-}
-
-func (w *useWalker) declare(n *ast.Node, c cond.Cond, isTypedef, inBody bool) {
-	if n == nil || w.space.IsFalse(c) || n.IsError() {
-		return
-	}
-	switch n.Kind {
-	case ast.KindToken:
-		return
-	case ast.KindChoice:
-		for _, alt := range n.Alts {
-			w.declare(alt.Node, w.space.And(c, alt.Cond), isTypedef, inBody)
-		}
-		return
-	}
-	switch n.Label {
-	case "IdentifierDeclarator":
-		if len(n.Children) == 1 && n.Children[0].Kind == ast.KindToken {
-			w.define(n.Children[0].Text(), c, isTypedef)
-		}
-		return
-	case "InitializedDeclarator":
-		if len(n.Children) > 0 {
-			w.declare(n.Children[0], c, isTypedef, inBody)
-			// C scoping: the declarator is in scope inside its own
-			// initializer, so define first, then scan for uses.
-			for _, init := range n.Children[1:] {
-				if inBody {
-					w.walk(init, c, true)
-				}
-			}
-		}
-		return
-	case "ParameterDeclaration", "StructSpecifier", "EnumSpecifier":
-		return
-	}
-	for _, ch := range n.Children {
-		w.declare(ch, c, isTypedef, inBody)
-	}
-}
-
-// functionDefinition defines the function's name in the enclosing scope,
-// then its parameters in a fresh scope wrapping the body.
-func (w *useWalker) functionDefinition(n *ast.Node, c cond.Cond) {
-	if name, _, _ := analysis.DeclaredNamePos(n); name != "" {
-		w.define(name, c, false)
-	}
-	w.table.EnterScope()
-	w.defineParams(n, c)
-	for _, ch := range n.Children {
-		if ch != nil && ch.Label == "CompoundStatement" {
-			w.walk(ch, c, false)
-		}
-	}
-	w.table.ExitScope()
-}
-
-func (w *useWalker) defineParams(n *ast.Node, c cond.Cond) {
-	if n == nil || w.space.IsFalse(c) || n.IsError() {
-		return
-	}
-	if n.Kind == ast.KindChoice {
-		for _, alt := range n.Alts {
-			w.defineParams(alt.Node, w.space.And(c, alt.Cond))
-		}
-		return
-	}
-	if n.Label == "ParameterDeclaration" {
-		if name, _, _ := analysis.DeclaredNamePos(n); name != "" {
-			w.define(name, c, false)
-		}
-		return
-	}
-	if n.Label == "CompoundStatement" {
-		return
-	}
-	for _, ch := range n.Children {
-		w.defineParams(ch, c)
-	}
-}
-
-func (w *useWalker) define(name string, c cond.Cond, isTypedef bool) {
-	if name == "" {
-		return
-	}
-	if isTypedef {
-		w.table.DefineTypedef(name, c)
-	} else {
-		w.table.DefineObject(name, c)
-	}
-}
-
-func (w *useWalker) use(tok token.Token, c cond.Cond) {
-	declared := w.table.Declared(tok.Text)
-	missing := w.space.AndNot(c, declared)
-	key := useKey{name: tok.Text, line: tok.Line, col: tok.Col}
-	if site, ok := w.uses[key]; ok {
-		site.missing = w.space.Or(site.missing, missing)
-		site.declared = w.space.Or(site.declared, declared)
-		return
-	}
-	w.uses[key] = &useSite{tok: tok, missing: missing, declared: declared}
 }

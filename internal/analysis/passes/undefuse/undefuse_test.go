@@ -137,3 +137,29 @@ int f(void) {
 		t.Errorf("cond = %s", s.String(r.Diags[0].Cond))
 	}
 }
+
+func TestParameterShadowsConditionalGlobal(t *testing.T) {
+	// The parameter declares x on every path into the body, whatever the
+	// conditional file-scope x does.
+	r, _ := lint(t, `
+#ifdef CONFIG_A
+int x;
+#endif
+int f(int x) { return x; }
+`)
+	if len(r.Diags) != 0 {
+		t.Errorf("parameter use flagged: %+v", r.Diags)
+	}
+}
+
+func TestBlockScopeEnumeratorDeclares(t *testing.T) {
+	r, _ := lint(t, `
+#ifdef CONFIG_A
+int RED;
+#endif
+int g(void) { enum { RED } c = RED; return c; }
+`)
+	if len(r.Diags) != 0 {
+		t.Errorf("block-scope enumerator use flagged: %+v", r.Diags)
+	}
+}

@@ -203,19 +203,30 @@ func (t *Table) Classify(name string, c cond.Cond) Classification {
 	}
 }
 
-// Declared returns the conditions under which name has any declaration in
-// scope — typedef or object meaning, any scope level. The analysis passes
-// use it to decide whether an identifier use is covered by a declaration
-// under every configuration that reaches the use.
-func (t *Table) Declared(name string) cond.Cond {
-	var c cond.Cond
+// Declared returns the conditions under which name has a declaration in
+// scope — typedef or object meaning — split at the file scope: local for
+// the parameter and block scopes, file for the file scope; either is False
+// when there is none. Name resolution uses their disjunction to decide
+// whether a use is covered by a declaration under every configuration that
+// reaches it; a use that escapes local resolves to a file-scope name or to
+// another unit.
+func (t *Table) Declared(name string) (local, file cond.Cond) {
 	for i := len(t.scopes) - 1; i >= 0; i-- {
 		e, ok := t.scopes[i].names[name]
 		if !ok {
 			continue
 		}
-		c = orDefined(t.space, c, orDefined(t.space, e.typedefCond, e.objectCond))
+		if i == 0 {
+			file = orDefined(t.space, e.typedefCond, e.objectCond)
+		} else {
+			local = orDefined(t.space, local, orDefined(t.space, e.typedefCond, e.objectCond))
+		}
 	}
+	return t.orFalse(local), t.orFalse(file)
+}
+
+// orFalse maps the zero Cond ("no entry") to False.
+func (t *Table) orFalse(c cond.Cond) cond.Cond {
 	if c == (cond.Cond{}) {
 		return t.space.False()
 	}

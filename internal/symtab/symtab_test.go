@@ -174,3 +174,25 @@ func TestNamesCount(t *testing.T) {
 		t.Errorf("Names = %d", tab.Names())
 	}
 }
+
+func TestDeclaredSplitsAtFileScope(t *testing.T) {
+	s := cond.NewSpace(cond.ModeBDD)
+	a, b := s.Var("A"), s.Var("B")
+	tab := New(s)
+	tab.DefineObject("x", a)
+	tab.EnterScope()
+	tab.DefineTypedef("x", b)
+	tab.EnterScope()
+	tab.DefineObject("x", s.Not(b))
+	if local, file := tab.Declared("x"); !s.IsTrue(local) || !s.Equal(file, a) {
+		t.Errorf("local %s file %s, want 1 and A", s.String(local), s.String(file))
+	}
+	tab.ExitScope()
+	tab.ExitScope()
+	if local, file := tab.Declared("x"); !s.IsFalse(local) || !s.Equal(file, a) {
+		t.Errorf("file scope only: local %s file %s, want 0 and A", s.String(local), s.String(file))
+	}
+	if local, file := tab.Declared("y"); !s.IsFalse(local) || !s.IsFalse(file) {
+		t.Error("undeclared name has a declaration condition")
+	}
+}
