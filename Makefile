@@ -68,7 +68,9 @@ analyze-smoke:
 # superc over the seeded-bug fixtures must reproduce the golden text exactly:
 # the -print rendering of config_bugs.c, then the two-unit summary without
 # its tables: line (the parse-table cache state depends on the machine), at
-# -j 1 and at -j 8 -parse-workers 4 (CI's analyze-smoke).
+# -j 1 and at -j 8 -parse-workers 4 (CI's analyze-smoke). Then superc -check
+# over the two-unit check example must reproduce its golden at both widths;
+# superc exits 1 when conflicts are reported.
 superc-smoke:
 	@$(GO) build -o superc.smoke ./cmd/superc
 	@for j in "-j 1" "-j 8 -parse-workers 4"; do \
@@ -76,9 +78,13 @@ superc-smoke:
 		  ./superc.smoke $$j -I examples/clint examples/clint/config_bugs.c examples/clint/clean.c | grep -v '^tables:'; \
 		} > superc.got.txt 2>&1 || { echo "superc $$j failed"; cat superc.got.txt; rm -f superc.smoke superc.got.txt; exit 1; }; \
 		diff superc.got.txt examples/clint/superc.golden.txt || { rm -f superc.smoke superc.got.txt; exit 1; }; \
+		(cd examples/check && ../../superc.smoke $$j -check -stats=false s1.c s2.c) > check.got.txt 2>&1; \
+		status=$$?; \
+		if [ "$$status" -ne 1 ]; then echo "superc -check $$j exit $$status, want 1"; cat check.got.txt; rm -f superc.smoke superc.got.txt check.got.txt; exit 1; fi; \
+		diff check.got.txt examples/check/golden.txt || { rm -f superc.smoke superc.got.txt check.got.txt; exit 1; }; \
 	done
-	@rm -f superc.smoke superc.got.txt
-	@echo "superc-smoke: golden match at -j 1 and -j 8 -parse-workers 4"
+	@rm -f superc.smoke superc.got.txt check.got.txt
+	@echo "superc-smoke: golden match at -j 1 and -j 8 -parse-workers 4 (print, summary, -check)"
 
 # Cold-then-warm superd round trip over a persisted store: outputs must be
 # byte-identical and the warm batch must be served from disk artifacts

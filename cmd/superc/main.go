@@ -4,10 +4,13 @@
 // and instrumentation statistics.
 //
 // Given multiple files, units are processed on a worker pool (-j wide,
-// GOMAXPROCS by default) with per-file output buffered and printed in
-// argument order; -check forces sequential processing because the
-// cross-unit conflict index shares one presence-condition space. The C
-// parse tables are loaded from the on-disk cache after the first run.
+// GOMAXPROCS by default), each with its own tool and presence-condition
+// space, with per-file output buffered and printed in argument order. With
+// -check, each unit's file-scope definitions are checked for conflicts
+// and coverage, and across units the linker's multidef findings between
+// two different units print as cross-unit conflicts after every file's
+// output. The C parse tables are loaded from the on-disk cache after the
+// first run.
 //
 // Usage:
 //
@@ -42,6 +45,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/guard"
+	"repro/internal/link"
 	"repro/internal/printer"
 	"repro/internal/refactor"
 	"repro/internal/stats"
@@ -109,58 +113,25 @@ func main() {
 		}
 	}
 
-	nWorkers := cli.Workers(o.Jobs, len(files))
-	if *check && len(files) > 1 && nWorkers > 1 {
-		// The cross-unit conflict index compares presence conditions, and
-		// conditions from different spaces must not mix — so -check keeps
-		// every unit in one tool/space, sequentially.
-		fmt.Fprintln(os.Stderr, "superc: -check shares one condition space across units; forcing -j 1")
-		nWorkers = 1
-	}
-
-	exit := 0
-	if nWorkers <= 1 {
-		// Sequential: one tool (and one condition space) for every file, as
-		// the cross-unit analyses require.
-		tool := core.New(cfg)
-		ix := analysis.NewIndex(tool.Space())
-		for _, file := range files {
-			exit |= processFile(tool, ix, file, ff, os.Stdout, os.Stderr)
-		}
-		if *check && len(files) > 1 {
-			// Cross-unit conflicts (same symbol defined in several files under
-			// overlapping conditions).
-			for _, c := range ix.ConflictingDefinitions() {
-				if c.A.File != c.B.File {
-					fmt.Printf("cross-unit conflict: %s defined in %s and %s under %s\n",
-						c.Name, c.A.File, c.B.File, tool.Space().String(c.Under))
-					exit = 1
-				}
-			}
-		}
-		os.Exit(exit)
-	}
-
-	// Parallel: each file gets its own tool (fresh condition space and
-	// macro table, exactly like the evaluation harness), workers buffer
-	// their output, and buffers are flushed in argument order so the
-	// output is byte-identical to a sequential run.
+	// Each file gets its own tool (fresh condition space and macro table,
+	// exactly like the evaluation harness), workers buffer their output,
+	// and buffers are flushed in argument order so the output is the same
+	// at any -j.
 	type fileOut struct {
 		stdout, stderr bytes.Buffer
 		exit           int
+		facts          *link.Facts
 	}
 	outs := make([]fileOut, len(files))
 	work := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < nWorkers; w++ {
+	for w := 0; w < cli.Workers(o.Jobs, len(files)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range work {
 				o := &outs[i]
-				tool := core.New(cfg)
-				ix := analysis.NewIndex(tool.Space())
-				o.exit = processFile(tool, ix, files[i], ff, &o.stdout, &o.stderr)
+				o.exit, o.facts = processFile(core.New(cfg), files[i], ff, &o.stdout, &o.stderr)
 			}
 		}()
 	}
@@ -169,10 +140,26 @@ func main() {
 	}
 	close(work)
 	wg.Wait()
+	exit := 0
+	var facts []*link.Facts
 	for i := range outs {
 		io.Copy(os.Stdout, &outs[i].stdout)
 		io.Copy(os.Stderr, &outs[i].stderr)
 		exit |= outs[i].exit
+		if outs[i].facts != nil {
+			facts = append(facts, outs[i].facts)
+		}
+	}
+	if *check && len(files) > 1 {
+		// Cross-unit conflicts: the same external symbol defined in two
+		// units under overlapping conditions.
+		for _, f := range link.Link(facts, nil).Findings {
+			if f.Family == "multidef" && f.Unit != f.OtherUnit {
+				fmt.Printf("cross-unit conflict: %s defined in %s and %s under %s\n",
+					f.Symbol, f.OtherUnit, f.Unit, f.CondStr)
+				exit = 1
+			}
+		}
 	}
 	os.Exit(exit)
 }
@@ -249,16 +236,16 @@ type fileFlags struct {
 	limits    guard.Limits // per-unit resource budget (-timeout, -budget-*)
 }
 
-func processFile(tool *core.Tool, ix *analysis.Index, file string, ff fileFlags, stdout, stderr io.Writer) int {
+// processFile parses one file with its own tool and writes its output;
+// with -check it also returns the unit's link facts.
+func processFile(tool *core.Tool, file string, ff fileFlags, stdout, stderr io.Writer) (int, *link.Facts) {
 	if !ff.limits.Zero() {
-		// Fresh budget per unit: the sequential path reuses one tool across
-		// files, and budgets are single-use.
 		tool.SetBudget(guard.New(context.Background(), ff.limits))
 	}
 	res, err := tool.ParseFile(file)
 	if err != nil {
 		fmt.Fprintf(stderr, "superc: %v\n", err)
-		return 1
+		return 1, nil
 	}
 	printAST, project, showStats, check := ff.printAST, ff.project, ff.showStats, ff.check
 
@@ -293,11 +280,11 @@ func processFile(tool *core.Tool, ix *analysis.Index, file string, ff fileFlags,
 		parts := strings.SplitN(ff.rename, "=", 2)
 		if len(parts) != 2 || parts[0] == "" || parts[1] == "" {
 			fmt.Fprintln(stderr, "superc: -rename wants OLD=NEW")
-			return 1
+			return 1, nil
 		}
 		if col := refactor.CheckCollisions(tool.Space(), res.AST, parts[0], parts[1]); len(col) > 0 {
 			fmt.Fprintf(stderr, "superc: rename collides under %s\n", tool.Space().String(col[0].Cond))
-			return 1
+			return 1, nil
 		}
 		renamed, rep := refactor.Rename(tool.Space(), res.AST, parts[0], parts[1])
 		fmt.Fprintf(stderr, "superc: %s\n", rep)
@@ -332,11 +319,11 @@ func processFile(tool *core.Tool, ix *analysis.Index, file string, ff fileFlags,
 		}
 		fmt.Fprintf(stdout, "tables: cache %s\n", cgrammar.TableCacheState())
 	}
+	var facts *link.Facts
 	if res.AST != nil && check {
-		unitIx := analysis.NewIndex(tool.Space())
-		unitIx.AddUnit(file, res.AST)
-		ix.AddUnit(file, res.AST)
-		conflicts := unitIx.ConflictingDefinitions()
+		au := &analysis.Unit{File: file, Space: tool.Space(), AST: res.AST, PP: res.Unit}
+		facts = analysis.ExtractLinkFacts(au)
+		conflicts := analysis.ConflictingDefinitions(au)
 		for _, c := range conflicts {
 			fmt.Fprintf(stdout, "conflict: %s (%s) defined twice under %s\n",
 				c.Name, c.A.Kind, tool.Space().String(c.Under))
@@ -346,7 +333,7 @@ func processFile(tool *core.Tool, ix *analysis.Index, file string, ff fileFlags,
 			fmt.Fprintf(stdout, "check: %s: no conflicting definitions\n", file)
 		}
 		if tool.Space().Mode() == cond.ModeBDD {
-			for _, cov := range unitIx.CoverageReport() {
+			for _, cov := range analysis.CoverageReport(au) {
 				if cov.Fraction < 1 {
 					fmt.Fprintf(stdout, "coverage: %s %s exists in %.1f%% of configurations\n",
 						cov.Symbol.Kind, cov.Symbol.Name, 100*cov.Fraction)
@@ -358,5 +345,5 @@ func processFile(tool *core.Tool, ix *analysis.Index, file string, ff fileFlags,
 		fmt.Fprintln(stderr, "superc: no configuration parsed successfully")
 		exit = 1
 	}
-	return exit
+	return exit, facts
 }

@@ -8,57 +8,85 @@ import (
 	"repro/internal/cond"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/link"
 	"repro/internal/preprocessor"
 )
 
-func buildIndex(t *testing.T, src string) (*Index, *core.Tool) {
+func buildUnit(t *testing.T, src string) (*Unit, *core.Tool) {
 	t.Helper()
 	tool := core.New(core.Config{FS: preprocessor.MapFS{"main.c": src}})
-	res, err := tool.ParseFile("main.c")
+	return parseUnit(t, tool, "main.c"), tool
+}
+
+func parseUnit(t *testing.T, tool *core.Tool, file string) *Unit {
+	t.Helper()
+	res, err := tool.ParseFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.AST == nil {
-		t.Fatalf("parse failed: %v", res.Parse.Diags)
+		t.Fatalf("%s: parse failed: %v", file, res.Parse.Diags)
 	}
-	ix := NewIndex(tool.Space())
-	ix.AddUnit("main.c", res.AST)
-	return ix, tool
+	return &Unit{File: file, Space: tool.Space(), AST: res.AST, PP: res.Unit}
+}
+
+// symbols returns the unit's definitions of one name.
+func symbols(u *Unit, name string) []Symbol {
+	var out []Symbol
+	for _, s := range Definitions(u) {
+		if s.Name == name {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// names returns the defined names in first-sighting order.
+func names(u *Unit) []string {
+	var out []string
+	seen := map[string]bool{}
+	for _, s := range Definitions(u) {
+		if !seen[s.Name] {
+			seen[s.Name] = true
+			out = append(out, s.Name)
+		}
+	}
+	return out
 }
 
 func TestIndexBasics(t *testing.T) {
-	ix, _ := buildIndex(t, `
+	u, _ := buildUnit(t, `
 int counter = 0;
 typedef unsigned long size_type;
 static int helper(int x) { return x + 1; }
 extern int tentative_only;
 `)
-	if got := len(ix.Symbols("counter")); got != 1 {
+	if got := len(symbols(u, "counter")); got != 1 {
 		t.Errorf("counter: %d", got)
 	}
-	if sym := ix.Symbols("counter")[0]; sym.Kind != KindVariable {
+	if sym := symbols(u, "counter")[0]; sym.Kind != KindVariable {
 		t.Errorf("counter kind = %s", sym.Kind)
 	}
-	if sym := ix.Symbols("size_type"); len(sym) != 1 || sym[0].Kind != KindTypedef {
+	if sym := symbols(u, "size_type"); len(sym) != 1 || sym[0].Kind != KindTypedef {
 		t.Errorf("size_type: %+v", sym)
 	}
-	if sym := ix.Symbols("helper"); len(sym) != 1 || sym[0].Kind != KindFunction {
+	if sym := symbols(u, "helper"); len(sym) != 1 || sym[0].Kind != KindFunction {
 		t.Errorf("helper: %+v", sym)
 	}
-	// Tentative (uninitialized, non-typedef) declarations are not indexed
-	// as definitions.
-	if got := len(ix.Symbols("tentative_only")); got != 0 {
+	// Tentative (uninitialized, non-typedef) declarations are not
+	// definitions.
+	if got := len(symbols(u, "tentative_only")); got != 0 {
 		t.Errorf("tentative declaration indexed: %d", got)
 	}
 }
 
 func TestConditionalSymbolConditions(t *testing.T) {
-	ix, tool := buildIndex(t, `
+	u, tool := buildUnit(t, `
 #ifdef CONFIG_A
 int feature(void) { return 1; }
 #endif
 `)
-	syms := ix.Symbols("feature")
+	syms := symbols(u, "feature")
 	if len(syms) != 1 {
 		t.Fatalf("feature: %d", len(syms))
 	}
@@ -73,19 +101,19 @@ int feature(void) { return 1; }
 // are a double definition some configuration will hit.
 func TestConflictingDefinitions(t *testing.T) {
 	// Disjoint: no conflict.
-	ix, _ := buildIndex(t, `
+	u, _ := buildUnit(t, `
 #ifdef CONFIG_A
 int handler(void) { return 1; }
 #else
 int handler(void) { return 2; }
 #endif
 `)
-	if conflicts := ix.ConflictingDefinitions(); len(conflicts) != 0 {
+	if conflicts := ConflictingDefinitions(u); len(conflicts) != 0 {
 		t.Errorf("disjoint definitions reported as conflict: %+v", conflicts)
 	}
 
 	// Overlapping: conflict under A && B.
-	ix2, tool := buildIndex(t, `
+	u2, tool := buildUnit(t, `
 #ifdef CONFIG_A
 int handler(void) { return 1; }
 #endif
@@ -93,7 +121,7 @@ int handler(void) { return 1; }
 int handler(void) { return 2; }
 #endif
 `)
-	conflicts := ix2.ConflictingDefinitions()
+	conflicts := ConflictingDefinitions(u2)
 	if len(conflicts) != 1 {
 		t.Fatalf("conflicts: %+v", conflicts)
 	}
@@ -105,11 +133,11 @@ int handler(void) { return 2; }
 }
 
 func TestUnconditionalDoubleDefinition(t *testing.T) {
-	ix, tool := buildIndex(t, `
+	u, tool := buildUnit(t, `
 int twice = 1;
 int twice = 2;
 `)
-	conflicts := ix.ConflictingDefinitions()
+	conflicts := ConflictingDefinitions(u)
 	if len(conflicts) != 1 {
 		t.Fatalf("conflicts: %d", len(conflicts))
 	}
@@ -119,7 +147,7 @@ int twice = 2;
 }
 
 func TestCoverageReport(t *testing.T) {
-	ix, _ := buildIndex(t, `
+	u, _ := buildUnit(t, `
 int always = 1;
 #ifdef CONFIG_A
 #ifdef CONFIG_B
@@ -130,7 +158,7 @@ int rare(void) { return 0; }
 int sometimes = 2;
 #endif
 `)
-	cov := ix.CoverageReport()
+	cov := CoverageReport(u)
 	if len(cov) != 3 {
 		t.Fatalf("coverage entries: %d", len(cov))
 	}
@@ -146,46 +174,46 @@ int sometimes = 2;
 	}
 }
 
+// TestMultiUnitIndex: across units, definitions meet in the linker, each
+// unit with its own condition space.
 func TestMultiUnitIndex(t *testing.T) {
-	tool := core.New(core.Config{FS: preprocessor.MapFS{
+	fs := preprocessor.MapFS{
 		"a.c": "#ifdef X\nint shared(void) { return 1; }\n#endif\n",
 		"b.c": "#ifndef X\nint shared(void) { return 2; }\n#endif\n",
-	}})
-	ix := NewIndex(tool.Space())
+	}
+	var facts []*link.Facts
+	defs := 0
 	for _, f := range []string{"a.c", "b.c"} {
-		res, err := tool.ParseFile(f)
-		if err != nil || res.AST == nil {
-			t.Fatal(err)
-		}
-		ix.AddUnit(f, res.AST)
+		u := parseUnit(t, core.New(core.Config{FS: fs}), f)
+		defs += len(symbols(u, "shared"))
+		facts = append(facts, ExtractLinkFacts(u))
 	}
 	// Defined in both files under complementary conditions: no conflict,
 	// and every configuration has exactly one definition.
-	if conflicts := ix.ConflictingDefinitions(); len(conflicts) != 0 {
-		t.Errorf("complementary cross-file definitions conflict: %+v", conflicts)
+	if r := link.Link(facts, nil); len(r.Findings) != 0 {
+		t.Errorf("complementary cross-file definitions conflict: %+v", r.Findings)
 	}
-	if got := len(ix.Symbols("shared")); got != 2 {
-		t.Errorf("shared definitions: %d", got)
+	if defs != 2 {
+		t.Errorf("shared definitions: %d", defs)
 	}
 }
 
 func TestDeclaredNameSkipsNonSpine(t *testing.T) {
-	ix, _ := buildIndex(t, `
+	u, _ := buildUnit(t, `
 struct holder { int inner_member; };
 int outer(struct holder *h) { int local; return h->inner_member; }
 `)
-	if len(ix.Symbols("inner_member")) != 0 {
-		t.Error("struct member indexed as top-level symbol")
+	if len(symbols(u, "inner_member")) != 0 {
+		t.Error("struct member recorded as top-level symbol")
 	}
-	if len(ix.Symbols("local")) != 0 {
-		t.Error("function-local variable indexed as top-level symbol")
+	if len(symbols(u, "local")) != 0 {
+		t.Error("function-local variable recorded as top-level symbol")
 	}
-	if len(ix.Symbols("outer")) != 1 {
+	if len(symbols(u, "outer")) != 1 {
 		t.Error("function definition missing")
 	}
-	names := strings.Join(ix.Names(), ",")
-	if !strings.Contains(names, "outer") {
-		t.Errorf("names: %s", names)
+	if got := strings.Join(names(u), ","); !strings.Contains(got, "outer") {
+		t.Errorf("names: %s", got)
 	}
 }
 
@@ -277,26 +305,21 @@ int dup(void) { return 2; }
 `},
 		CondMode: cond.ModeSAT,
 	})
-	res, err := tool.ParseFile("main.c")
-	if err != nil || res.AST == nil {
-		t.Fatal(err)
-	}
-	ix := NewIndex(tool.Space())
-	ix.AddUnit("main.c", res.AST)
-	if got := len(ix.ConflictingDefinitions()); got != 1 {
+	u := parseUnit(t, tool, "main.c")
+	if got := len(ConflictingDefinitions(u)); got != 1 {
 		t.Errorf("conflicts = %d, want 1", got)
 	}
 }
 
 func TestIndexLenAndSpace(t *testing.T) {
-	ix, tool := buildIndex(t, "int a = 1;\nint b = 2;\n")
-	if ix.Len() != 2 {
-		t.Errorf("Len = %d", ix.Len())
+	u, tool := buildUnit(t, "int a = 1;\nint b = 2;\n")
+	if got := len(Definitions(u)); got != 2 {
+		t.Errorf("Len = %d", got)
 	}
-	if ix.Space() != tool.Space() {
+	if u.Space != tool.Space() {
 		t.Error("Space accessor mismatch")
 	}
-	if got := len(ix.Names()); got != 2 {
+	if got := len(names(u)); got != 2 {
 		t.Errorf("Names = %d", got)
 	}
 }
@@ -308,13 +331,8 @@ func TestCorpusHasNoConflicts(t *testing.T) {
 	c := corpus.Generate(corpus.Params{Seed: 12, CFiles: 10, GenHeaders: 10})
 	tool := core.New(core.Config{FS: c.FS, IncludePaths: []string{"include", "include/gen", "include/linux"}})
 	for _, cf := range c.CFiles {
-		res, err := tool.ParseFile(cf)
-		if err != nil || res.AST == nil {
-			t.Fatalf("%s: %v", cf, err)
-		}
-		ix := NewIndex(tool.Space())
-		ix.AddUnit(cf, res.AST)
-		if conflicts := ix.ConflictingDefinitions(); len(conflicts) > 0 {
+		u := parseUnit(t, tool, cf)
+		if conflicts := ConflictingDefinitions(u); len(conflicts) > 0 {
 			t.Errorf("%s: %s defined twice under %s", cf,
 				conflicts[0].Name, tool.Space().String(conflicts[0].Under))
 		}

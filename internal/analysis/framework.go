@@ -1,9 +1,10 @@
 // Variability-aware analysis framework (modeled on go/analysis): an
 // Analyzer is a named pass over one compilation unit's choice AST and
-// preprocessor records; the driver supplies a shared fact base, threads
-// presence conditions, attaches a SAT-verified witness configuration to
-// every diagnostic, and orders the output deterministically so results are
-// byte-stable regardless of scheduling.
+// preprocessor records; passes share the unit's one scoped resolution
+// (Unit.Resolution), and the driver threads presence conditions, attaches a
+// SAT-verified witness configuration to every diagnostic, and orders the
+// output deterministically so results are byte-stable regardless of
+// scheduling.
 package analysis
 
 import (
@@ -38,12 +39,10 @@ type Analyzer struct {
 	Run  func(*Pass) error
 }
 
-// Pass carries one analyzer's view of a unit plus the shared fact base, and
-// collects its diagnostics.
+// Pass carries one analyzer's view of a unit and collects its diagnostics.
 type Pass struct {
 	Analyzer *Analyzer
 	Unit     *Unit
-	Facts    *Index // shared per-unit symbol index (never nil; may be empty)
 
 	diags []Diagnostic
 }
@@ -112,9 +111,7 @@ type Result struct {
 func Run(u *Unit, analyzers []*Analyzer) *Result {
 	res := &Result{File: u.File, Stats: Stats{ByPass: make(map[string]int)}}
 
-	facts := NewIndex(u.Space)
 	if u.AST != nil {
-		facts.AddUnit(u.File, u.AST)
 		res.Stats.ErrorRegions = u.Resolution().ErrorRegions
 	}
 
@@ -126,7 +123,7 @@ func Run(u *Unit, analyzers []*Analyzer) *Result {
 		if !u.Budget.Tick("analysis") {
 			break // budget tripped: degrade to the passes already run
 		}
-		pass := &Pass{Analyzer: a, Unit: u, Facts: facts}
+		pass := &Pass{Analyzer: a, Unit: u}
 		if err := a.Run(pass); err != nil {
 			res.Errs = append(res.Errs, fmt.Errorf("%s: %w", a.Name, err))
 			res.Stats.PassErrors++

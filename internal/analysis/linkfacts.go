@@ -1,25 +1,26 @@
 package analysis
 
 // This file is the per-unit extraction stage feeding the whole-corpus
-// variability-aware linker (internal/link). It walks the unit's choice AST
-// and emits, per external symbol, presence-conditioned link facts:
-// definitions, tentative definitions, extern declarations and prototypes,
-// and references that resolve outside the unit's internal names (the
-// escaped uses of the unit's Resolution). Conditions leave the unit's space
-// as space-independent formulas (one exporter per unit, so the DAG sharing
-// survives), and the linker composes them across units through hcache.Canon
-// ids.
+// variability-aware linker (internal/link). It walks no tree of its own: it
+// reads the unit's Resolution and emits, per external symbol,
+// presence-conditioned link facts — definitions, tentative definitions,
+// extern declarations and prototypes from the file-scope Decls, and
+// references that resolve outside the unit's internal names from the
+// escaped uses. Conditions leave the unit's space as space-independent
+// formulas (one exporter per unit, so the DAG sharing survives), and the
+// linker composes them across units through hcache.Canon ids.
 //
 // The unit-internal name set — static objects and functions, typedefs, and
-// enumerators — is collected in the same pass that emits the facts, and
-// finish subtracts it from every reference: a use of a static never becomes
-// a cross-unit fact, even when the use precedes the definition. Type
+// every enumerator — is collected while the facts are emitted, and finish
+// subtracts it from every reference: a use of a static never becomes a
+// cross-unit fact, even when the use precedes the definition. Type
 // signatures are canonical strings built from the declaration's specifier
 // words and declarator shape (declared name replaced by "@", parameter
 // names elided, storage classes dropped, braced struct/enum bodies
 // collapsed to their tag), so two units spelling the same type compare
 // equal byte-wise; conditional declaration fragments fork the signature
-// into per-condition variants.
+// into per-condition variants, computed once per specifier or declarator
+// root.
 
 import (
 	"sort"
@@ -27,6 +28,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/cond"
 	"repro/internal/link"
+	"repro/internal/token"
 )
 
 // maxSigVariants caps the per-declaration signature fork: a declaration
@@ -35,7 +37,7 @@ import (
 // variants in choice order win) rather than risking a blowup.
 const maxSigVariants = 8
 
-// ExtractLinkFacts walks the unit's choice AST and returns its conditional
+// ExtractLinkFacts reads the unit's resolution and returns its conditional
 // link facts in canonical order, with conditions exported from the unit's
 // space. Units with no AST yield an empty, non-nil fact set.
 func ExtractLinkFacts(u *Unit) *link.Facts {
@@ -44,9 +46,14 @@ func ExtractLinkFacts(u *Unit) *link.Facts {
 		space:    u.Space,
 		internal: make(map[string]cond.Cond),
 		facts:    make(map[factKey]*factAcc),
+		sigs:     make(map[*ast.Node][]sigVar),
 	}
-	if u.AST != nil {
-		x.top(u.AST, x.space.True())
+	res := u.Resolution()
+	for _, e := range res.Enumerators {
+		x.addInternal(e.Tok.Text, e.Cond)
+	}
+	for _, d := range res.Decls {
+		x.decl(d)
 	}
 	return x.finish()
 }
@@ -66,255 +73,57 @@ type extractor struct {
 	space    *cond.Space
 	internal map[string]cond.Cond // statics, typedefs, enumerators
 	facts    map[factKey]*factAcc
+	sigs     map[*ast.Node][]sigVar // sigVariants of specifier and declarator roots
 }
 
-// top iterates external declarations, conjoining hoisted choice conditions.
-func (x *extractor) top(n *ast.Node, c cond.Cond) {
-	if n == nil || x.space.IsFalse(c) || n.IsError() {
-		return
-	}
-	switch n.Kind {
-	case ast.KindToken:
-		return
-	case ast.KindChoice:
-		for _, alt := range n.Alts {
-			x.top(alt.Node, x.space.And(c, alt.Cond))
+// decl emits one file-scope declarator's facts per specifier variant, or
+// makes its name unit-internal: static names, and typedef names outside
+// function definitions.
+func (x *extractor) decl(d Decl) {
+	for _, sv := range x.variants(d.Specs) {
+		c := x.space.And(d.Cond, sv.c)
+		if x.space.IsFalse(c) {
+			continue
 		}
-		return
-	}
-	switch n.Label {
-	case "FunctionDefinition":
-		x.functionDefinition(n, c)
-		return
-	case "Declaration":
-		x.declaration(n, c)
-		return
-	}
-	for _, ch := range n.Children {
-		x.top(ch, c)
-	}
-}
-
-// declaration handles one file-scope declaration: static and typedef names
-// (and every enumerator) join the unit-internal set, the rest emit facts.
-func (x *extractor) declaration(n *ast.Node, c cond.Cond) {
-	if len(n.Children) < 2 {
-		return
-	}
-	x.collectEnumerators(n, c)
-	specVars := x.sigVariants(n.Children[0], false)
-	x.eachDeclRoot(n.Children[1], c, func(root *ast.Node, rc cond.Cond) {
-		sites := x.declSites(root, rc, false)
-		declVars := x.sigVariants(root, false)
-		for _, sv := range specVars {
-			if sv.isTypedef || sv.isStatic {
-				for _, site := range sites {
-					x.internalName(site.name, x.space.And(site.c, sv.c))
-				}
-				continue
-			}
-			for _, site := range sites {
-				base := x.space.And(site.c, sv.c)
-				if x.space.IsFalse(base) {
-					continue
-				}
-				kind := link.KindTentative
-				switch {
-				case site.hasInit:
-					kind = link.KindDef // extern int x = 1 still defines
-				case sv.isExtern || site.isFunc:
-					kind = link.KindDecl
-				}
-				for _, dv := range declVars {
-					fc := x.space.And(base, dv.c)
-					if x.space.IsFalse(fc) {
-						continue
-					}
-					x.fact(site, kind, joinSig(sv.words, dv.words), fc)
-				}
-			}
-		}
-	})
-}
-
-// functionDefinition emits the definition fact, or makes a static function
-// unit-internal.
-func (x *extractor) functionDefinition(n *ast.Node, c cond.Cond) {
-	if len(n.Children) == 0 {
-		return
-	}
-	x.collectEnumerators(n, c)
-	specs, decl := splitFuncDef(n)
-	specVars := x.sigVariants(specs, false)
-	sites := x.declSites(decl, c, false)
-	declVars := x.sigVariants(decl, false)
-	for _, sv := range specVars {
-		if sv.isStatic {
-			for _, site := range sites {
-				x.internalName(site.name, x.space.And(site.c, sv.c))
+		if sv.isStatic || sv.isTypedef {
+			if sv.isStatic || !d.Body {
+				x.addInternal(d.Tok.Text, c)
 			}
 			continue
 		}
-		if sv.isTypedef {
-			continue
+		kind := link.KindTentative
+		switch {
+		case d.Body || d.Initialized:
+			kind = link.KindDef // extern int x = 1 still defines
+		case sv.isExtern || d.Function:
+			kind = link.KindDecl
 		}
-		for _, site := range sites {
-			base := x.space.And(site.c, sv.c)
-			if x.space.IsFalse(base) {
-				continue
-			}
-			for _, dv := range declVars {
-				fc := x.space.And(base, dv.c)
-				if x.space.IsFalse(fc) {
-					continue
-				}
-				x.fact(site, link.KindDef, joinSig(sv.words, dv.words), fc)
+		for _, dv := range x.variants(d.Root) {
+			if fc := x.space.And(c, dv.c); !x.space.IsFalse(fc) {
+				x.fact(d.Tok, kind, joinSig(sv.words, dv.words), fc)
 			}
 		}
 	}
 }
 
-// internalName adds a unit-internal name under c.
-func (x *extractor) internalName(name string, c cond.Cond) {
-	if x.space.IsFalse(c) {
-		return
-	}
+// addInternal adds a unit-internal name under c.
+func (x *extractor) addInternal(name string, c cond.Cond) {
 	if have, ok := x.internal[name]; ok {
 		c = x.space.Or(have, c)
 	}
 	x.internal[name] = c
 }
 
-// collectEnumerators registers every Enumerator name in the subtree as a
-// unit-internal constant under its path condition.
-func (x *extractor) collectEnumerators(n *ast.Node, c cond.Cond) {
-	if n == nil || x.space.IsFalse(c) || n.IsError() {
-		return
+// variants is sigVariants of a specifier or declarator root, computed once
+// per node: the declarators of one declaration share its specifiers, and a
+// root reached on several paths is one site.
+func (x *extractor) variants(n *ast.Node) []sigVar {
+	vs, ok := x.sigs[n]
+	if !ok {
+		vs = x.sigVariants(n, false)
+		x.sigs[n] = vs
 	}
-	if n.Kind == ast.KindChoice {
-		for _, alt := range n.Alts {
-			x.collectEnumerators(alt.Node, x.space.And(c, alt.Cond))
-		}
-		return
-	}
-	if n.Label == "Enumerator" && len(n.Children) > 0 && n.Children[0].Kind == ast.KindToken {
-		x.internalName(n.Children[0].Text(), c)
-	}
-	for _, ch := range n.Children {
-		x.collectEnumerators(ch, c)
-	}
-}
-
-// declaratorLabels are the node labels that root one declarator.
-var declaratorLabels = map[string]bool{
-	"IdentifierDeclarator":  true,
-	"PointerDeclarator":     true,
-	"ArrayDeclarator":       true,
-	"FunctionDeclarator":    true,
-	"ParenDeclarator":       true,
-	"InitializedDeclarator": true,
-	"AttributedDeclarator":  true,
-}
-
-// eachDeclRoot finds the individual declarator roots under a declaration's
-// declarator part (a single declarator, a comma list, or choices thereof),
-// invoking fn with each root and its path condition.
-func (x *extractor) eachDeclRoot(n *ast.Node, c cond.Cond, fn func(*ast.Node, cond.Cond)) {
-	if n == nil || x.space.IsFalse(c) || n.IsError() {
-		return
-	}
-	switch n.Kind {
-	case ast.KindToken:
-		return
-	case ast.KindChoice:
-		for _, alt := range n.Alts {
-			x.eachDeclRoot(alt.Node, x.space.And(c, alt.Cond), fn)
-		}
-		return
-	}
-	if declaratorLabels[n.Label] {
-		fn(n, c)
-		return
-	}
-	for _, ch := range n.Children {
-		x.eachDeclRoot(ch, c, fn)
-	}
-}
-
-// declSite is one declared name within a declarator, with the condition
-// under which that spelling exists and the shape classification the fact
-// kind depends on.
-type declSite struct {
-	name      string
-	file      string // token's source file ("" falls back to the unit path)
-	line, col int
-	c         cond.Cond
-	isFunc    bool // the name declares a function (not a function pointer)
-	hasInit   bool
-}
-
-// declSites digs the declarator spine for declared names. inFunc tracks
-// whether the innermost wrapper crossed so far is a FunctionDeclarator:
-// FunctionDeclarator(Identifier) declares a function, while
-// Pointer(FunctionDeclarator(...)) keeps declaring a function (pointer
-// result type) and FunctionDeclarator(Paren(Pointer(Identifier))) declares
-// a function pointer — an object.
-func (x *extractor) declSites(n *ast.Node, c cond.Cond, inFunc bool) []declSite {
-	if n == nil || x.space.IsFalse(c) || n.IsError() {
-		return nil
-	}
-	switch n.Kind {
-	case ast.KindToken:
-		return nil
-	case ast.KindChoice:
-		var out []declSite
-		for _, alt := range n.Alts {
-			out = append(out, x.declSites(alt.Node, x.space.And(c, alt.Cond), inFunc)...)
-		}
-		return out
-	}
-	switch n.Label {
-	case "IdentifierDeclarator":
-		if len(n.Children) == 1 && n.Children[0].Kind == ast.KindToken {
-			t := n.Children[0].Tok
-			return []declSite{{name: t.Text, file: t.File, line: t.Line, col: t.Col, c: c, isFunc: inFunc}}
-		}
-		return nil
-	case "InitializedDeclarator":
-		if len(n.Children) == 0 {
-			return nil
-		}
-		sites := x.declSites(n.Children[0], c, inFunc)
-		for i := range sites {
-			sites[i].hasInit = true
-		}
-		return sites
-	case "FunctionDeclarator":
-		if len(n.Children) == 0 {
-			return nil
-		}
-		return x.declSites(n.Children[0], c, true)
-	case "ArrayDeclarator":
-		if len(n.Children) == 0 {
-			return nil
-		}
-		return x.declSites(n.Children[0], c, false)
-	case "PointerDeclarator":
-		var out []declSite
-		for _, ch := range n.Children {
-			if ch != nil && ch.Label != "Pointer" {
-				out = append(out, x.declSites(ch, c, false)...)
-			}
-		}
-		return out
-	}
-	// ParenDeclarator, AttributedDeclarator, and defensive defaults pass the
-	// classification through.
-	var out []declSite
-	for _, ch := range n.Children {
-		out = append(out, x.declSites(ch, c, inFunc)...)
-	}
-	return out
+	return vs
 }
 
 // sigVar is one signature fragment variant: the canonical words and the
@@ -488,15 +297,8 @@ func joinSig(spec, decl []string) string {
 
 // fact records one def/decl/tentative sighting, merging repeats (choice
 // alternatives landing on the same site and signature) by disjunction.
-func (x *extractor) fact(site declSite, kind link.FactKind, sig string, c cond.Cond) {
-	if site.name == "" || x.space.IsFalse(c) {
-		return
-	}
-	file := site.file
-	if file == "" {
-		file = x.unit.File
-	}
-	key := factKey{name: site.name, kind: kind, file: file, line: site.line, col: site.col, sig: sig}
+func (x *extractor) fact(tok *token.Token, kind link.FactKind, sig string, c cond.Cond) {
+	key := factKey{name: tok.Text, kind: kind, file: x.unit.fileOf(tok), line: tok.Line, col: tok.Col, sig: sig}
 	if acc, ok := x.facts[key]; ok {
 		acc.c = x.space.Or(acc.c, c)
 		return
@@ -558,12 +360,8 @@ func (x *extractor) finish() *link.Facts {
 		}
 	})
 	for _, u := range refs {
-		file := u.Tok.File
-		if file == "" {
-			file = x.unit.File
-		}
 		bySym[u.Tok.Text] = append(bySym[u.Tok.Text], link.Fact{
-			Kind: link.KindRef, File: file, Line: u.Tok.Line, Col: u.Tok.Col,
+			Kind: link.KindRef, File: x.unit.fileOf(u.Tok), Line: u.Tok.Line, Col: u.Tok.Col,
 			Cond: ex.Export(u.Escaped),
 		})
 	}

@@ -18,9 +18,9 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(p *analysis.Pass) error {
-	// File scope: the shared symbol index already holds every top-level
-	// definition with its condition; report overlapping pairs kind-aware.
-	for _, c := range p.Facts.ConflictingDefinitions() {
+	// File scope: the resolution's file-scope definitions; report
+	// overlapping pairs kind-aware, at the later definition.
+	for _, c := range analysis.ConflictingDefinitions(p.Unit) {
 		p.Report(analysis.Diagnostic{
 			File: c.B.File, Line: c.B.Line, Col: c.B.Col,
 			Cond: c.Under,

@@ -1,12 +1,14 @@
 package condredef_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/passes/condredef"
 	"repro/internal/core"
+	"repro/internal/preprocessor"
 )
 
 func lint(t *testing.T, src string) (*analysis.Result, *core.Tool) {
@@ -134,5 +136,59 @@ int f(void) {
 `)
 	if len(r.Diags) != 0 {
 		t.Errorf("disjoint block-scope definitions flagged: %+v", r.Diags)
+	}
+}
+
+// TestTypedefFunctionPointerParams: parameter names of a typedef'd function
+// pointer type are not typedef names, so two such typedefs sharing a
+// parameter name redefine nothing.
+func TestTypedefFunctionPointerParams(t *testing.T) {
+	r, _ := lint(t, `
+typedef int (*h_t)(int code);
+typedef void (*l_t)(int code);
+`)
+	if len(r.Diags) != 0 {
+		t.Errorf("parameter names reported: %+v", r.Diags)
+	}
+}
+
+func lintFiles(t *testing.T, fs preprocessor.MapFS, file string) *analysis.Result {
+	t.Helper()
+	tool := core.New(core.Config{FS: fs})
+	res, err := tool.ParseFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return analysis.Run(&analysis.Unit{File: file, Space: tool.Space(), AST: res.AST, PP: res.Unit},
+		[]*analysis.Analyzer{condredef.Analyzer})
+}
+
+// TestHeaderDefinitionPositions: definitions are told apart and reported by
+// their own file's position, not by the unit's.
+func TestHeaderDefinitionPositions(t *testing.T) {
+	for _, tc := range []struct {
+		name, file, want string
+		fs               preprocessor.MapFS
+	}{
+		{"two headers, one position", "m.c", "hb.h:1:5", preprocessor.MapFS{
+			"m.c":  "#include \"ha.h\"\n#include \"hb.h\"\n",
+			"ha.h": "int dup = 1;\n",
+			"hb.h": "int dup = 2;\n",
+		}},
+		{"later definition in a header", "m5.c", "hd.h:3:5", preprocessor.MapFS{
+			"m5.c": "int dup = 1;\n#include \"hd.h\"\n",
+			"hd.h": "/* header */\n#define HD 1\nint dup = 2;\n",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := lintFiles(t, tc.fs, tc.file)
+			if len(r.Diags) != 1 {
+				t.Fatalf("diags: %+v", r.Diags)
+			}
+			d := r.Diags[0]
+			if got := fmt.Sprintf("%s:%d:%d", d.File, d.Line, d.Col); got != tc.want {
+				t.Errorf("conflict at %s, want %s", got, tc.want)
+			}
+		})
 	}
 }

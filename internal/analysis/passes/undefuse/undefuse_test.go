@@ -163,3 +163,23 @@ int g(void) { enum { RED } c = RED; return c; }
 		t.Errorf("block-scope enumerator use flagged: %+v", r.Diags)
 	}
 }
+
+// TestFileScopeEnumeratorDeclares: a file-scope enumerator declares its
+// name, so a use under a configuration without it is reported rather than
+// skipped as never declared.
+func TestFileScopeEnumeratorDeclares(t *testing.T) {
+	r, tool := lint(t, `
+#ifdef CONFIG_A
+enum { E };
+#endif
+int f(void) { return E; }
+`)
+	if len(r.Diags) != 1 {
+		t.Fatalf("diags: %+v", r.Diags)
+	}
+	d := r.Diags[0]
+	s := tool.Space()
+	if !strings.Contains(d.Msg, `"E"`) || !s.Equal(d.Cond, s.Not(s.Var("(defined CONFIG_A)"))) {
+		t.Errorf("diag %s under %s, want E under !(defined CONFIG_A)", d.Msg, s.String(d.Cond))
+	}
+}

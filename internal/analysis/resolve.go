@@ -3,8 +3,9 @@ package analysis
 // This file is the one scoped name-resolution traversal of a unit's choice
 // AST. It owns C's conditional scoping rules, so every consumer — the
 // undefuse, condredef and deadbranch passes, the framework's error-region
-// count and link-fact extraction — reads one result instead of re-walking
-// the tree with its own copy of the rules:
+// count, the file-scope definition analyses and link-fact extraction —
+// reads one result instead of re-walking the tree with its own copy of the
+// rules:
 //
 //   - scopes: the file scope; a parameter scope per function definition,
 //     wrapping its body; a block scope per compound statement;
@@ -12,8 +13,13 @@ package analysis
 //     in the current scope, and a declarator is in scope inside its own
 //     initializer, which is scanned for uses after the declarator binds;
 //   - a function definition binds its name in the enclosing scope and its
-//     parameters in the parameter scope; block-scope declaration specifiers
-//     bind their enumerators;
+//     parameters in the parameter scope; declaration specifiers, at file
+//     and block scope, bind their enumerators;
+//   - each file-scope declarator is recorded once as a Decl: its declared
+//     name, the declaration's specifiers and the declarator root it sits
+//     in, and the shape bits link facts and definitions depend on (typedef,
+//     initialized, declares a function, function definition); every
+//     enumerator, in any scope or role, is recorded as an Enumerator;
 //   - a block-scope extern declaration binds the name but refers to a
 //     definition elsewhere, so it never counts as a same-scope redefinition;
 //   - member names, labels, goto targets, struct/union/enum tags and type
@@ -46,6 +52,12 @@ type Resolution struct {
 	// Redefs are block-scope definitions overlapping an earlier definition
 	// of the same name in the same scope, in traversal order.
 	Redefs []Redef
+	// Decls holds one entry per file-scope declarator, in first-sighting
+	// order.
+	Decls []Decl
+	// Enumerators holds one entry per enumeration constant, in any scope, in
+	// first-sighting order.
+	Enumerators []Enumerator
 	// Reach holds every choice node on a feasible path with the disjunction
 	// of the path conditions reaching it, in first-visit order.
 	Reach []Reach
@@ -84,6 +96,30 @@ type Redef struct {
 	CrossKind bool      // the earlier definition is of the other kind
 }
 
+// Decl is one file-scope declarator: a declared name under one
+// declaration's specifiers and declarator root, its condition OR-ed over
+// every path that reaches it. FMLR may parse one source declaration
+// several times (paper §2.1), so sightings aggregate by the token's own
+// file:line:col together with the specifier and root nodes and the shape
+// bits.
+type Decl struct {
+	Tok         *token.Token
+	Cond        cond.Cond
+	Typedef     bool      // the specifiers hold typedef
+	Initialized bool      // the declarator has an initializer
+	Function    bool      // the name declares a function, not a function pointer
+	Body        bool      // the declarator heads a function definition
+	Specs       *ast.Node // the declaration's specifiers; nil when absent
+	Root        *ast.Node // the declarator root holding the name
+}
+
+// Enumerator is one enumeration constant, its condition OR-ed over every
+// path that reaches it.
+type Enumerator struct {
+	Tok  *token.Token
+	Cond cond.Cond
+}
+
 // Reach is one choice node and the paths that reach it.
 type Reach struct {
 	Node *ast.Node
@@ -107,6 +143,8 @@ func resolve(s *cond.Space, root *ast.Node) *Resolution {
 		defs:  symtab.New(s),
 		res:   &Resolution{},
 		uses:  make(map[useKey]int),
+		decls: make(map[declKey]int),
+		enums: make(map[posKey]int),
 		reach: make(map[*ast.Node]int),
 	}
 	r.visit(root, at{c: s.True(), role: external, top: true})
@@ -117,21 +155,28 @@ func resolve(s *cond.Space, root *ast.Node) *Resolution {
 type role uint8
 
 const (
-	opaque      role = iota // no ordinary names: visited for reach and error regions only
+	opaque      role = iota // no ordinary names: visited for reach, error regions and enumerators only
 	external                // file-scope external declarations
 	body                    // statements and expressions: identifiers are uses
-	params                  // a function definition's declarator: parameter names bind
-	specifiers              // block-scope declaration specifiers: enumerators bind
-	declarators             // a declaration's declarator list: declared names bind
+	specifiers              // declaration specifiers: enumerators bind
+	declarators             // a declarator list or a function definition's declarator: declared names bind
 )
 
 // at is the traversal context of one node.
 type at struct {
-	c       cond.Cond // path condition
-	role    role
-	top     bool // outside any function body
-	typedef bool // declarators: names bind as typedef names
-	extern  bool // declarators: the declaration is extern
+	c    cond.Cond // path condition
+	role role
+	top  bool // outside any function body
+
+	// Declarators only.
+	typedef bool      // names bind as typedef names
+	extern  bool      // the declaration is extern
+	fn      bool      // a function definition's declarator: its parameters bind for the body
+	param   bool      // a parameter's declarator: the name binds in the parameter scope
+	init    bool      // the declarator has an initializer
+	call    bool      // the innermost wrapper crossed is a function declarator
+	specs   *ast.Node // the declaration's specifiers
+	root    *ast.Node // the declarator root; nil above it
 }
 
 func (x at) as(r role) at {
@@ -144,13 +189,34 @@ type useKey struct {
 	line, col int
 }
 
+// posKey is a token's own source position.
+type posKey struct {
+	name, file string
+	line, col  int
+}
+
+type declKey struct {
+	pos         posKey
+	specs, root *ast.Node
+	shape       [4]bool // typedef, init, call, fn
+}
+
+// binding is a parameter name waiting for its function's parameter scope.
+type binding struct {
+	name string
+	c    cond.Cond
+}
+
 type resolver struct {
-	space *cond.Space
-	names *symtab.Table // every declaration in scope, for resolving uses
-	defs  *symtab.Table // block-scope definitions, for the same-scope check
-	res   *Resolution
-	uses  map[useKey]int    // index into res.Uses
-	reach map[*ast.Node]int // index into res.Reach
+	space  *cond.Space
+	names  *symtab.Table // every declaration in scope, for resolving uses
+	defs   *symtab.Table // block-scope definitions, for the same-scope check
+	res    *Resolution
+	uses   map[useKey]int    // index into res.Uses
+	decls  map[declKey]int   // index into res.Decls
+	enums  map[posKey]int    // index into res.Enumerators
+	reach  map[*ast.Node]int // index into res.Reach
+	params []binding         // parameters of the function definitions being entered
 }
 
 func (r *resolver) visit(n *ast.Node, x at) {
@@ -176,16 +242,12 @@ func (r *resolver) visit(n *ast.Node, x at) {
 		}
 		return
 	}
+	if n.Label == "Enumerator" && len(n.Children) > 0 && n.Children[0].Kind == ast.KindToken {
+		r.enumerator(n.Children[0].Tok, x)
+	}
 	switch x.role {
 	case external, body:
 		r.statement(n, x)
-	case params:
-		r.param(n, x)
-	case specifiers:
-		if n.Label == "Enumerator" && len(n.Children) > 0 && n.Children[0].Kind == ast.KindToken {
-			r.names.DefineObject(n.Children[0].Text(), x.c)
-		}
-		r.children(n.Children, x)
 	case declarators:
 		r.declarator(n, x)
 	default:
@@ -235,25 +297,35 @@ func (r *resolver) statement(n *ast.Node, x at) {
 	}
 }
 
-// declaration binds a declaration's names in the current scope: in block
-// scope its specifiers' enumerators first, then each declarator.
+// declaration binds a declaration's names in the current scope: its
+// specifiers' enumerators first, then each declarator.
 func (r *resolver) declaration(n *ast.Node, x at) {
 	if len(n.Children) < 2 {
 		r.children(n.Children, x.as(opaque))
 		return
 	}
-	specs, decl := x.as(opaque), x.as(declarators)
+	specs := n.Children[0]
+	decl := at{c: x.c, role: declarators, top: x.top, specs: specs, typedef: containsLeaf(specs, "typedef")}
 	if r.block() {
-		specs.role = specifiers
-		decl.extern = containsLeaf(n.Children[0], "extern")
+		decl.extern = containsLeaf(specs, "extern")
 	}
-	decl.typedef = containsLeaf(n.Children[0], "typedef")
-	r.visit(n.Children[0], specs)
+	r.visit(specs, x.as(specifiers))
 	r.visit(n.Children[1], decl)
 	r.children(n.Children[2:], x.as(opaque))
 }
 
+// declarator binds the names of a declarator list or of a function
+// definition's declarator. The first node below the list roots one
+// declarator; on the way down to its name, the innermost function, array
+// or pointer wrapper decides whether the name declares a function.
 func (r *resolver) declarator(n *ast.Node, x at) {
+	if n.Label == "InitDeclaratorList" {
+		r.children(n.Children, x)
+		return
+	}
+	if x.root == nil {
+		x.root = n
+	}
 	switch n.Label {
 	case "IdentifierDeclarator":
 		if len(n.Children) == 1 && n.Children[0].Kind == ast.KindToken {
@@ -263,10 +335,28 @@ func (r *resolver) declarator(n *ast.Node, x at) {
 	case "InitializedDeclarator":
 		// The declarator binds before its initializer is scanned.
 		if len(n.Children) > 0 {
+			x.init = true
 			r.visit(n.Children[0], x)
 			r.children(n.Children[1:], x.as(body))
 		}
-	case "ParameterDeclaration", "StructSpecifier", "EnumSpecifier":
+	case "FunctionDeclarator":
+		x.call = true
+		r.children(n.Children, x)
+	case "ArrayDeclarator":
+		x.call = false
+		r.only(n.Children, 0, x)
+	case "PointerDeclarator":
+		x.call = false
+		r.children(n.Children, x)
+	case "ParameterDeclaration":
+		// A parameter of the function being defined binds its declarator's
+		// name for the body; any other parameter list is opaque.
+		if x.fn {
+			r.only(n.Children, 1, at{c: x.c, role: declarators, top: x.top, param: true})
+		} else {
+			r.children(n.Children, x.as(opaque))
+		}
+	case "StructSpecifier", "EnumSpecifier":
 		r.children(n.Children, x.as(opaque))
 	default:
 		r.children(n.Children, x)
@@ -276,40 +366,27 @@ func (r *resolver) declarator(n *ast.Node, x at) {
 // function binds a function definition's name in the enclosing scope, then
 // its parameters in a fresh scope wrapping the body.
 func (r *resolver) function(n *ast.Node, x at) {
-	if name, _, _ := declaredNamePos(n); name != "" {
-		r.names.DefineObject(name, x.c)
-	}
-	_, decl := splitFuncDef(n)
-	r.enter()
+	specs, decl := splitFuncDef(n)
+	mark := len(r.params)
 	for _, ch := range n.Children {
 		switch {
 		case ch == decl:
-			r.visit(ch, x.as(params))
+			r.visit(ch, at{c: x.c, role: declarators, top: x.top, fn: true, specs: specs, root: decl})
 		case ch != nil && ch.Label == "CompoundStatement":
+			r.enter()
+			for _, p := range r.params[mark:] {
+				r.names.DefineObject(p.name, p.c)
+			}
+			r.params = r.params[:mark]
 			b := x.as(body)
 			b.top = false
 			r.visit(ch, b)
+			r.exit()
 		default:
 			r.visit(ch, x.as(opaque))
 		}
 	}
-	r.exit()
-}
-
-// param binds each ParameterDeclaration's declared name; the declaration's
-// own subtree is opaque.
-func (r *resolver) param(n *ast.Node, x at) {
-	if n.Label != "ParameterDeclaration" {
-		r.children(n.Children, x)
-		return
-	}
-	for _, ch := range n.Children {
-		if name, _, _ := declaredNamePos(ch); name != "" {
-			r.names.DefineObject(name, x.c)
-			break
-		}
-	}
-	r.children(n.Children, x.as(opaque))
+	r.params = r.params[:mark]
 }
 
 // splitFuncDef separates a FunctionDefinition's specifier child from its
@@ -343,14 +420,56 @@ func (r *resolver) exit() {
 // block reports whether the current scope is a parameter or block scope.
 func (r *resolver) block() bool { return r.names.Depth() > 1 }
 
-// bind declares a name in the current scope. A block-scope definition is
-// first checked against its scope's earlier definitions; an extern
-// declaration refers to a definition elsewhere, so it is not one.
+// bind declares a name in the current scope; a parameter's name waits for
+// its function's parameter scope. A file-scope declarator is recorded as a
+// Decl. A block-scope definition is first checked against its scope's
+// earlier definitions; an extern declaration refers to a definition
+// elsewhere, so it is not one, and a nested function definition's name is
+// not checked.
 func (r *resolver) bind(tok *token.Token, x at) {
-	if r.block() && !x.extern {
+	switch {
+	case x.param:
+		r.params = append(r.params, binding{tok.Text, x.c})
+		return
+	case !r.block():
+		r.declare(tok, x)
+	case !x.extern && !x.fn:
 		r.redefine(tok, x)
 	}
 	define(r.names, tok.Text, x.c, x.typedef)
+}
+
+// declare records a file-scope declarator sighting.
+func (r *resolver) declare(tok *token.Token, x at) {
+	key := declKey{pos: pos(tok), specs: x.specs, root: x.root, shape: [4]bool{x.typedef, x.init, x.call, x.fn}}
+	if i, ok := r.decls[key]; ok {
+		r.res.Decls[i].Cond = r.space.Or(r.res.Decls[i].Cond, x.c)
+		return
+	}
+	r.decls[key] = len(r.res.Decls)
+	r.res.Decls = append(r.res.Decls, Decl{
+		Tok: tok, Cond: x.c, Typedef: x.typedef, Initialized: x.init, Function: x.call, Body: x.fn,
+		Specs: x.specs, Root: x.root,
+	})
+}
+
+// enumerator records an enumeration constant sighting; in declaration
+// specifiers it also binds the constant in the current scope.
+func (r *resolver) enumerator(tok *token.Token, x at) {
+	if x.role == specifiers {
+		r.names.DefineObject(tok.Text, x.c)
+	}
+	key := pos(tok)
+	if i, ok := r.enums[key]; ok {
+		r.res.Enumerators[i].Cond = r.space.Or(r.res.Enumerators[i].Cond, x.c)
+		return
+	}
+	r.enums[key] = len(r.res.Enumerators)
+	r.res.Enumerators = append(r.res.Enumerators, Enumerator{Tok: tok, Cond: x.c})
+}
+
+func pos(tok *token.Token) posKey {
+	return posKey{name: tok.Text, file: tok.File, line: tok.Line, col: tok.Col}
 }
 
 func (r *resolver) redefine(tok *token.Token, x at) {

@@ -104,6 +104,51 @@ func TestResolveScopingRules(t *testing.T) {
 	}
 }
 
+// TestResolveDecls pins the file-scope declarators and the enumerators the
+// resolution records: parameter names and block-scope names are not
+// file-scope declarators, and each Decl carries its shape bits.
+func TestResolveDecls(t *testing.T) {
+	u := parsedUnit(t, `
+typedef int (*h_t)(int code);
+int a, *b = 0;
+int f(void);
+int (*fp)(int);
+#ifdef CONFIG_A
+static int g(int x) { enum { IN } e = IN; return x + e; }
+#endif
+enum { OUT };
+`)
+	s := u.Space
+	cs := func(c cond.Cond) string {
+		if s.IsTrue(c) {
+			return "1"
+		}
+		return s.String(c)
+	}
+	var got []string
+	for _, d := range u.Resolution().Decls {
+		got = append(got, fmt.Sprintf("%s t=%v i=%v f=%v b=%v %s", d.Tok.Text, d.Typedef, d.Initialized, d.Function, d.Body, cs(d.Cond)))
+	}
+	want := []string{
+		"h_t t=true i=false f=false b=false 1",
+		"a t=false i=false f=false b=false 1",
+		"b t=false i=true f=false b=false 1",
+		"f t=false i=false f=true b=false 1",
+		"fp t=false i=false f=false b=false 1",
+		"g t=false i=false f=true b=true (defined CONFIG_A)",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("decls:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	got = got[:0]
+	for _, e := range u.Resolution().Enumerators {
+		got = append(got, e.Tok.Text+" "+cs(e.Cond))
+	}
+	if want := "IN (defined CONFIG_A), OUT 1"; strings.Join(got, ", ") != want {
+		t.Errorf("enumerators %q, want %q", strings.Join(got, ", "), want)
+	}
+}
+
 // modeFindings runs every pass over the files, and the linker too when
 // doLink is set, under one condition mode, returning one line per finding
 // without its condition (SAT mode renders syntactic formulas) and failing

@@ -93,18 +93,17 @@ func TestCoverageReportStableOrdering(t *testing.T) {
 	c := corpus.Generate(corpus.Params{Seed: 3, CFiles: 6, GenHeaders: 8})
 	render := func() string {
 		tool := core.New(core.Config{FS: c.FS, IncludePaths: IncludePaths})
-		ix := analysis.NewIndex(tool.Space())
+		var b strings.Builder
 		for _, cf := range c.CFiles {
 			res, err := tool.ParseFile(cf)
 			if err != nil || res.AST == nil {
 				t.Fatalf("%s: %v", cf, err)
 			}
-			ix.AddUnit(cf, res.AST)
-		}
-		var b strings.Builder
-		for _, e := range ix.CoverageReport() {
-			fmt.Fprintf(&b, "%s %s:%d:%d %.4f\n", e.Symbol.Name, e.Symbol.File,
-				e.Symbol.Line, e.Symbol.Col, e.Fraction)
+			u := &analysis.Unit{File: cf, Space: tool.Space(), AST: res.AST, PP: res.Unit}
+			for _, e := range analysis.CoverageReport(u) {
+				fmt.Fprintf(&b, "%s %s:%d:%d %.4f\n", e.Symbol.Name, e.Symbol.File,
+					e.Symbol.Line, e.Symbol.Col, e.Fraction)
+			}
 		}
 		return b.String()
 	}
