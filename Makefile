@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build test race vet fmt bench bench-check chaos chaos-daemon guard-overhead lint analyze-smoke superc-smoke daemon-smoke link-smoke docs-lint
+.PHONY: ci build test race vet fmt bench bench-check chaos chaos-daemon guard-overhead complexity-gate lint analyze-smoke superc-smoke daemon-smoke link-smoke docs-lint
 
 ci: lint build race bench-check analyze-smoke superc-smoke daemon-smoke link-smoke chaos-daemon
 
@@ -52,6 +52,11 @@ chaos-daemon:
 # Assert the resource governor costs < 3% on the parse stage.
 guard-overhead:
 	GUARD_OVERHEAD=1 $(GO) test -run TestGuardOverhead -v .
+
+# Per-layer growth t(4k)/t(1k) on the giant unit; the sequential parse must
+# stay within 5 (linear reads ~4), the other layers are logged (~75 s).
+complexity-gate:
+	COMPLEXITY_GATE=1 $(GO) test -run TestComplexityGate -v -timeout 30m .
 
 # clint over the seeded-bug fixtures must reproduce the golden JSON exactly
 # (CI's analyze-smoke). clint exits 1 when diagnostics are reported, so the

@@ -101,7 +101,9 @@ func BenchmarkFigure8(b *testing.B) {
 	for _, lv := range harness.Levels {
 		b.Run(lv.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				harness.Run(c, harness.RunConfig{Parser: lv.Opts, KillSwitch: kill})
+				opts := lv.Opts
+				opts.KillSwitch = kill
+				harness.Run(c, harness.RunConfig{Parser: opts})
 			}
 		})
 	}
@@ -113,9 +115,11 @@ func BenchmarkFigure8b(b *testing.B) {
 	b.ReportAllocs()
 	c := getCorpus()
 	printFirst(b, "Figure 8b", harness.Figure8b(c, harness.RunConfig{}, 1000, 10))
+	opts := fmlr.OptAll
+	opts.KillSwitch = 1000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		harness.Run(c, harness.RunConfig{Parser: fmlr.OptAll, KillSwitch: 1000})
+		harness.Run(c, harness.RunConfig{Parser: opts})
 	}
 }
 

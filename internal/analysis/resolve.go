@@ -211,6 +211,7 @@ type resolver struct {
 	space  *cond.Space
 	names  *symtab.Table // every declaration in scope, for resolving uses
 	defs   *symtab.Table // block-scope definitions, for the same-scope check
+	depth  int           // the current scope's depth in names and defs
 	res    *Resolution
 	uses   map[useKey]int    // index into res.Uses
 	decls  map[declKey]int   // index into res.Decls
@@ -375,7 +376,7 @@ func (r *resolver) function(n *ast.Node, x at) {
 		case ch != nil && ch.Label == "CompoundStatement":
 			r.enter()
 			for _, p := range r.params[mark:] {
-				r.names.DefineObject(p.name, p.c)
+				r.names.Define(p.name, r.depth, p.c, false)
 			}
 			r.params = r.params[:mark]
 			b := x.as(body)
@@ -407,18 +408,18 @@ func splitFuncDef(n *ast.Node) (specs, decl *ast.Node) {
 	return specs, decl
 }
 
-func (r *resolver) enter() {
-	r.names.EnterScope()
-	r.defs.EnterScope()
-}
+func (r *resolver) enter() { r.depth++ }
 
+// exit leaves the current scope on every path at once: the traversal
+// visits paths one after another, so nothing stays inside the block.
 func (r *resolver) exit() {
-	r.names.ExitScope()
-	r.defs.ExitScope()
+	r.names.Exit(r.depth, r.space.True())
+	r.defs.Exit(r.depth, r.space.True())
+	r.depth--
 }
 
 // block reports whether the current scope is a parameter or block scope.
-func (r *resolver) block() bool { return r.names.Depth() > 1 }
+func (r *resolver) block() bool { return r.depth > symtab.FileScope }
 
 // bind declares a name in the current scope; a parameter's name waits for
 // its function's parameter scope. A file-scope declarator is recorded as a
@@ -436,7 +437,7 @@ func (r *resolver) bind(tok *token.Token, x at) {
 	case !x.extern && !x.fn:
 		r.redefine(tok, x)
 	}
-	define(r.names, tok.Text, x.c, x.typedef)
+	r.names.Define(tok.Text, r.depth, x.c, x.typedef)
 }
 
 // declare records a file-scope declarator sighting.
@@ -457,7 +458,7 @@ func (r *resolver) declare(tok *token.Token, x at) {
 // specifiers it also binds the constant in the current scope.
 func (r *resolver) enumerator(tok *token.Token, x at) {
 	if x.role == specifiers {
-		r.names.DefineObject(tok.Text, x.c)
+		r.names.Define(tok.Text, r.depth, x.c, false)
 	}
 	key := pos(tok)
 	if i, ok := r.enums[key]; ok {
@@ -473,7 +474,7 @@ func pos(tok *token.Token) posKey {
 }
 
 func (r *resolver) redefine(tok *token.Token, x at) {
-	if td, obj, ok := r.defs.CurrentScope(tok.Text); ok {
+	if td, obj, ok := r.defs.CurrentScope(tok.Text, r.depth); ok {
 		same, cross := obj, td
 		if x.typedef {
 			same, cross = td, obj
@@ -484,7 +485,7 @@ func (r *resolver) redefine(tok *token.Token, x at) {
 			r.res.Redefs = append(r.res.Redefs, Redef{Tok: tok, Cond: ov, Typedef: x.typedef})
 		}
 	}
-	define(r.defs, tok.Text, x.c, x.typedef)
+	r.defs.Define(tok.Text, r.depth, x.c, x.typedef)
 }
 
 // overlap conjoins a scope entry's condition (the zero Cond: none) with c;
@@ -495,14 +496,6 @@ func (r *resolver) overlap(have, c cond.Cond) (cond.Cond, bool) {
 	}
 	ov := r.space.And(have, c)
 	return ov, !r.space.IsFalse(ov)
-}
-
-func define(t *symtab.Table, name string, c cond.Cond, typedef bool) {
-	if typedef {
-		t.DefineTypedef(name, c)
-	} else {
-		t.DefineObject(name, c)
-	}
 }
 
 // use records an identifier sighting. Keywords lex as identifiers in this
@@ -521,7 +514,7 @@ func (r *resolver) use(tok *token.Token, x at) {
 		r.res.Uses = append(r.res.Uses, Use{Tok: tok, TopLevel: x.top, Declared: f, Missing: f, Escaped: f})
 	}
 	u := &r.res.Uses[i]
-	local, file := r.names.Declared(tok.Text)
+	local, file := r.names.Declared(tok.Text, r.depth)
 	escaped := r.space.AndNot(x.c, local)
 	if !x.top {
 		u.Missing = r.space.Or(u.Missing, r.space.AndNot(escaped, file))

@@ -11,7 +11,10 @@ import (
 )
 
 // randomCProgram builds a random variability-rich but valid C program over
-// nvars configuration variables.
+// nvars configuration variables. Its typedef items exercise the parser's
+// symbol table under variability: a name that is a typedef in some
+// configurations and an object in others, at file scope and in a block the
+// configurations leave together.
 func randomCProgram(r *rand.Rand, nvars int) string {
 	var b strings.Builder
 	v := func() string { return fmt.Sprintf("V%d", r.Intn(nvars)) }
@@ -19,7 +22,7 @@ func randomCProgram(r *rand.Rand, nvars int) string {
 	fmt.Fprintf(&b, "#ifdef %s\n#define BASE 10\n#else\n#define BASE 20\n#endif\n", v())
 	n := 4 + r.Intn(5)
 	for i := 0; i < n; i++ {
-		switch r.Intn(6) {
+		switch r.Intn(8) {
 		case 0:
 			fmt.Fprintf(&b, "#ifdef %s\nint d%d = %d;\n#endif\n", v(), i, r.Intn(50))
 		case 1:
@@ -42,6 +45,36 @@ func randomCProgram(r *rand.Rand, nvars int) string {
 				i, v(), r.Intn(9), v(), r.Intn(9))
 		case 4:
 			fmt.Fprintf(&b, "struct s%d {\nint base;\n#ifdef %s\nint opt;\n#endif\n};\n", i, v())
+		case 5:
+			fmt.Fprintf(&b, `#ifdef %s
+typedef int u%d;
+#else
+int u%d;
+#endif
+int h%d(void)
+{
+	int z = %d;
+	u%d * z;
+	return z;
+}
+`, v(), i, i, i, r.Intn(9), i)
+		case 6:
+			fmt.Fprintf(&b, `int k%d(int a)
+{
+	int w = a;
+	int z = a;
+	{
+#ifdef %s
+		typedef int w;
+#else
+		int w = %d;
+#endif
+		w * z;
+	}
+	w * z;
+	return z;
+}
+`, i, v(), r.Intn(9))
 		default:
 			fmt.Fprintf(&b, "int g%d = TWICE(BASE) + %d;\n", i, r.Intn(5))
 		}
@@ -108,40 +141,83 @@ func TestDifferentialASTvsSingleConfig(t *testing.T) {
 	const nvars = 3
 	r := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 25; trial++ {
-		src := randomCProgram(r, nvars)
-		files := preprocessor.MapFS{"main.c": src}
+		checkDifferential(t, fmt.Sprintf("trial %d", trial), randomCProgram(r, nvars), nvars)
+	}
+}
 
-		preserving := New(Config{FS: files})
-		res, err := preserving.ParseFile("main.c")
-		if err != nil {
-			t.Fatalf("trial %d: %v\n%s", trial, err, src)
-		}
-		if res.AST == nil || len(res.Parse.Diags) > 0 {
-			t.Fatalf("trial %d: preserving parse failed: %v\n%s", trial, res.Parse.Diags, src)
-		}
+// TestDifferentialSharedSymbolTable pins the cases where one symbol table
+// serves every subparser of a parse. In the first, the configurations leave
+// a block at different places: under V0 the typedef's block closes and
+// "T * y" is a multiplication in k, under !V0 it stays open and "T * y"
+// declares y in h (the "int z" matters: the first token after "{" is
+// classified before the scope opens). In the second, a file-scope name is a
+// typedef under V0 and an object otherwise, and a function body uses it.
+func TestDifferentialSharedSymbolTable(t *testing.T) {
+	cases := []struct{ name, src string }{
+		{"partial block exit", `void h(void) {
+  typedef int T;
+#ifdef V0
+}
+void k(void) {
+#endif
+  int z;
+  T * y;
+}
+`},
+		{"conditional file-scope typedef", `#ifdef V0
+typedef int U;
+#else
+int U;
+#endif
+int f(void)
+{
+	int z = 1;
+	U * z;
+	return z;
+}
+`},
+	}
+	for _, c := range cases {
+		checkDifferential(t, c.name, c.src, 1)
+	}
+}
 
-		for bits := 0; bits < 1<<nvars; bits++ {
-			defines := map[string]string{}
-			assign := map[string]bool{}
-			for i := 0; i < nvars; i++ {
-				if bits&(1<<i) != 0 {
-					name := fmt.Sprintf("V%d", i)
-					defines[name] = "1"
-					assign["(defined "+name+")"] = true
-				}
+// checkDifferential projects src's configuration-preserving parse under
+// every assignment of V0..V(nvars-1) and compares each projection with the
+// single-configuration parse of the same assignment.
+func checkDifferential(t *testing.T, name, src string, nvars int) {
+	t.Helper()
+	files := preprocessor.MapFS{"main.c": src}
+
+	preserving := New(Config{FS: files})
+	res, err := preserving.ParseFile("main.c")
+	if err != nil {
+		t.Fatalf("%s: %v\n%s", name, err, src)
+	}
+	if res.AST == nil || len(res.Parse.Diags) > 0 {
+		t.Fatalf("%s: preserving parse failed: %v\n%s", name, res.Parse.Diags, src)
+	}
+
+	for bits := 0; bits < 1<<nvars; bits++ {
+		defines := map[string]string{}
+		assign := map[string]bool{}
+		for i := 0; i < nvars; i++ {
+			if bits&(1<<i) != 0 {
+				v := fmt.Sprintf("V%d", i)
+				defines[v] = "1"
+				assign["(defined "+v+")"] = true
 			}
-			single := New(Config{FS: files, Defines: defines, SingleConfig: true})
-			sres, err := single.ParseFile("main.c")
-			if err != nil || sres.AST == nil {
-				t.Fatalf("trial %d config %03b: single parse failed: %v\n%s",
-					trial, bits, err, src)
-			}
-			want := renderStructure(normalizeTree(sres.AST))
-			got := renderStructure(normalizeTree(preserving.Project(res, assign)))
-			if got != want {
-				t.Fatalf("trial %d config %03b: trees differ\nprojected: %s\nsingle:    %s\nsource:\n%s",
-					trial, bits, got, want, src)
-			}
+		}
+		single := New(Config{FS: files, Defines: defines, SingleConfig: true})
+		sres, err := single.ParseFile("main.c")
+		if err != nil || sres.AST == nil {
+			t.Fatalf("%s config %03b: single parse failed: %v\n%s", name, bits, err, src)
+		}
+		want := renderStructure(normalizeTree(sres.AST))
+		got := renderStructure(normalizeTree(preserving.Project(res, assign)))
+		if got != want {
+			t.Fatalf("%s config %03b: trees differ\nprojected: %s\nsingle:    %s\nsource:\n%s",
+				name, bits, got, want, src)
 		}
 	}
 }

@@ -152,15 +152,14 @@ type stackNode struct {
 // condition c, before its follow-set is computed — or *resolved*, holding
 // one or more token heads (multi-headed under lazy shifts/shared reduces).
 type subparser struct {
-	c      cond.Cond // total condition (OR of head conditions when resolved)
-	el     *element  // unresolved position
-	heads  []head    // resolved heads, ordered by document position
-	stack  *stackNode
-	tab    *symtab.Table
-	ownTab bool    // whether tab is exclusively ours (copy-on-write)
-	bkt    *bucket // merge bucket while queued
-	slot   int     // index in bkt.items while queued
-	hbuf   [1]head // inline storage for the dominant single-head case
+	c     cond.Cond // total condition (OR of head conditions when resolved)
+	el    *element  // unresolved position
+	heads []head    // resolved heads, ordered by document position
+	stack *stackNode
+	depth int     // scope depth: its context is the engine's table read here under c
+	bkt   *bucket // merge bucket while queued
+	slot  int     // index in bkt.items while queued
+	hbuf  [1]head // inline storage for the dominant single-head case
 }
 
 func (p *subparser) resolved() bool { return p.heads != nil }
@@ -207,14 +206,16 @@ type Engine struct {
 	accepts    []ast.Choice
 	killed     bool
 
-	// Region-parallel hooks (parallel.go). seed pre-populates the root
-	// symbol table's file scope with typedef conditions guessed by the
-	// lexical prescan; track records file-scope observations for the
-	// post-hoc seed validation; acceptDepth is the accepting subparser's
-	// scope depth (the parallel gate requires a balanced 1).
+	// tab is the parse's one symbol table, shared by every subparser.
+	tab *symtab.Table
+
+	// Region-parallel hooks (parallel.go). seed pre-populates the symbol
+	// table's file scope with typedef conditions guessed by the lexical
+	// prescan; track records file-scope observations for the post-hoc seed
+	// validation; acceptDepth is the accepting subparser's scope depth (the
+	// parallel gate requires a balanced file scope).
 	seed        map[string]cond.Cond
 	track       bool
-	rootTab     *symtab.Table
 	acceptDepth int
 
 	// Streaming hooks (stream.go). stream is non-nil only while parseStream
@@ -254,8 +255,6 @@ func (e *Engine) Parse(segs []preprocessor.Segment, file string) *Result {
 	p0.c = e.space.True()
 	p0.el = first
 	p0.stack = e.pushNode(0, -1, nil, nil)
-	p0.tab = e.newRootTab()
-	p0.ownTab = true
 	e.insert(p0)
 
 	tripped := e.runLoop(budget)
@@ -272,6 +271,10 @@ func (e *Engine) beginParse() {
 	e.accepts = nil
 	e.killed = false
 	e.acceptDepth = 0
+	e.tab = symtab.NewSeeded(e.space, e.seed)
+	if e.track {
+		e.tab.Track()
+	}
 }
 
 // runLoop is the main parse loop: pop the earliest subparser, resolve or
@@ -539,17 +542,16 @@ func (e *Engine) resolve(p *subparser) {
 	if !e.opts.FollowSet {
 		// MAPR: one subparser per branch, plus the implicit branch. p is
 		// recycled as the first forked subparser.
-		c0, el0, stack, tab := p.c, p.el, p.stack, p.tab
+		c0, el0, stack, depth := p.c, p.el, p.stack, p.depth
 		reused := false
 		take := func() *subparser {
 			if !reused {
 				reused = true
-				p.ownTab = false
 				return p
 			}
 			q := e.newSub()
 			q.stack = stack
-			q.tab = tab
+			q.depth = depth
 			return q
 		}
 		covered := e.space.False()
@@ -631,7 +633,7 @@ func (e *Engine) reclassify(p *subparser, h head, dst []head) []head {
 	if sym != e.lang.Identifier {
 		return append(dst, h)
 	}
-	cl := p.tab.Classify(h.el.tok.Text, h.cond)
+	cl := e.tab.Classify(h.el.tok.Text, p.depth, h.cond)
 	tdFalse := e.space.IsFalse(cl.TypedefCond)
 	otherFalse := e.space.IsFalse(cl.OtherCond)
 	switch {
@@ -662,24 +664,21 @@ func (e *Engine) fork(p *subparser, heads []head) {
 		return
 	}
 	if len(heads) == 1 {
-		// Single head: p carries on with its tab ownership intact.
 		p.c = heads[0].cond
 		p.adoptHeads(heads)
 		e.insert(p)
 		return
 	}
-	stack, tab := p.stack, p.tab
+	stack, depth := p.stack, p.depth
 	reused := false
 	take := func() *subparser {
 		if !reused {
-			// The emitted subparsers share tab, so none owns it.
 			reused = true
-			p.ownTab = false
 			return p
 		}
 		q := e.newSub()
 		q.stack = stack
-		q.tab = tab
+		q.depth = depth
 		return q
 	}
 	if !e.opts.LazyShifts && !e.opts.SharedReduces {
@@ -773,7 +772,7 @@ func (e *Engine) step(p *subparser) {
 			single.c = h.cond
 			single.setSingleHead(h)
 			single.stack = p.stack
-			single.tab = p.tab
+			single.depth = p.depth
 			rest := p.heads[1:]
 			c := rest[0].cond
 			for _, r := range rest[1:] {
@@ -781,7 +780,6 @@ func (e *Engine) step(p *subparser) {
 			}
 			p.c = c
 			p.heads = rest
-			p.ownTab = false
 			e.shift(single, h, act.Target)
 			e.insert(p)
 			return
@@ -809,7 +807,6 @@ func (e *Engine) step(p *subparser) {
 			}
 			p.c = c
 			p.heads = rest
-			p.ownTab = false
 			e.insert(p)
 			return
 		}
@@ -840,23 +837,7 @@ func (e *Engine) accept(p *subparser, h head) {
 	// The value under the EOF shift position: top of stack holds the start
 	// symbol's value.
 	e.accepts = append(e.accepts, ast.Choice{Cond: h.cond, Node: p.stack.val})
-	e.acceptDepth = p.tab.Depth()
-}
-
-// newRootTab builds the initial subparser's symbol table, applying the
-// region-parallel seed and tracking hooks when set.
-func (e *Engine) newRootTab() *symtab.Table {
-	var tab *symtab.Table
-	if e.seed != nil {
-		tab = symtab.NewSeeded(e.space, e.seed)
-	} else {
-		tab = symtab.New(e.space)
-	}
-	if e.track {
-		tab.Track()
-	}
-	e.rootTab = tab
-	return tab
+	e.acceptDepth = p.depth
 }
 
 func (e *Engine) parseError(h head) {
@@ -886,7 +867,9 @@ func (e *Engine) tryMerge(q, p *subparser) bool {
 	} else if q.el != p.el {
 		return false
 	}
-	if !q.tab.MayMerge(p.tab) {
+	// Contexts merge only at one scope depth (paper §5.2); the merged
+	// context is the table read under the disjoined condition.
+	if q.depth != p.depth {
 		return false
 	}
 	merged, ok := e.mergeStacks(q, p)
@@ -901,10 +884,6 @@ func (e *Engine) tryMerge(q, p *subparser) bool {
 	}
 	q.c = e.space.Or(q.c, p.c)
 	q.stack = merged
-	if q.tab != p.tab {
-		q.tab = q.tab.Merge(p.tab)
-		q.ownTab = true
-	}
 	return true
 }
 

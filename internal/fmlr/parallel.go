@@ -26,7 +26,7 @@ import (
 //     ceilings (count ceilings trip at interleaving-dependent moments, and
 //     degradation must stay deterministic).
 //   - Gate: every region must parse cleanly — exactly one accepted
-//     subparser, under the True condition, at scope depth one, with no
+//     subparser, under the True condition, at file scope, with no
 //     diagnostics, no kill-switch trip, and no budget trip.
 //   - Seam validation: each region parsed against typedef seeds guessed by
 //     the lexical prescan; afterwards the coordinator replays the preceding
@@ -100,7 +100,7 @@ func (e *Engine) parseParallel(segs []preprocessor.Segment, chunks []preprocesso
 	}
 	for i, r := range results {
 		if r == nil || r.Killed || len(r.Diags) > 0 || len(subs[i].accepts) != 1 ||
-			!e.space.IsTrue(subs[i].accepts[0].Cond) || subs[i].acceptDepth != 1 {
+			!e.space.IsTrue(subs[i].accepts[0].Cond) || subs[i].acceptDepth != symtab.FileScope {
 			return nil, false
 		}
 	}
@@ -113,8 +113,8 @@ func (e *Engine) parseParallel(segs []preprocessor.Segment, chunks []preprocesso
 	// definitions equal the sequential parse's.
 	truth := map[string]cond.Cond{}
 	for k := 1; k < len(regions); k++ {
-		applyFileDefs(e.space, truth, subs[k-1].rootTab.FileDefs())
-		if !seedsMatch(e.space, truth, regions[k].seed, subs[k].rootTab.Touched()) {
+		applyFileDefs(e.space, truth, subs[k-1].tab.FileDefs())
+		if !seedsMatch(e.space, truth, regions[k].seed, subs[k].tab.Touched()) {
 			return nil, false
 		}
 	}
@@ -144,7 +144,7 @@ func runRegion(space *cond.Space, lang *cgrammar.C, opts Options, rg region, fil
 }
 
 // applyFileDefs replays recorded file-scope definitions onto the typedef
-// truth map, mirroring symtab.DefineTypedef/DefineObject's evolution of the
+// truth map, mirroring symtab.Table.Define's evolution of the
 // typedef condition: a typedef definition disjoins its condition, an object
 // definition shadows (subtracts) it. Map presence mirrors entry existence.
 func applyFileDefs(space *cond.Space, truth map[string]cond.Cond, defs []symtab.FileDef) {

@@ -58,23 +58,15 @@ func (e *Engine) reduce(p *subparser, prodIdx int) {
 
 	switch {
 	case info.PushScope:
-		e.ensureOwnTab(p)
-		p.tab.EnterScope()
+		p.depth++
 	case info.PopScope:
-		e.ensureOwnTab(p)
-		p.tab.ExitScope()
+		e.tab.Exit(p.depth, p.c)
+		p.depth--
 	case info.RegistersTypedef:
 		e.registerInitDeclarator(p, val, st)
 	}
 
 	p.stack = e.pushNode(next, prod.Lhs, val, st)
-}
-
-func (e *Engine) ensureOwnTab(p *subparser) {
-	if !p.ownTab {
-		p.tab = p.tab.Clone()
-		p.ownTab = true
-	}
 }
 
 // registerInitDeclarator updates the symbol table when an init-declarator
@@ -113,15 +105,14 @@ func (e *Engine) registerInitDeclarator(p *subparser, declarator *ast.Node, belo
 	if len(names) == 0 {
 		return
 	}
-	e.ensureOwnTab(p)
 	for _, nc := range names {
 		asTypedef := e.space.And(nc.cond, tdCond)
 		asObject := e.space.AndNot(nc.cond, tdCond)
 		if !e.space.IsFalse(asTypedef) {
-			p.tab.DefineTypedef(nc.name, asTypedef)
+			e.tab.Define(nc.name, p.depth, asTypedef, true)
 		}
 		if !e.space.IsFalse(asObject) {
-			p.tab.DefineObject(nc.name, asObject)
+			e.tab.Define(nc.name, p.depth, asObject, false)
 		}
 	}
 }

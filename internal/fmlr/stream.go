@@ -202,8 +202,6 @@ func (e *Engine) parseStream(src preprocessor.TokenSource, file string) *Result 
 	p0 := e.newSub()
 	p0.c = e.space.True()
 	p0.stack = e.pushNode(0, -1, nil, nil)
-	p0.tab = e.newRootTab()
-	p0.ownTab = true
 
 	tripped := false
 	booted := false
@@ -291,7 +289,7 @@ func (e *Engine) fastClassify(p *subparser, t *token.Token, el *element) (sym la
 	if sym != e.lang.Identifier {
 		return sym, false
 	}
-	cl := p.tab.Classify(t.Text, p.c)
+	cl := e.tab.Classify(t.Text, p.depth, p.c)
 	switch {
 	case e.space.IsFalse(cl.TypedefCond):
 		return sym, false

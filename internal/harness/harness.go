@@ -84,11 +84,10 @@ func (cfg RunConfig) headerCache() *hcache.Cache {
 
 // RunConfig selects one experimental arm.
 type RunConfig struct {
-	Mode       cond.Mode
-	Parser     fmlr.Options
-	Single     bool
-	KillSwitch int               // override kill switch (0: parser default)
-	Defines    map[string]string // single-configuration defines
+	Mode    cond.Mode
+	Parser  fmlr.Options
+	Single  bool
+	Defines map[string]string // single-configuration defines
 	// Jobs bounds the worker pool: 0 means GOMAXPROCS, 1 is fully
 	// sequential.
 	Jobs int
@@ -189,9 +188,6 @@ func Run(c *corpus.Corpus, cfg RunConfig) []UnitResult {
 // "run cancelled" and the call returns after in-flight units finish.
 func RunMetered(ctx context.Context, c *corpus.Corpus, cfg RunConfig) ([]UnitResult, Metrics) {
 	parser := cfg.Parser
-	if cfg.KillSwitch != 0 {
-		parser.KillSwitch = cfg.KillSwitch
-	}
 	if parser.ParseWorkers == 0 {
 		parser.ParseWorkers = cfg.ParseWorkers
 	}
@@ -508,7 +504,8 @@ var Levels = []Level{
 
 // withLevel is base with one Figure 8 optimization level and kill switch.
 func withLevel(base RunConfig, parser fmlr.Options, killSwitch int) RunConfig {
-	base.Parser, base.KillSwitch = parser, killSwitch
+	base.Parser = parser
+	base.Parser.KillSwitch = killSwitch
 	return base
 }
 

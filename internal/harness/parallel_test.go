@@ -45,8 +45,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 // while the rest of the run completes normally.
 func TestParallelKillSwitch(t *testing.T) {
 	c := smallCorpus()
-	results, m := RunMetered(context.Background(), c,
-		RunConfig{Parser: fmlr.OptMAPR, KillSwitch: 50, Jobs: 8})
+	opts := fmlr.OptMAPR
+	opts.KillSwitch = 50
+	results, m := RunMetered(context.Background(), c, RunConfig{Parser: opts, Jobs: 8})
 	if len(results) != len(c.CFiles) {
 		t.Fatalf("results = %d, units = %d", len(results), len(c.CFiles))
 	}

@@ -9,9 +9,9 @@ package link
 // many declarations — would encode once per fact instead of once).
 //
 // Decoding is defensive: the payload may come from a corrupt or hostile
-// store, so every index is bounds-checked (arguments may only reference
-// earlier table entries, forcing the DAG acyclic) and every opcode is range
-// checked. Poisoned payloads produce errors, never panics.
+// store, so the formula table is validated by cond.RebuildFormulas and
+// every fact's kind and condition index is range checked. Poisoned payloads
+// produce errors, never panics.
 
 import (
 	"bytes"
@@ -28,12 +28,9 @@ type wireFacts struct {
 	Symbols []wireSymbol
 }
 
-// wireFNode is one formula node; Args index strictly earlier Nodes entries.
-type wireFNode struct {
-	Op   uint8
-	Name string
-	Args []int32
-}
+// wireFNode is one formula node (cond.WireNode); Args index strictly
+// earlier Nodes entries.
+type wireFNode cond.FormulaNode
 
 type wireSymbol struct {
 	Name  string
@@ -49,68 +46,11 @@ type wireFact struct {
 	Cond int32 // index into wireFacts.Nodes; -1 when the fact carries none
 }
 
-// formulaTable flattens formulas into an indexed node list, memoizing on
-// pointer identity so shared subformulas encode once.
-type formulaTable struct {
-	nodes []wireFNode
-	memo  map[*cond.Formula]int32
-}
-
-func (t *formulaTable) add(f *cond.Formula) int32 {
-	if f == nil {
-		return -1
-	}
-	if i, ok := t.memo[f]; ok {
-		return i
-	}
-	args := make([]int32, len(f.Args))
-	for i, a := range f.Args {
-		args[i] = t.add(a)
-	}
-	idx := int32(len(t.nodes))
-	t.nodes = append(t.nodes, wireFNode{Op: uint8(f.Op), Name: f.Name, Args: args})
-	t.memo[f] = idx
-	return idx
-}
-
-// rebuildFormulas converts a node table back into formulas, restoring
-// sharing and rejecting malformed tables.
-func rebuildFormulas(nodes []wireFNode) ([]*cond.Formula, error) {
-	out := make([]*cond.Formula, len(nodes))
-	for i, n := range nodes {
-		if n.Op > uint8(cond.FOr) {
-			return nil, fmt.Errorf("link: unknown formula op %d at node %d", n.Op, i)
-		}
-		f := &cond.Formula{Op: cond.FOp(n.Op), Name: n.Name}
-		if len(n.Args) > 0 {
-			f.Args = make([]*cond.Formula, len(n.Args))
-			for j, a := range n.Args {
-				if a < 0 || int(a) >= i {
-					return nil, fmt.Errorf("link: formula arg %d out of range at node %d", a, i)
-				}
-				f.Args[j] = out[a]
-			}
-		}
-		out[i] = f
-	}
-	return out, nil
-}
-
-func formulaAt(table []*cond.Formula, i int32) (*cond.Formula, error) {
-	if i == -1 {
-		return nil, nil
-	}
-	if i < 0 || int(i) >= len(table) {
-		return nil, fmt.Errorf("link: formula index %d out of range", i)
-	}
-	return table[i], nil
-}
-
 // Encode serializes the facts. Callers should Normalize first (extraction
 // already emits canonical order) so equal fact sets encode byte-identically
 // — the property the daemon's restart-stability guarantee rests on.
 func (f *Facts) Encode() ([]byte, error) {
-	t := &formulaTable{memo: make(map[*cond.Formula]int32)}
+	var t cond.FormulaTable[wireFNode]
 	w := wireFacts{Unit: f.Unit, Symbols: make([]wireSymbol, len(f.Symbols))}
 	for i, s := range f.Symbols {
 		ws := wireSymbol{Name: s.Name, Facts: make([]wireFact, len(s.Facts))}
@@ -121,12 +61,12 @@ func (f *Facts) Encode() ([]byte, error) {
 				Line: int32(fa.Line),
 				Col:  int32(fa.Col),
 				Sig:  fa.Sig,
-				Cond: t.add(fa.Cond),
+				Cond: t.Add(fa.Cond),
 			}
 		}
 		w.Symbols[i] = ws
 	}
-	w.Nodes = t.nodes
+	w.Nodes = t.Nodes
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
 		return nil, err
@@ -141,7 +81,7 @@ func DecodeFacts(data []byte) (*Facts, error) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return nil, fmt.Errorf("link: decode facts: %w", err)
 	}
-	table, err := rebuildFormulas(w.Nodes)
+	table, err := cond.RebuildFormulas(w.Nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +92,7 @@ func DecodeFacts(data []byte) (*Facts, error) {
 			if wf.Kind > uint8(KindRef) {
 				return nil, fmt.Errorf("link: unknown fact kind %d for symbol %q", wf.Kind, ws.Name)
 			}
-			c, err := formulaAt(table, wf.Cond)
+			c, err := cond.FormulaAt(table, wf.Cond)
 			if err != nil {
 				return nil, err
 			}

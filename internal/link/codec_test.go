@@ -120,6 +120,13 @@ func TestCodecPoisonedPayloads(t *testing.T) {
 		"bad op": encode(&wireFacts{
 			Nodes: []wireFNode{{Op: 250}},
 		}),
+		"negation without argument": encode(&wireFacts{
+			Nodes:   []wireFNode{{Op: uint8(cond.FNot)}},
+			Symbols: []wireSymbol{{Name: "x", Facts: []wireFact{{Kind: uint8(KindDef), Cond: 0}}}},
+		}),
+		"variable with argument": encode(&wireFacts{
+			Nodes: []wireFNode{{Op: uint8(cond.FTrue)}, {Op: uint8(cond.FVar), Name: "A", Args: []int32{0}}},
+		}),
 		"cond index out of range": encode(&wireFacts{
 			Symbols: []wireSymbol{{Name: "x", Facts: []wireFact{{Cond: 5}}}},
 		}),

@@ -32,12 +32,9 @@ type wirePayload struct {
 	Stats UnitStats
 }
 
-// wireFNode is one formula node; Args index earlier entries of Nodes.
-type wireFNode struct {
-	Op   uint8
-	Name string
-	Args []int32
-}
+// wireFNode is one formula node (cond.WireNode); Args index earlier
+// entries of Nodes.
+type wireFNode cond.FormulaNode
 
 // wireSeg mirrors xSeg: a token, or a conditional with branches.
 type wireSeg struct {
@@ -61,60 +58,7 @@ type wireOp struct {
 	Guard string
 }
 
-// formulaTable flattens formulas into an indexed node list, memoizing on
-// pointer identity so shared subformulas encode once.
-type formulaTable struct {
-	nodes []wireFNode
-	memo  map[*cond.Formula]int32
-}
-
-func (t *formulaTable) add(f *cond.Formula) int32 {
-	if f == nil {
-		return -1
-	}
-	if i, ok := t.memo[f]; ok {
-		return i
-	}
-	args := make([]int32, len(f.Args))
-	for i, a := range f.Args {
-		args[i] = t.add(a)
-	}
-	idx := int32(len(t.nodes))
-	t.nodes = append(t.nodes, wireFNode{Op: uint8(f.Op), Name: f.Name, Args: args})
-	t.memo[f] = idx
-	return idx
-}
-
-// rebuild converts a node table back into formulas, restoring sharing.
-func rebuildFormulas(nodes []wireFNode) ([]*cond.Formula, error) {
-	out := make([]*cond.Formula, len(nodes))
-	for i, n := range nodes {
-		f := &cond.Formula{Op: cond.FOp(n.Op), Name: n.Name}
-		if len(n.Args) > 0 {
-			f.Args = make([]*cond.Formula, len(n.Args))
-			for j, a := range n.Args {
-				if a < 0 || int(a) >= i {
-					return nil, fmt.Errorf("preprocessor: formula arg %d out of range at node %d", a, i)
-				}
-				f.Args[j] = out[a]
-			}
-		}
-		out[i] = f
-	}
-	return out, nil
-}
-
-func formulaAt(table []*cond.Formula, i int32) (*cond.Formula, error) {
-	if i == -1 {
-		return nil, nil
-	}
-	if i < 0 || int(i) >= len(table) {
-		return nil, fmt.Errorf("preprocessor: formula index %d out of range", i)
-	}
-	return table[i], nil
-}
-
-func exportWireSegs(t *formulaTable, segs []xSeg) []wireSeg {
+func exportWireSegs(t *cond.FormulaTable[wireFNode], segs []xSeg) []wireSeg {
 	out := make([]wireSeg, len(segs))
 	for i, s := range segs {
 		if s.tok != nil {
@@ -123,7 +67,7 @@ func exportWireSegs(t *formulaTable, segs []xSeg) []wireSeg {
 		}
 		ws := wireSeg{IsCond: true, Branches: make([]wireBranch, len(s.cnd.branches))}
 		for j, br := range s.cnd.branches {
-			ws.Branches[j] = wireBranch{Cond: t.add(br.cond), Segs: exportWireSegs(t, br.segs)}
+			ws.Branches[j] = wireBranch{Cond: t.Add(br.cond), Segs: exportWireSegs(t, br.segs)}
 		}
 		out[i] = ws
 	}
@@ -142,7 +86,7 @@ func importWireSegs(table []*cond.Formula, segs []wireSeg) ([]xSeg, error) {
 		}
 		xc := &xCond{branches: make([]xBranch, len(s.Branches))}
 		for j, br := range s.Branches {
-			f, err := formulaAt(table, br.Cond)
+			f, err := cond.FormulaAt(table, br.Cond)
 			if err != nil {
 				return nil, err
 			}
@@ -169,7 +113,7 @@ func (payloadCodec) EncodePayload(v any) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("preprocessor: unexpected payload type %T", v)
 	}
-	t := &formulaTable{memo: make(map[*cond.Formula]int32)}
+	t := &cond.FormulaTable[wireFNode]{}
 	w := wirePayload{
 		Segs:  exportWireSegs(t, pl.segs),
 		Ops:   make([]wireOp, len(pl.ops)),
@@ -181,12 +125,12 @@ func (payloadCodec) EncodePayload(v any) ([]byte, error) {
 			Kind:  uint8(op.kind),
 			Name:  op.name,
 			Def:   op.def,
-			Cond:  t.add(op.cond),
+			Cond:  t.Add(op.cond),
 			Path:  op.path,
 			Guard: op.guard,
 		}
 	}
-	w.Nodes = t.nodes
+	w.Nodes = t.Nodes
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
 		return nil, err
@@ -199,7 +143,7 @@ func (payloadCodec) DecodePayload(data []byte) (any, error) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return nil, err
 	}
-	table, err := rebuildFormulas(w.Nodes)
+	table, err := cond.RebuildFormulas(w.Nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +158,7 @@ func (payloadCodec) DecodePayload(data []byte) (any, error) {
 		ops:   make([]replayOp, len(w.Ops)),
 	}
 	for i, op := range w.Ops {
-		f, err := formulaAt(table, op.Cond)
+		f, err := cond.FormulaAt(table, op.Cond)
 		if err != nil {
 			return nil, err
 		}

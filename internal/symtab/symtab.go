@@ -22,11 +22,6 @@ type entry struct {
 	objectCond  cond.Cond // name denotes a value (object/function/enum constant)
 }
 
-// scope is one C language scope.
-type scope struct {
-	names map[string]entry
-}
-
 // FileDef is one file-scope definition event, recorded in program order when
 // tracking is enabled. The region-parallel parser replays each region's def
 // stream to validate the typedef seeds it guessed for later regions.
@@ -36,139 +31,119 @@ type FileDef struct {
 	Typedef bool // true for a typedef definition, false for an object one
 }
 
-// tracker accumulates the file-scope observations of one parse: which names
-// were ever classified (touched) and which file-scope definitions happened,
-// in order. It is shared by pointer across Clone/Merge so the whole subparser
-// family of one engine writes into one stream; engines are single-threaded,
-// so no locking is needed.
-type tracker struct {
+// Table is the conditional symbol table of one parse. Its scopes are
+// indexed by nesting depth, FileScope first and then one per open block,
+// and every method takes the caller's depth. One table serves every
+// subparser of a parse because live subparsers' presence conditions are
+// pairwise disjoint: each defines names only under its own condition and
+// classifies them only under a condition within its own, so the table read
+// under a subparser's condition at its depth is exactly that subparser's
+// context. Forking a context and merging two contexts at one depth are
+// therefore identities; leaving a block erases the leaver's condition from
+// the block's scope (Exit). The zero value is not usable; call New.
+type Table struct {
+	space  *cond.Space
+	scopes []map[string]entry // scopes[d] is the scope at depth d
+
+	// Observations recorded once Track was called (touched is non-nil):
+	// which names were ever classified and which file-scope definitions
+	// happened, in order.
 	touched map[string]bool
 	defs    []FileDef
 }
 
-// Table is the conditional symbol table. The zero value is not usable; call
-// New.
-type Table struct {
-	space  *cond.Space
-	scopes []scope
-	trk    *tracker // nil unless Track was called; shared across Clone/Merge
-}
+// FileScope is the depth of the file scope; each open block adds one.
+const FileScope = 0
 
-// New returns a table with the file scope open.
+// New returns an empty table.
 func New(s *cond.Space) *Table {
-	return &Table{space: s, scopes: []scope{{names: map[string]entry{}}}}
+	return &Table{space: s, scopes: []map[string]entry{{}}}
 }
 
 // NewSeeded returns a table whose file scope is pre-populated with typedef
 // meanings: each name denotes a type under its seed condition and nothing
-// otherwise. The region-parallel parser seeds a mid-unit region's table from
-// a lexical prescan; only the typedef condition matters because with a single
-// open scope Classify never consults object conditions.
+// otherwise (a nil seed gives an empty table). The region-parallel parser
+// seeds a mid-unit region's table from a lexical prescan; only the typedef
+// condition matters because at file scope Classify never consults object
+// conditions.
 func NewSeeded(s *cond.Space, seed map[string]cond.Cond) *Table {
 	t := New(s)
 	for name, c := range seed {
-		t.scopes[0].names[name] = entry{typedefCond: c, objectCond: s.False()}
+		t.scopes[FileScope][name] = entry{typedefCond: c, objectCond: s.False()}
 	}
 	return t
 }
 
-// Track enables observation recording on this table (and, via the shared
-// tracker, on every table later cloned or merged from it).
+// Track enables observation recording on this table.
 func (t *Table) Track() {
-	if t.trk == nil {
-		t.trk = &tracker{touched: map[string]bool{}}
+	if t.touched == nil {
+		t.touched = map[string]bool{}
 	}
 }
 
 // Touched returns the set of names Classify was asked about, or nil when
 // tracking is off.
-func (t *Table) Touched() map[string]bool {
-	if t.trk == nil {
-		return nil
-	}
-	return t.trk.touched
-}
+func (t *Table) Touched() map[string]bool { return t.touched }
 
 // FileDefs returns the ordered file-scope definition events, or nil when
 // tracking is off.
-func (t *Table) FileDefs() []FileDef {
-	if t.trk == nil {
-		return nil
+func (t *Table) FileDefs() []FileDef { return t.defs }
+
+// scope returns the scope at depth, opening the scopes up to it on demand.
+func (t *Table) scope(depth int) map[string]entry {
+	for len(t.scopes) <= depth {
+		t.scopes = append(t.scopes, map[string]entry{})
 	}
-	return t.trk.defs
+	return t.scopes[depth]
 }
 
-// Clone deep-copies the table (the forkContext callback).
-func (t *Table) Clone() *Table {
-	nt := &Table{space: t.space, scopes: make([]scope, len(t.scopes)), trk: t.trk}
-	for i, sc := range t.scopes {
-		names := make(map[string]entry, len(sc.names))
-		for k, v := range sc.names {
-			names[k] = v
-		}
-		nt.scopes[i] = scope{names: names}
+// Exit erases c from the scope at depth: the configurations under c leave
+// the block, while configurations still inside it keep their entries. When
+// c is True nobody stays, and the scope is cleared. The file scope is never
+// exited.
+func (t *Table) Exit(depth int, c cond.Cond) {
+	if depth <= FileScope || depth >= len(t.scopes) {
+		return
 	}
-	return nt
-}
-
-// EnterScope opens a nested scope.
-func (t *Table) EnterScope() {
-	t.scopes = append(t.scopes, scope{names: map[string]entry{}})
-}
-
-// ExitScope closes the innermost scope.
-func (t *Table) ExitScope() {
-	if len(t.scopes) > 1 {
-		t.scopes = t.scopes[:len(t.scopes)-1]
+	sc := t.scopes[depth]
+	if t.space.IsTrue(c) {
+		clear(sc)
+		return
 	}
-}
-
-// Depth returns the scope nesting depth.
-func (t *Table) Depth() int { return len(t.scopes) }
-
-func (t *Table) top() *scope { return &t.scopes[len(t.scopes)-1] }
-
-// DefineTypedef records that name denotes a type under c in the current
-// scope.
-func (t *Table) DefineTypedef(name string, c cond.Cond) {
-	if t.trk != nil && len(t.scopes) == 1 {
-		t.trk.defs = append(t.trk.defs, FileDef{Name: name, Cond: c, Typedef: true})
-	}
-	sc := t.top()
-	e := sc.names[name]
-	if e.typedefCond == (cond.Cond{}) {
-		e.typedefCond = c
-	} else {
-		e.typedefCond = t.space.Or(e.typedefCond, c)
-	}
-	if e.objectCond == (cond.Cond{}) {
-		e.objectCond = t.space.False()
-	} else {
-		// A later typedef shadows an object declaration under c.
-		e.objectCond = t.space.AndNot(e.objectCond, c)
-	}
-	sc.names[name] = e
-}
-
-// DefineObject records that name denotes a value under c in the current
-// scope (shadowing any typedef meaning under c).
-func (t *Table) DefineObject(name string, c cond.Cond) {
-	if t.trk != nil && len(t.scopes) == 1 {
-		t.trk.defs = append(t.trk.defs, FileDef{Name: name, Cond: c, Typedef: false})
-	}
-	sc := t.top()
-	e := sc.names[name]
-	if e.objectCond == (cond.Cond{}) {
-		e.objectCond = c
-	} else {
-		e.objectCond = t.space.Or(e.objectCond, c)
-	}
-	if e.typedefCond == (cond.Cond{}) {
-		e.typedefCond = t.space.False()
-	} else {
+	for name, e := range sc {
 		e.typedefCond = t.space.AndNot(e.typedefCond, c)
+		e.objectCond = t.space.AndNot(e.objectCond, c)
+		if t.space.IsFalse(e.typedefCond) && t.space.IsFalse(e.objectCond) {
+			delete(sc, name)
+		} else {
+			sc[name] = e
+		}
 	}
-	sc.names[name] = e
+}
+
+// Define records that name denotes a type (typedef) or a value under c in
+// the scope at depth, shadowing the other meaning under c.
+func (t *Table) Define(name string, depth int, c cond.Cond, typedef bool) {
+	if t.touched != nil && depth == FileScope {
+		t.defs = append(t.defs, FileDef{Name: name, Cond: c, Typedef: typedef})
+	}
+	sc := t.scope(depth)
+	e := sc[name]
+	def, other := &e.objectCond, &e.typedefCond
+	if typedef {
+		def, other = other, def
+	}
+	if *def == (cond.Cond{}) {
+		*def = c
+	} else {
+		*def = t.space.Or(*def, c)
+	}
+	if *other == (cond.Cond{}) {
+		*other = t.space.False()
+	} else {
+		*other = t.space.AndNot(*other, c)
+	}
+	sc[name] = e
 }
 
 // Classification reports under which conditions a name denotes a type. The
@@ -179,16 +154,16 @@ type Classification struct {
 	OtherCond   cond.Cond // name is an ordinary identifier
 }
 
-// Classify resolves name under use condition c.
-func (t *Table) Classify(name string, c cond.Cond) Classification {
-	if t.trk != nil {
-		t.trk.touched[name] = true
+// Classify resolves name under use condition c at depth.
+func (t *Table) Classify(name string, depth int, c cond.Cond) Classification {
+	if t.touched != nil {
+		t.touched[name] = true
 	}
 	s := t.space
 	remaining := c
 	td := s.False()
-	for i := len(t.scopes) - 1; i >= 0 && !s.IsFalse(remaining); i-- {
-		e, ok := t.scopes[i].names[name]
+	for i := min(depth, len(t.scopes)-1); i >= 0 && !s.IsFalse(remaining); i-- {
+		e, ok := t.scopes[i][name]
 		if !ok {
 			continue
 		}
@@ -204,19 +179,19 @@ func (t *Table) Classify(name string, c cond.Cond) Classification {
 }
 
 // Declared returns the conditions under which name has a declaration in
-// scope — typedef or object meaning — split at the file scope: local for
-// the parameter and block scopes, file for the file scope; either is False
-// when there is none. Name resolution uses their disjunction to decide
-// whether a use is covered by a declaration under every configuration that
-// reaches it; a use that escapes local resolves to a file-scope name or to
-// another unit.
-func (t *Table) Declared(name string) (local, file cond.Cond) {
-	for i := len(t.scopes) - 1; i >= 0; i-- {
-		e, ok := t.scopes[i].names[name]
+// scope at depth — typedef or object meaning — split at the file scope:
+// local for the parameter and block scopes, file for the file scope; either
+// is False when there is none. Name resolution uses their disjunction to
+// decide whether a use is covered by a declaration under every
+// configuration that reaches it; a use that escapes local resolves to a
+// file-scope name or to another unit.
+func (t *Table) Declared(name string, depth int) (local, file cond.Cond) {
+	for i := min(depth, len(t.scopes)-1); i >= 0; i-- {
+		e, ok := t.scopes[i][name]
 		if !ok {
 			continue
 		}
-		if i == 0 {
+		if i == FileScope {
 			file = orDefined(t.space, e.typedefCond, e.objectCond)
 		} else {
 			local = orDefined(t.space, local, orDefined(t.space, e.typedefCond, e.objectCond))
@@ -233,47 +208,20 @@ func (t *Table) orFalse(c cond.Cond) cond.Cond {
 	return c
 }
 
-// CurrentScope returns name's classification conditions in the innermost
-// scope only, without consulting outer scopes. The conditional-redefinition
-// pass queries it before registering a definition: an overlap with an
+// CurrentScope returns name's classification conditions in the scope at
+// depth only, without consulting outer scopes. The conditional-redefinition
+// check queries it before registering a definition: an overlap with an
 // existing same-scope entry is a redefinition, whereas an outer-scope entry
 // is legal shadowing. ok is false when the scope has no entry for name.
-func (t *Table) CurrentScope(name string) (typedefCond, objectCond cond.Cond, ok bool) {
-	e, ok := t.top().names[name]
+func (t *Table) CurrentScope(name string, depth int) (typedefCond, objectCond cond.Cond, ok bool) {
+	if depth >= len(t.scopes) {
+		return cond.Cond{}, cond.Cond{}, false
+	}
+	e, ok := t.scopes[depth][name]
 	if !ok {
 		return cond.Cond{}, cond.Cond{}, false
 	}
 	return e.typedefCond, e.objectCond, true
-}
-
-// MayMerge allows merging only at the same scope nesting level (paper
-// §5.2).
-func (t *Table) MayMerge(o *Table) bool {
-	return len(t.scopes) == len(o.scopes)
-}
-
-// Merge combines another table into this one: for each scope level, names'
-// conditions are disjoined. Both subparsers' registrations were made under
-// their own presence conditions, so a plain disjunction is sound.
-func (t *Table) Merge(o *Table) *Table {
-	s := t.space
-	merged := t.Clone()
-	for i := range merged.scopes {
-		if i >= len(o.scopes) {
-			break
-		}
-		for name, oe := range o.scopes[i].names {
-			e, ok := merged.scopes[i].names[name]
-			if !ok {
-				merged.scopes[i].names[name] = oe
-				continue
-			}
-			e.typedefCond = orDefined(s, e.typedefCond, oe.typedefCond)
-			e.objectCond = orDefined(s, e.objectCond, oe.objectCond)
-			merged.scopes[i].names[name] = e
-		}
-	}
-	return merged
 }
 
 func orDefined(s *cond.Space, a, b cond.Cond) cond.Cond {
@@ -287,7 +235,3 @@ func orDefined(s *cond.Space, a, b cond.Cond) cond.Cond {
 		return s.Or(a, b)
 	}
 }
-
-// Names returns the number of distinct names in the innermost scope (for
-// tests).
-func (t *Table) Names() int { return len(t.top().names) }

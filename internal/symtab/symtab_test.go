@@ -9,7 +9,7 @@ import (
 func TestUnknownNameIsIdentifier(t *testing.T) {
 	s := cond.NewSpace(cond.ModeBDD)
 	tab := New(s)
-	cl := tab.Classify("foo", s.True())
+	cl := tab.Classify("foo", FileScope, s.True())
 	if !s.IsFalse(cl.TypedefCond) || !s.IsTrue(cl.OtherCond) {
 		t.Errorf("unknown name: typedef=%s other=%s", s.String(cl.TypedefCond), s.String(cl.OtherCond))
 	}
@@ -18,8 +18,8 @@ func TestUnknownNameIsIdentifier(t *testing.T) {
 func TestUnconditionalTypedef(t *testing.T) {
 	s := cond.NewSpace(cond.ModeBDD)
 	tab := New(s)
-	tab.DefineTypedef("size_t", s.True())
-	cl := tab.Classify("size_t", s.True())
+	tab.Define("size_t", FileScope, s.True(), true)
+	cl := tab.Classify("size_t", FileScope, s.True())
 	if !s.IsTrue(cl.TypedefCond) || !s.IsFalse(cl.OtherCond) {
 		t.Errorf("size_t: typedef=%s other=%s", s.String(cl.TypedefCond), s.String(cl.OtherCond))
 	}
@@ -29,8 +29,8 @@ func TestConditionalTypedef(t *testing.T) {
 	s := cond.NewSpace(cond.ModeBDD)
 	a := s.Var("A")
 	tab := New(s)
-	tab.DefineTypedef("T", a)
-	cl := tab.Classify("T", s.True())
+	tab.Define("T", FileScope, a, true)
+	cl := tab.Classify("T", FileScope, s.True())
 	if !s.Equal(cl.TypedefCond, a) {
 		t.Errorf("typedef cond = %s, want A", s.String(cl.TypedefCond))
 	}
@@ -45,14 +45,14 @@ func TestAmbiguousName(t *testing.T) {
 	s := cond.NewSpace(cond.ModeBDD)
 	a := s.Var("A")
 	tab := New(s)
-	tab.DefineTypedef("T", a)
-	tab.DefineObject("T", s.Not(a))
-	cl := tab.Classify("T", s.True())
+	tab.Define("T", FileScope, a, true)
+	tab.Define("T", FileScope, s.Not(a), false)
+	cl := tab.Classify("T", FileScope, s.True())
 	if !s.Equal(cl.TypedefCond, a) || !s.Equal(cl.OtherCond, s.Not(a)) {
 		t.Errorf("T: typedef=%s other=%s", s.String(cl.TypedefCond), s.String(cl.OtherCond))
 	}
 	// Restricted to A, unambiguous.
-	cl = tab.Classify("T", a)
+	cl = tab.Classify("T", FileScope, a)
 	if !s.Equal(cl.TypedefCond, a) || !s.IsFalse(cl.OtherCond) {
 		t.Errorf("T under A: typedef=%s other=%s", s.String(cl.TypedefCond), s.String(cl.OtherCond))
 	}
@@ -61,17 +61,20 @@ func TestAmbiguousName(t *testing.T) {
 func TestShadowing(t *testing.T) {
 	s := cond.NewSpace(cond.ModeBDD)
 	tab := New(s)
-	tab.DefineTypedef("T", s.True())
-	tab.EnterScope()
-	tab.DefineObject("T", s.True())
-	cl := tab.Classify("T", s.True())
+	tab.Define("T", FileScope, s.True(), true)
+	tab.Define("T", 1, s.True(), false)
+	cl := tab.Classify("T", 1, s.True())
 	if !s.IsFalse(cl.TypedefCond) {
 		t.Errorf("inner object should shadow: typedef=%s", s.String(cl.TypedefCond))
 	}
-	tab.ExitScope()
-	cl = tab.Classify("T", s.True())
+	tab.Exit(1, s.True())
+	cl = tab.Classify("T", FileScope, s.True())
 	if !s.IsTrue(cl.TypedefCond) {
 		t.Errorf("outer typedef should reappear: %s", s.String(cl.TypedefCond))
+	}
+	// A block entered afresh at the same depth starts empty.
+	if cl = tab.Classify("T", 1, s.True()); !s.IsTrue(cl.TypedefCond) {
+		t.Errorf("exited block leaked into the next one: typedef=%s", s.String(cl.TypedefCond))
 	}
 }
 
@@ -79,99 +82,95 @@ func TestConditionalShadowing(t *testing.T) {
 	s := cond.NewSpace(cond.ModeBDD)
 	a := s.Var("A")
 	tab := New(s)
-	tab.DefineTypedef("T", s.True())
-	tab.EnterScope()
-	tab.DefineObject("T", a) // shadowed only under A
-	cl := tab.Classify("T", s.True())
+	tab.Define("T", FileScope, s.True(), true)
+	tab.Define("T", 1, a, false) // shadowed only under A
+	cl := tab.Classify("T", 1, s.True())
 	if !s.Equal(cl.TypedefCond, s.Not(a)) {
 		t.Errorf("typedef cond = %s, want !A", s.String(cl.TypedefCond))
 	}
-}
-
-func TestRedefinitionWithinScope(t *testing.T) {
-	s := cond.NewSpace(cond.ModeBDD)
-	tab := New(s)
-	tab.DefineTypedef("T", s.True())
-	tab.DefineObject("T", s.True()) // later declaration shadows
-	cl := tab.Classify("T", s.True())
-	if !s.IsFalse(cl.TypedefCond) || !s.IsTrue(cl.OtherCond) {
-		t.Errorf("T: typedef=%s other=%s", s.String(cl.TypedefCond), s.String(cl.OtherCond))
+	// A reader at file scope does not see the block.
+	if cl = tab.Classify("T", FileScope, s.True()); !s.IsTrue(cl.TypedefCond) {
+		t.Errorf("file-scope typedef cond = %s, want 1", s.String(cl.TypedefCond))
 	}
 }
 
-func TestCloneIsolation(t *testing.T) {
-	s := cond.NewSpace(cond.ModeBDD)
-	tab := New(s)
-	tab.DefineTypedef("T", s.True())
-	cl := tab.Clone()
-	cl.DefineTypedef("U", s.True())
-	if got := tab.Classify("U", s.True()); !s.IsFalse(got.TypedefCond) {
-		t.Error("clone leaked into original")
-	}
-	if got := cl.Classify("T", s.True()); !s.IsTrue(got.TypedefCond) {
-		t.Error("clone lost original entries")
-	}
-}
-
-func TestMayMergeDepth(t *testing.T) {
-	s := cond.NewSpace(cond.ModeBDD)
-	t1, t2 := New(s), New(s)
-	if !t1.MayMerge(t2) {
-		t.Error("same depth should merge")
-	}
-	t2.EnterScope()
-	if t1.MayMerge(t2) {
-		t.Error("different depths must not merge")
-	}
-}
-
-func TestMerge(t *testing.T) {
+// TestDisjointRegistrationsInvisible is the fork/merge half of the shared
+// table: two subparsers under disjoint conditions register into one table
+// without seeing each other's names, and once they merge, the view under
+// the disjoined condition sees both, as the old deep-copy merge did.
+func TestDisjointRegistrationsInvisible(t *testing.T) {
 	s := cond.NewSpace(cond.ModeBDD)
 	a := s.Var("A")
-	t1, t2 := New(s), New(s)
-	t1.DefineTypedef("T", a)
-	t2.DefineObject("T", s.Not(a))
-	t2.DefineTypedef("U", s.Not(a))
-	m := t1.Merge(t2)
-	cl := m.Classify("T", s.True())
-	if !s.Equal(cl.TypedefCond, a) || !s.Equal(cl.OtherCond, s.Not(a)) {
+	na := s.Not(a)
+	tab := New(s)
+	tab.Define("T", FileScope, a, true)   // the subparser under A
+	tab.Define("T", FileScope, na, false) // the subparser under !A
+	tab.Define("U", FileScope, na, true)
+	if cl := tab.Classify("T", FileScope, a); !s.Equal(cl.TypedefCond, a) || !s.IsFalse(cl.OtherCond) {
+		t.Errorf("T under A: typedef=%s other=%s", s.String(cl.TypedefCond), s.String(cl.OtherCond))
+	}
+	if cl := tab.Classify("T", FileScope, na); !s.IsFalse(cl.TypedefCond) {
+		t.Errorf("A's typedef leaked to !A: %s", s.String(cl.TypedefCond))
+	}
+	if cl := tab.Classify("U", FileScope, a); !s.IsFalse(cl.TypedefCond) {
+		t.Errorf("!A's typedef leaked to A: %s", s.String(cl.TypedefCond))
+	}
+	cl := tab.Classify("T", FileScope, s.True())
+	if !s.Equal(cl.TypedefCond, a) || !s.Equal(cl.OtherCond, na) {
 		t.Errorf("merged T: typedef=%s other=%s", s.String(cl.TypedefCond), s.String(cl.OtherCond))
 	}
-	cl = m.Classify("U", s.True())
-	if !s.Equal(cl.TypedefCond, s.Not(a)) {
+	if cl = tab.Classify("U", FileScope, s.True()); !s.Equal(cl.TypedefCond, na) {
 		t.Errorf("merged U: typedef=%s", s.String(cl.TypedefCond))
+	}
+}
+
+// TestPartialExitForgetsOnlyLeaver: when the configurations under A leave a
+// block that the ones under !A are still inside, A's view of the next block
+// at that depth is empty while !A keeps every entry of its own.
+func TestPartialExitForgetsOnlyLeaver(t *testing.T) {
+	s := cond.NewSpace(cond.ModeBDD)
+	a := s.Var("A")
+	na := s.Not(a)
+	tab := New(s)
+	tab.Define("T", 1, s.True(), true) // declared before the configurations split
+	tab.Define("x", 1, a, false)
+	tab.Exit(1, a)
+	if cl := tab.Classify("T", 1, a); !s.IsFalse(cl.TypedefCond) {
+		t.Errorf("leaver still sees T: typedef=%s", s.String(cl.TypedefCond))
+	}
+	if cl := tab.Classify("T", 1, na); !s.Equal(cl.TypedefCond, na) {
+		t.Errorf("stayer lost T: typedef=%s", s.String(cl.TypedefCond))
+	}
+	if local, _ := tab.Declared("x", 1); !s.IsFalse(local) {
+		t.Errorf("leaver's x survived the exit: %s", s.String(local))
+	}
+	if td, obj, ok := tab.CurrentScope("T", 1); !ok || !s.Equal(td, na) || !s.IsFalse(obj) {
+		t.Errorf("T after partial exit: ok=%v typedef=%s object=%s", ok, s.String(td), s.String(obj))
+	}
+	tab.Exit(1, na)
+	if _, _, ok := tab.CurrentScope("T", 1); ok {
+		t.Error("scope not empty after every configuration left")
 	}
 }
 
 func TestExitFileScopeIgnored(t *testing.T) {
 	s := cond.NewSpace(cond.ModeBDD)
 	tab := New(s)
-	tab.ExitScope() // must not pop the file scope
-	if tab.Depth() != 1 {
-		t.Errorf("depth = %d", tab.Depth())
+	tab.Define("x", FileScope, s.True(), false)
+	tab.Exit(FileScope, s.True()) // must not clear the file scope
+	if _, file := tab.Declared("x", FileScope); !s.IsTrue(file) {
+		t.Errorf("file-scope x after Exit: %s", s.String(file))
 	}
 }
 
-func TestMergeDifferentDepthsClones(t *testing.T) {
-	s := cond.NewSpace(cond.ModeBDD)
-	a := New(s)
-	b := New(s)
-	b.EnterScope()
-	// Merge only aligns the shared depth prefix; deeper scopes of the
-	// other table are ignored (MayMerge should have gated this anyway).
-	m := a.Merge(b)
-	if m.Depth() != 1 {
-		t.Errorf("depth = %d", m.Depth())
-	}
-}
-
-func TestNamesCount(t *testing.T) {
+func TestRedefinitionWithinScope(t *testing.T) {
 	s := cond.NewSpace(cond.ModeBDD)
 	tab := New(s)
-	tab.DefineTypedef("A", s.True())
-	tab.DefineObject("B", s.True())
-	if tab.Names() != 2 {
-		t.Errorf("Names = %d", tab.Names())
+	tab.Define("T", FileScope, s.True(), true)
+	tab.Define("T", FileScope, s.True(), false) // later declaration shadows
+	cl := tab.Classify("T", FileScope, s.True())
+	if !s.IsFalse(cl.TypedefCond) || !s.IsTrue(cl.OtherCond) {
+		t.Errorf("T: typedef=%s other=%s", s.String(cl.TypedefCond), s.String(cl.OtherCond))
 	}
 }
 
@@ -179,20 +178,18 @@ func TestDeclaredSplitsAtFileScope(t *testing.T) {
 	s := cond.NewSpace(cond.ModeBDD)
 	a, b := s.Var("A"), s.Var("B")
 	tab := New(s)
-	tab.DefineObject("x", a)
-	tab.EnterScope()
-	tab.DefineTypedef("x", b)
-	tab.EnterScope()
-	tab.DefineObject("x", s.Not(b))
-	if local, file := tab.Declared("x"); !s.IsTrue(local) || !s.Equal(file, a) {
+	tab.Define("x", FileScope, a, false)
+	tab.Define("x", 1, b, true)
+	tab.Define("x", 2, s.Not(b), false)
+	if local, file := tab.Declared("x", 2); !s.IsTrue(local) || !s.Equal(file, a) {
 		t.Errorf("local %s file %s, want 1 and A", s.String(local), s.String(file))
 	}
-	tab.ExitScope()
-	tab.ExitScope()
-	if local, file := tab.Declared("x"); !s.IsFalse(local) || !s.Equal(file, a) {
+	tab.Exit(2, s.True())
+	tab.Exit(1, s.True())
+	if local, file := tab.Declared("x", FileScope); !s.IsFalse(local) || !s.Equal(file, a) {
 		t.Errorf("file scope only: local %s file %s, want 0 and A", s.String(local), s.String(file))
 	}
-	if local, file := tab.Declared("y"); !s.IsFalse(local) || !s.IsFalse(file) {
+	if local, file := tab.Declared("y", FileScope); !s.IsFalse(local) || !s.IsFalse(file) {
 		t.Error("undeclared name has a declaration condition")
 	}
 }
