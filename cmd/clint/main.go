@@ -5,9 +5,10 @@
 // which it holds plus a concrete witness configuration (re-verified on the
 // independent SAT representation).
 //
-// Units are processed on a worker pool (-j wide, GOMAXPROCS by default)
-// with per-file output buffered and flushed in argument order, so the
-// output is byte-identical regardless of -j.
+// Units run through harness.RunUnits, the batch runner superd uses too
+// (-j wide, GOMAXPROCS by default), and each unit's output is built by the
+// same daemon.Lint as superd's /v1/lint and printed in argument order, so
+// the output is byte-identical regardless of -j and via -daemon.
 //
 // Usage:
 //
@@ -30,22 +31,19 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/passes"
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/guard"
+	"repro/internal/harness"
 	"repro/internal/link"
 )
 
@@ -109,14 +107,11 @@ func main() {
 	}
 
 	files := flag.Args()
-	results := make([]*analysis.Result, len(files))
-	facts := make([]*link.Facts, len(files))
-	errOuts := make([]bytes.Buffer, len(files))
+	var units []daemon.LintUnit
+	var findings []link.Finding
 	var linkStats string
-
-	served := false
 	if *daemonAddr != "" {
-		err := lintViaDaemon(*daemonAddr, *daemonOpts, daemon.LintRequest{
+		units, err = lintViaDaemon(*daemonAddr, *daemonOpts, daemon.LintRequest{
 			Files:        files,
 			IncludePaths: cfg.IncludePaths,
 			Defines:      cfg.Defines,
@@ -125,9 +120,9 @@ func main() {
 			Jobs:         o.Jobs,
 			ParseWorkers: cfg.ParseWorkers,
 			Limits:       daemon.FromGuard(*limits),
-		}, results, errOuts)
+		})
 		if err == nil && *doLink {
-			linkStats, err = linkViaDaemon(*daemonAddr, *daemonOpts, daemon.LinkRequest{
+			findings, linkStats, err = linkViaDaemon(*daemonAddr, *daemonOpts, daemon.LinkRequest{
 				Files:        files,
 				IncludePaths: cfg.IncludePaths,
 				Defines:      cfg.Defines,
@@ -135,68 +130,65 @@ func main() {
 				Jobs:         o.Jobs,
 				ParseWorkers: cfg.ParseWorkers,
 				Limits:       daemon.FromGuard(*limits),
-			}, results)
-			if err != nil {
-				// Start over in-process: partial daemon output would
-				// double-report the per-unit diagnostics.
-				results = make([]*analysis.Result, len(files))
-				errOuts = make([]bytes.Buffer, len(files))
-			}
+			})
 		}
 		if err != nil {
+			// Start over in-process: partial daemon output would
+			// double-report the per-unit diagnostics.
 			fmt.Fprintf(os.Stderr, "clint: %v; running in-process\n", err)
-		} else {
-			served = true
+			units = nil
 		}
 	}
-	if !served {
-		nWorkers := cli.Workers(o.Jobs, len(files))
-
-		// Each file gets its own tool — a fresh condition space and macro
-		// table — so units are independent and any worker can take any file.
-		// Results are indexed by argument position: the output is a pure
-		// function of the inputs, not of scheduling.
-		work := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < nWorkers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					results[i], facts[i] = lintFile(cfg, files[i], selected, *limits, *doLink, &errOuts[i])
-				}
-			}()
-		}
-		for i := range files {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-
+	if units == nil {
+		// The same lint path superd runs: each file gets its own tool, and
+		// with -link one parse yields both its analysis and its link facts.
+		var unitResults []harness.UnitResult
+		units, unitResults = daemon.Lint(context.Background(), nil, files, harness.RunConfig{
+			Mode:         cfg.CondMode,
+			Parser:       *cfg.Parser,
+			Defines:      cfg.Defines,
+			Jobs:         o.Jobs,
+			ParseWorkers: cfg.ParseWorkers,
+			IncludePaths: cfg.IncludePaths,
+			HeaderCache:  cfg.HeaderCache,
+			Budget:       *limits,
+			Analyzers:    selected,
+			Link:         *doLink,
+		})
 		if *doLink {
-			// The corpus-wide join runs after the pool drains, over facts in
-			// argument order: the findings are a pure function of the inputs
-			// at any -j / -parse-workers.
-			joined := make([]*link.Facts, 0, len(facts))
-			for _, f := range facts {
-				if f != nil {
-					joined = append(joined, f)
+			// The corpus-wide join runs after every unit finishes, over facts
+			// in argument order: the findings are a pure function of the
+			// inputs at any -j / -parse-workers.
+			var facts []*link.Facts
+			for _, r := range unitResults {
+				if r.LinkFacts != nil {
+					facts = append(facts, r.LinkFacts)
 				}
 			}
-			lr := link.Link(joined, cfg.HeaderCache.Canon())
-			mergeLinkDiags(results, files, lr.Findings)
-			linkStats = fmt.Sprintf("%d units, %d symbols, %d facts, %d findings",
-				lr.Stats.Units, lr.Stats.Symbols, lr.Stats.Facts, lr.Stats.Findings)
+			lr := link.Link(facts, cfg.HeaderCache.Canon())
+			findings, linkStats = lr.Findings, linkSummary(lr.Stats)
 		}
 	}
 
+	// Units arrive in argument order, from the daemon or in-process alike;
+	// each becomes the file's result and stderr text.
+	results := make([]*analysis.Result, len(files))
 	exit := 0
-	for i := range errOuts {
-		if errOuts[i].Len() > 0 {
-			io.Copy(os.Stderr, &errOuts[i])
+	for i, u := range units {
+		if u.Errors != "" {
+			fmt.Fprint(os.Stderr, u.Errors)
 			exit = 1
 		}
+		if u.Failed {
+			continue
+		}
+		r := &analysis.Result{File: u.File, Stats: u.Stats}
+		for _, d := range u.Diags {
+			r.Diags = append(r.Diags, d.ToAnalysis())
+		}
+		results[i] = r
 	}
+	mergeLinkDiags(results, files, findings)
 	total := 0
 	for _, r := range results {
 		if r != nil {
@@ -258,86 +250,43 @@ func splitPasses(s string) []string {
 	return parts
 }
 
-// lintViaDaemon serves the batch from a superd daemon. The daemon returns
-// structured diagnostics and the same error text lintFile would produce, so
-// the reassembled results render byte-identically to an in-process run.
-func lintViaDaemon(addr string, opts daemon.ClientOptions, req daemon.LintRequest, results []*analysis.Result, errOuts []bytes.Buffer) error {
+// lintViaDaemon serves the batch from a superd daemon, which builds each
+// unit with the same daemon.Lint an in-process run uses.
+func lintViaDaemon(addr string, opts daemon.ClientOptions, req daemon.LintRequest) ([]daemon.LintUnit, error) {
 	client, err := daemon.DialOptions(addr, opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	resp, err := client.Lint(&req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for i, u := range resp.Units {
-		errOuts[i].WriteString(u.Errors)
-		if u.Failed {
-			continue // results[i] stays nil, as lintFile returns on failure
-		}
-		r := &analysis.Result{File: u.File, Stats: u.Stats}
-		for _, d := range u.Diags {
-			r.Diags = append(r.Diags, d.ToAnalysis())
-		}
-		results[i] = r
-	}
-	return nil
+	return resp.Units, nil
 }
 
 // linkViaDaemon serves the corpus-wide link join from a superd daemon. The
 // daemon extracts (or replays store-cached) per-unit facts, joins them in
-// one space, and returns the findings as framework diagnostics in total
-// order — built through the same link.Finding renderer as the in-process
-// path, so the merged output is byte-identical.
-func linkViaDaemon(addr string, opts daemon.ClientOptions, req daemon.LinkRequest, results []*analysis.Result) (string, error) {
+// one space, and returns the findings in total order; rebuilt as
+// link.Findings they merge exactly like an in-process join's.
+func linkViaDaemon(addr string, opts daemon.ClientOptions, req daemon.LinkRequest) ([]link.Finding, string, error) {
 	client, err := daemon.DialOptions(addr, opts)
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
 	resp, err := client.Link(&req)
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
 	findings := make([]link.Finding, len(resp.Findings))
 	for i, f := range resp.Findings {
 		findings[i] = f.ToLink()
 	}
-	mergeLinkDiags(results, req.Files, findings)
-	stats := fmt.Sprintf("%d units, %d symbols, %d facts, %d findings",
-		resp.Units, resp.Symbols, resp.Facts, len(resp.Findings))
-	return stats, nil
+	return findings, linkSummary(link.Stats{Units: resp.Units, Symbols: resp.Symbols, Facts: resp.Facts, Findings: len(findings)}), nil
 }
 
-// lintFile parses and analyzes one unit; a nil result is returned only when
-// the unit could not be processed at all (the error is on w). With doLink
-// the same parse also yields the unit's conditional link facts.
-func lintFile(cfg core.Config, file string, analyzers []*analysis.Analyzer, limits guard.Limits, doLink bool, w io.Writer) (*analysis.Result, *link.Facts) {
-	tool := core.New(cfg)
-	if !limits.Zero() {
-		tool.SetBudget(guard.New(context.Background(), limits))
-	}
-	res, err := tool.ParseFile(file)
-	if err != nil {
-		fmt.Fprintf(w, "clint: %s: %v\n", file, err)
-		return nil, nil
-	}
-	for _, d := range res.Unit.Diags {
-		if !d.Warning {
-			fmt.Fprintf(w, "clint: %s\n", d)
-		}
-	}
-	unit := &analysis.Unit{
-		File:   file,
-		Space:  tool.Space(),
-		AST:    res.AST,
-		PP:     res.Unit,
-		Budget: tool.Budget(),
-	}
-	var facts *link.Facts
-	if doLink {
-		facts = analysis.ExtractLinkFacts(unit)
-	}
-	return analysis.Run(unit, analyzers), facts
+// linkSummary renders the -stats link line.
+func linkSummary(s link.Stats) string {
+	return fmt.Sprintf("%d units, %d symbols, %d facts, %d findings", s.Units, s.Symbols, s.Facts, s.Findings)
 }
 
 // mergeLinkDiags folds corpus-level findings into the per-file results:

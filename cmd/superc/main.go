@@ -36,7 +36,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/cgrammar"
@@ -45,6 +44,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/guard"
+	"repro/internal/harness"
 	"repro/internal/link"
 	"repro/internal/printer"
 	"repro/internal/refactor"
@@ -123,23 +123,10 @@ func main() {
 		facts          *link.Facts
 	}
 	outs := make([]fileOut, len(files))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < cli.Workers(o.Jobs, len(files)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				o := &outs[i]
-				o.exit, o.facts = processFile(core.New(cfg), files[i], ff, &o.stdout, &o.stderr)
-			}
-		}()
-	}
-	for i := range files {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	harness.Parallel(o.Jobs, len(files), func(i int) {
+		o := &outs[i]
+		o.exit, o.facts = processFile(core.New(cfg), files[i], ff, &o.stdout, &o.stderr)
+	})
 	exit := 0
 	var facts []*link.Facts
 	for i := range outs {

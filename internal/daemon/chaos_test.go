@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -258,5 +259,90 @@ func TestChaosBreakerFallback(t *testing.T) {
 	}
 	if m := c.Metrics(); m.BreakerOpens != 1 || m.FastFails == 0 {
 		t.Fatalf("metrics = %+v", m)
+	}
+}
+
+// armUnitPanic arms a fault plan that panics exactly one of files at the
+// parse-start fault point. Every fault decision is a pure function of
+// (seed, unit, point), so the seed search is deterministic.
+func armUnitPanic(t *testing.T, files []string, poisoned string) {
+	t.Helper()
+	t.Cleanup(faultinject.Disarm)
+	for seed := int64(0); seed < 1000; seed++ {
+		faultinject.Arm(faultinject.Config{Seed: seed, Rate: 0.5,
+			Kinds: []faultinject.Kind{faultinject.KindPanic}, Points: []string{faultinject.PointParse}})
+		only := true
+		for _, f := range files {
+			if fire, _ := faultinject.Fires(f, faultinject.PointParse); fire != (f == poisoned) {
+				only = false
+			}
+		}
+		if only {
+			return
+		}
+	}
+	t.Fatalf("no seed below 1000 panics %s alone", poisoned)
+}
+
+// TestChaosUnitPanic panics one unit of a three-file batch on each tool
+// endpoint. The unit must come back failed with the panic text, the other
+// two exactly as in a fault-free batch, and the server must keep serving.
+func TestChaosUnitPanic(t *testing.T) {
+	c := startServer(t, NewServer(Config{Root: writeTestTree(t)}))
+	files := []string{"a.c", "b.c", "broken.c"}
+	const poisoned = "b.c"
+	const panicText = "faultinject: panic at " + faultinject.PointParse + " (unit b.c)"
+	// Returns the lint, parse and link responses for files.
+	batch := func(files []string) (*LintResponse, *ParseResponse, *LinkResponse) {
+		t.Helper()
+		lint, err := c.Lint(&LintRequest{Files: files, IncludePaths: []string{"inc"}, Mode: "bdd"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parse, err := c.Parse(&ParseRequest{Files: files, IncludePaths: []string{"inc"}, Mode: "bdd", Opt: "all"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lnk, err := c.Link(&LinkRequest{Files: files, IncludePaths: []string{"inc"}, Mode: "bdd"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lint, parse, lnk
+	}
+	cleanLint, cleanParse, _ := batch(files)
+	_, _, cleanLink := batch([]string{"a.c", "broken.c"})
+
+	armUnitPanic(t, files, poisoned)
+	lint, parse, lnk := batch(files)
+	faultinject.Disarm()
+
+	for i, f := range files {
+		if f == poisoned {
+			if u := lint.Units[i]; !u.Failed || !strings.Contains(u.Errors, panicText) {
+				t.Errorf("/v1/lint %s = %+v, want failed with %q", f, u, panicText)
+			}
+			if u := parse.Units[i]; !strings.Contains(u.Err, panicText) || u.HasAST {
+				t.Errorf("/v1/parse %s = %+v, want failed with %q", f, u, panicText)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(lint.Units[i], cleanLint.Units[i]) {
+			t.Errorf("/v1/lint %s changed by the panic next door:\n%+v\n%+v", f, lint.Units[i], cleanLint.Units[i])
+		}
+		if !reflect.DeepEqual(parse.Units[i], cleanParse.Units[i]) {
+			t.Errorf("/v1/parse %s changed by the panic next door:\n%+v\n%+v", f, parse.Units[i], cleanParse.Units[i])
+		}
+	}
+	if len(lnk.Failed) != 1 || lnk.Failed[0].File != poisoned || !strings.Contains(lnk.Failed[0].Errors, panicText) {
+		t.Errorf("/v1/link failed = %+v, want %s with %q", lnk.Failed, poisoned, panicText)
+	}
+	lnk.Failed, lnk.FactsMisses = nil, cleanLink.FactsMisses
+	if !reflect.DeepEqual(lnk, cleanLink) {
+		t.Errorf("/v1/link without the panicked unit:\n%+v\nwant the two-unit link\n%+v", lnk, cleanLink)
+	}
+
+	// The server survived: the next batch is served in full.
+	if again, _, _ := batch(files); !reflect.DeepEqual(again, cleanLint) {
+		t.Errorf("lint after the panic = %+v, want %+v", again, cleanLint)
 	}
 }

@@ -71,7 +71,8 @@ int never(void) { return 0; }
 #endif
 cell_t second(void) { return (cell_t)3; }
 `,
-		"broken.c": "#error always broken\n",
+		"broken.c":  "#error always broken\n",
+		"noparse.c": "int f(void) { return 2 }\n",
 	}
 	for name, src := range files {
 		path := filepath.Join(root, name)
@@ -128,8 +129,9 @@ func TestPathConfinement(t *testing.T) {
 	}
 }
 
-// lintInProcess mirrors cmd/clint's lintFile over the same tree, for the
-// differential oracle.
+// lintInProcess is the differential oracle: one unit's analysis built
+// directly from core and analysis over the same tree, without the batch
+// runner.
 func lintInProcess(t *testing.T, root, file string) ([]analysis.Diagnostic, analysis.Stats, string) {
 	t.Helper()
 	tool := core.New(core.Config{
@@ -153,7 +155,7 @@ func TestLintDifferential(t *testing.T) {
 	root := writeTestTree(t)
 	c := startServer(t, NewServer(Config{Root: root}))
 	req := LintRequest{
-		Files:        []string{"a.c", "b.c", "broken.c", "missing.c"},
+		Files:        []string{"a.c", "b.c", "broken.c", "missing.c", "noparse.c"},
 		IncludePaths: []string{"inc"},
 		Mode:         "bdd",
 	}
@@ -161,8 +163,8 @@ func TestLintDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Units) != 4 {
-		t.Fatalf("%d units; want 4", len(resp.Units))
+	if len(resp.Units) != 5 {
+		t.Fatalf("%d units; want 5", len(resp.Units))
 	}
 
 	// broken.c survives (#error is a diagnostic, not a parse failure) but
@@ -175,9 +177,17 @@ func TestLintDifferential(t *testing.T) {
 	if !mu.Failed || !strings.HasPrefix(mu.Errors, "clint: missing.c: ") {
 		t.Fatalf("missing.c unit = %+v", mu)
 	}
+	// noparse.c preprocesses but no configuration parses: superc's wording
+	// on stderr, and the passes still run over the preprocessor's records.
+	if nu := resp.Units[4]; nu.Failed || nu.Errors != "clint: noparse.c: no configuration parsed successfully\n" {
+		t.Fatalf("noparse.c unit = %+v", nu)
+	}
 
-	// The good units match an in-process run diagnostic by diagnostic.
-	for i, file := range []string{"a.c", "b.c"} {
+	// The other units match an in-process run diagnostic by diagnostic.
+	for i, file := range []string{0: "a.c", 1: "b.c", 4: "noparse.c"} {
+		if file == "" {
+			continue
+		}
 		u := resp.Units[i]
 		if u.Failed {
 			t.Fatalf("%s failed: %s", file, u.Errors)
@@ -211,6 +221,31 @@ func TestLintDifferential(t *testing.T) {
 	}
 	if !reflect.DeepEqual(j1, j8) {
 		t.Error("lint response differs between -j1 and -j8")
+	}
+}
+
+// TestLintIncludePathsAsGiven checks that a /v1/lint request without
+// includePaths searches no include directories: the corpus's include/
+// default is for corpus runs only, so a header under <root>/include/ stays
+// unfound.
+func TestLintIncludePathsAsGiven(t *testing.T) {
+	root := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(root, "include"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "include", "hdr.h"), []byte("int h;\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "uses.c"), []byte("#include \"hdr.h\"\nint x;\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := startServer(t, NewServer(Config{Root: root}))
+	resp, err := c.Lint(&LintRequest{Files: []string{"uses.c"}, Mode: "bdd"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "clint: uses.c:1:1: error: include not found: hdr.h\n"; resp.Units[0].Errors != want {
+		t.Errorf("uses.c errors = %q, want %q", resp.Units[0].Errors, want)
 	}
 }
 

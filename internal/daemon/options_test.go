@@ -11,9 +11,10 @@ import (
 
 // TestFlagsAgreeWithDaemon is the agreement oracle between the two
 // resolution paths of one set of pipeline flags: the in-process core.Config
-// cli.Options resolves, and the config the daemon resolves from the request
-// a CLI builds out of the same flags (after a wire round trip). The server
-// allows 8 workers, so its QoS clamp stays out of the way of -parse-workers.
+// cli.Options resolves, and the harness.RunConfig the daemon resolves from
+// the request a CLI builds out of the same flags (after a wire round trip).
+// The server allows 8 workers, so its QoS clamp stays out of the way of
+// -parse-workers.
 func TestFlagsAgreeWithDaemon(t *testing.T) {
 	s := NewServer(Config{Root: t.TempDir(), MaxJobs: 8})
 	for _, args := range [][]string{
@@ -50,7 +51,7 @@ func TestFlagsAgreeWithDaemon(t *testing.T) {
 		if err := json.Unmarshal(data, &wire); err != nil {
 			t.Fatal(err)
 		}
-		remote, _, err := s.resolve(wire.pipeline())
+		remote, err := s.resolve(wire.pipeline())
 		if err != nil {
 			t.Fatalf("%v: daemon rejected the request: %v", args, err)
 		}
@@ -61,11 +62,11 @@ func TestFlagsAgreeWithDaemon(t *testing.T) {
 		if len(remote.Defines)+len(local.Defines) > 0 && !reflect.DeepEqual(remote.Defines, local.Defines) {
 			t.Errorf("%v: defines %v, in-process %v", args, remote.Defines, local.Defines)
 		}
-		if remote.CondMode != local.CondMode {
-			t.Errorf("%v: mode %v, in-process %v", args, remote.CondMode, local.CondMode)
+		if remote.Mode != local.CondMode {
+			t.Errorf("%v: mode %v, in-process %v", args, remote.Mode, local.CondMode)
 		}
-		if *remote.Parser != *local.Parser {
-			t.Errorf("%v: parser %+v, in-process %+v", args, *remote.Parser, *local.Parser)
+		if remote.Parser != *local.Parser {
+			t.Errorf("%v: parser %+v, in-process %+v", args, remote.Parser, *local.Parser)
 		}
 		if remote.ParseWorkers != local.ParseWorkers {
 			t.Errorf("%v: parse workers %d, in-process %d", args, remote.ParseWorkers, local.ParseWorkers)

@@ -14,7 +14,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/analysis"
@@ -323,12 +322,13 @@ func selectPasses(names []string) ([]*analysis.Analyzer, error) {
 	return passes.ByName(names), nil
 }
 
-// jobs clamps a requested worker count to the server bound.
-func (s *Server) jobs(req, n int) int {
+// jobs clamps a requested worker count to the server bound (0 asks for
+// the bound).
+func (s *Server) jobs(req int) int {
 	if req <= 0 || req > s.cfg.MaxJobs {
-		req = s.cfg.MaxJobs
+		return s.cfg.MaxJobs
 	}
-	return cli.Workers(req, n)
+	return req
 }
 
 // parseWorkers clamps a requested intra-unit worker count to the server
@@ -351,83 +351,69 @@ type pipeline struct {
 	defines             map[string]string
 	mode, opt           string
 	single              bool
-	parseWorkers        int
+	jobs, parseWorkers  int
 	limits              Limits
 }
 
 func (r *LintRequest) pipeline() pipeline {
 	return pipeline{files: r.Files, includePaths: r.IncludePaths, defines: r.Defines,
-		mode: r.Mode, parseWorkers: r.ParseWorkers, limits: r.Limits}
+		mode: r.Mode, jobs: r.Jobs, parseWorkers: r.ParseWorkers, limits: r.Limits}
 }
 
 func (r *ParseRequest) pipeline() pipeline {
 	return pipeline{files: r.Files, includePaths: r.IncludePaths, defines: r.Defines,
-		mode: r.Mode, opt: r.Opt, single: r.Single, parseWorkers: r.ParseWorkers, limits: r.Limits}
+		mode: r.Mode, opt: r.Opt, single: r.Single, jobs: r.Jobs, parseWorkers: r.ParseWorkers, limits: r.Limits}
 }
 
 func (r *LinkRequest) pipeline() pipeline {
 	return pipeline{files: r.Files, includePaths: r.IncludePaths, defines: r.Defines,
-		mode: r.Mode, parseWorkers: r.ParseWorkers, limits: r.Limits}
+		mode: r.Mode, jobs: r.Jobs, parseWorkers: r.ParseWorkers, limits: r.Limits}
 }
 
 func (r *CorpusRequest) pipeline() pipeline {
 	return pipeline{mode: r.Mode, opt: r.Opt, single: r.Single,
-		parseWorkers: r.ParseWorkers, limits: r.Limits}
+		jobs: r.Jobs, parseWorkers: r.ParseWorkers, limits: r.Limits}
 }
 
 // resolve validates a request's pipeline block and turns it into the
-// core.Config its units run under — names through the same lookups as the
-// CLI flags, paths confined to the root, parse workers clamped, the warm
-// header cache attached unless single-configuration — plus the per-unit
-// limits clamped to the server caps.
-func (s *Server) resolve(p pipeline) (core.Config, guard.Limits, error) {
+// harness.RunConfig its units run under — names through the same lookups
+// as the CLI flags, paths confined to the root, jobs and parse workers
+// clamped, the warm header cache attached (RunUnits drops it in
+// single-configuration mode) and the per-unit limits clamped to the server
+// caps.
+func (s *Server) resolve(p pipeline) (harness.RunConfig, error) {
 	mode, err := cli.ParseMode(p.mode)
 	if err != nil {
-		return core.Config{}, guard.Limits{}, err
+		return harness.RunConfig{}, err
 	}
 	opts, err := cli.ParseLevel(p.opt)
 	if err != nil {
-		return core.Config{}, guard.Limits{}, err
+		return harness.RunConfig{}, err
 	}
 	if err := checkLocal(p.files); err != nil {
-		return core.Config{}, guard.Limits{}, err
+		return harness.RunConfig{}, err
 	}
 	if err := checkLocal(p.includePaths); err != nil {
-		return core.Config{}, guard.Limits{}, err
+		return harness.RunConfig{}, err
 	}
-	cfg := core.Config{
-		FS:           rootFS{s.cfg.Root},
-		IncludePaths: p.includePaths,
+	return harness.RunConfig{
+		Mode:         mode,
+		Parser:       opts,
+		Single:       p.single,
 		Defines:      p.defines,
-		CondMode:     mode,
-		Parser:       &opts,
-		SingleConfig: p.single,
+		Jobs:         s.jobs(p.jobs),
 		ParseWorkers: s.parseWorkers(p.parseWorkers),
-	}
-	if !p.single {
-		cfg.HeaderCache = s.hc
-	}
-	return cfg, Clamp(p.limits.ToGuard(), s.cfg.Caps), nil
+		IncludePaths: p.includePaths,
+		HeaderCache:  s.hc,
+		Budget:       Clamp(p.limits.ToGuard(), s.cfg.Caps),
+	}, nil
 }
 
-// forEach runs fn over indices 0..n-1 on a bounded worker pool.
-func forEach(n, workers int, fn func(i int)) {
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				fn(i)
-			}
-		}()
+// fold adds finished units to the harness_* totals every endpoint shares.
+func (s *Server) fold(results []harness.UnitResult) {
+	for i := range results {
+		harness.UnitFields.Fold(s.units, &results[i])
 	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
 }
 
 func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
@@ -437,69 +423,57 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	cfg, limits, err := s.resolve(req.pipeline())
+	cfg, err := s.resolve(req.pipeline())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	analyzers, err := selectPasses(req.Passes)
-	if err != nil {
+	if cfg.Analyzers, err = selectPasses(req.Passes); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if analyzers == nil {
-		analyzers = passes.All()
+	if cfg.Analyzers == nil {
+		cfg.Analyzers = passes.All()
 	}
-	resp := LintResponse{Units: make([]LintUnit, len(req.Files))}
-	forEach(len(req.Files), s.jobs(req.Jobs, len(req.Files)), func(i int) {
-		resp.Units[i] = s.lintUnit(r.Context(), cfg, req.Files[i], analyzers, limits)
-	})
+	units, results := Lint(r.Context(), rootFS{s.cfg.Root}, req.Files, cfg)
+	s.fold(results)
 	s.counts.Add(unitsTotal, int64(len(req.Files)))
-	writeJSON(w, &resp)
+	writeJSON(w, &LintResponse{Units: units})
 }
 
-// lintUnit mirrors cmd/clint's lintFile: same tool construction, same error
-// text, so the client's reassembled output is byte-identical.
-func (s *Server) lintUnit(ctx context.Context, cfg core.Config, file string, analyzers []*analysis.Analyzer, limits guard.Limits) LintUnit {
-	u := LintUnit{File: file}
-	tool := core.New(cfg)
-	budget := guard.New(ctx, limits)
-	tool.SetBudget(budget)
-	m, res := harness.Measure(tool, file)
-	defer s.finish(&m, budget)
-	if res == nil {
-		u.Failed = true
-		u.Errors = fmt.Sprintf("clint: %s: %s\n", file, m.Err)
-		return u
-	}
-	var errs strings.Builder
-	for _, d := range res.Unit.Diags {
-		if !d.Warning {
-			fmt.Fprintf(&errs, "clint: %s\n", d)
+// Lint runs files through harness.RunUnits under cfg and builds each
+// unit's LintUnit: cfg.Analyzers' diagnostics plus the stderr text clint
+// prints. It is the one lint path behind /v1/lint and clint's in-process
+// run, so both render the same bytes. With cfg.Link the same parse also
+// yields each unit's link facts, in the returned results.
+func Lint(ctx context.Context, fs preprocessor.FileSystem, files []string, cfg harness.RunConfig) ([]LintUnit, []harness.UnitResult) {
+	units := make([]LintUnit, len(files))
+	results := harness.RunUnits(ctx, fs, files, cfg, func(i int, _ *core.Tool, res *core.Result, r *harness.UnitResult) {
+		var errs strings.Builder
+		for _, d := range res.Unit.Diags {
+			if !d.Warning {
+				fmt.Fprintf(&errs, "clint: %s\n", d)
+			}
+		}
+		if res.AST == nil {
+			fmt.Fprintf(&errs, "clint: %s: no configuration parsed successfully\n", r.File)
+		}
+		u := LintUnit{File: r.File, Errors: errs.String()}
+		if a := r.Analysis; a != nil {
+			u.Diags = make([]Diag, len(a.Diags))
+			for j, d := range a.Diags {
+				u.Diags[j] = FromAnalysis(d)
+			}
+			u.Stats = a.Stats
+		}
+		units[i] = u
+	})
+	for i := range results {
+		if r := &results[i]; r.Err != "" {
+			units[i] = LintUnit{File: r.File, Failed: true, Errors: fmt.Sprintf("clint: %s: %s\n", r.File, r.Err)}
 		}
 	}
-	u.Errors = errs.String()
-	result := analysis.Run(&analysis.Unit{
-		File:   file,
-		Space:  tool.Space(),
-		AST:    res.AST,
-		PP:     res.Unit,
-		Budget: tool.Budget(),
-	}, analyzers)
-	u.Diags = make([]Diag, len(result.Diags))
-	for i, d := range result.Diags {
-		u.Diags[i] = FromAnalysis(d)
-	}
-	u.Stats = result.Stats
-	m.Analysis = result
-	return u
-}
-
-// finish records a unit one of the tool endpoints measured: its budget
-// outcome, then the harness_* totals every endpoint shares.
-func (s *Server) finish(m *harness.UnitResult, budget *guard.Budget) {
-	m.Budget = budget.Trip()
-	harness.UnitFields.Fold(s.units, m)
+	return units, results
 }
 
 func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
@@ -509,51 +483,38 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	cfg, limits, err := s.resolve(req.pipeline())
+	cfg, err := s.resolve(req.pipeline())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	resp := ParseResponse{Units: make([]ParseUnit, len(req.Files))}
-	forEach(len(req.Files), s.jobs(req.Jobs, len(req.Files)), func(i int) {
-		resp.Units[i] = s.parseUnit(r.Context(), cfg, req.Files[i], limits)
+	// Each unit's superc-style summary: timings excluded, space-tied parse
+	// diagnostics pre-rendered while the unit's tool is live.
+	units := make([]ParseUnit, len(req.Files))
+	results := harness.RunUnits(r.Context(), rootFS{s.cfg.Root}, req.Files, cfg, func(i int, tool *core.Tool, res *core.Result, m *harness.UnitResult) {
+		u := ParseUnit{File: m.File, Pre: m.Pre, PreDiags: res.Unit.Diags, Killed: m.Killed, HasAST: res.AST != nil}
+		u.Pre.LexTime = 0
+		for _, d := range res.Parse.Diags {
+			u.ParseErrs = append(u.ParseErrs, fmt.Sprintf("%s: parse error under %s: %s",
+				d.Tok.Pos(), tool.Space().String(d.Cond), d.Msg))
+		}
+		u.Parse = parseStats(m)
+		if u.HasAST {
+			u.Parse.ASTNodes, u.Parse.ChoiceNodes = res.AST.Count(), res.AST.CountChoices()
+		}
+		units[i] = u
 	})
-	resp.TableCache = cgrammar.TableCacheState()
+	for i := range results {
+		m := &results[i]
+		if m.Err != "" {
+			units[i] = ParseUnit{File: m.File, Err: m.Err}
+		} else if m.Budget != nil {
+			units[i].BudgetErr = fmt.Sprintf("%v", m.Budget)
+		}
+	}
+	s.fold(results)
 	s.counts.Add(unitsTotal, int64(len(req.Files)))
-	writeJSON(w, &resp)
-}
-
-// parseUnit runs one superc-style unit and extracts the deterministic
-// summary (timings excluded; space-tied parse diagnostics pre-rendered).
-func (s *Server) parseUnit(ctx context.Context, cfg core.Config, file string, limits guard.Limits) ParseUnit {
-	u := ParseUnit{File: file}
-	tool := core.New(cfg)
-	budget := guard.New(ctx, limits)
-	tool.SetBudget(budget)
-	m, res := harness.Measure(tool, file)
-	defer s.finish(&m, budget)
-	if res == nil {
-		u.Err = m.Err
-		return u
-	}
-	u.PreDiags = res.Unit.Diags
-	for _, d := range res.Parse.Diags {
-		u.ParseErrs = append(u.ParseErrs, fmt.Sprintf("%s: parse error under %s: %s",
-			d.Tok.Pos(), tool.Space().String(d.Cond), d.Msg))
-	}
-	u.Killed = res.Parse.Killed
-	u.Pre = res.Unit.Stats
-	u.Pre.LexTime = 0
-	u.Parse = parseStats(&m)
-	if res.AST != nil {
-		u.HasAST = true
-		u.Parse.ASTNodes = res.AST.Count()
-		u.Parse.ChoiceNodes = res.AST.CountChoices()
-	}
-	if d := budget.Trip(); d != nil {
-		u.BudgetErr = fmt.Sprintf("%v", d)
-	}
-	return u
+	writeJSON(w, &ParseResponse{Units: units, TableCache: cgrammar.TableCacheState()})
 }
 
 func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
@@ -563,17 +524,18 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	cfg, limits, err := s.resolve(req.pipeline())
+	cfg, err := s.resolve(req.pipeline())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	fp := linkFingerprint(cfg, limits)
+	cfg.Link = true
+	fs := rootFS{s.cfg.Root}
+	fp := linkFingerprint(cfg)
 	useFacts := s.cfg.Store != nil && !req.NoFacts
 	facts := make([]*link.Facts, len(req.Files))
-	unitErrs := make([]string, len(req.Files))
-	var hits, misses stats.Counter
-	forEach(len(req.Files), s.jobs(req.Jobs, len(req.Files)), func(i int) {
+	results := make([]*harness.UnitResult, len(req.Files)) // nil: facts came from the store
+	harness.Parallel(cfg.Jobs, len(req.Files), func(i int) {
 		file := req.Files[i]
 		// The cache key folds in the root file's content hash, so editing a
 		// .c file invalidates its facts across restarts. Header edits are not
@@ -581,48 +543,46 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 		// changing shared headers.
 		var key string
 		if useFacts {
-			if data, err := cfg.FS.ReadFile(file); err == nil {
+			if data, err := fs.ReadFile(file); err == nil {
 				key = fmt.Sprintf("%s\x00%s\x00%x", fp, file, sha256.Sum256(data))
 				if raw, ok := s.cfg.Store.Get(store.NSLink, key); ok {
 					if f, err := link.DecodeFacts(raw); err == nil {
 						facts[i] = f
-						hits.Inc()
 						return
 					}
 					s.cfg.Store.Delete(store.NSLink, key)
 				}
 			}
 		}
-		misses.Inc()
-		tool := core.New(cfg)
-		budget := guard.New(r.Context(), limits)
-		tool.SetBudget(budget)
-		m, res := harness.Measure(tool, file)
-		defer s.finish(&m, budget)
-		if res == nil {
-			unitErrs[i] = fmt.Sprintf("%s: %s\n", file, m.Err)
-			return
-		}
-		if res.AST == nil {
-			unitErrs[i] = fmt.Sprintf("%s: no AST (parse failed)\n", file)
-			return
-		}
-		f := analysis.ExtractLinkFacts(&analysis.Unit{
-			File:   file,
-			Space:  tool.Space(),
-			AST:    res.AST,
-			PP:     res.Unit,
-			Budget: tool.Budget(),
-		})
-		facts[i] = f
-		// Budget-tripped extractions may be truncated; only complete fact
-		// sets persist.
-		if key != "" && budget.Trip() == nil {
-			if data, err := f.Encode(); err == nil {
-				s.cfg.Store.Put(store.NSLink, key, data)
+		// A miss runs as a batch of one on this worker, so its parse and
+		// store write overlap the other workers' lookups (after all the
+		// lookups, the misses' parses and fsyncs added about 6% to a warm
+		// 200-unit request on 2 vCPUs). Budget-tripped extractions may be
+		// truncated; only complete fact sets persist.
+		results[i] = &harness.RunUnits(r.Context(), fs, []string{file}, cfg, func(_ int, tool *core.Tool, _ *core.Result, m *harness.UnitResult) {
+			if key != "" && m.LinkFacts != nil && tool.Budget().Trip() == nil {
+				if data, err := m.LinkFacts.Encode(); err == nil {
+					s.cfg.Store.Put(store.NSLink, key, data)
+				}
 			}
-		}
+		})[0]
+		facts[i] = results[i].LinkFacts
 	})
+	var resp LinkResponse
+	for _, m := range results {
+		if m == nil {
+			resp.FactsHits++
+			continue
+		}
+		resp.FactsMisses++
+		harness.UnitFields.Fold(s.units, m)
+		switch {
+		case m.Err != "":
+			resp.Failed = append(resp.Failed, LinkUnit{File: m.File, Errors: fmt.Sprintf("%s: %s\n", m.File, m.Err)})
+		case m.LinkFacts == nil:
+			resp.Failed = append(resp.Failed, LinkUnit{File: m.File, Errors: fmt.Sprintf("%s: no AST (parse failed)\n", m.File)})
+		}
+	}
 	joined := make([]*link.Facts, 0, len(facts))
 	for _, f := range facts {
 		if f != nil {
@@ -630,25 +590,14 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	lr := link.Link(joined, s.hc.Canon())
-	resp := LinkResponse{
-		Units:       lr.Stats.Units,
-		Symbols:     lr.Stats.Symbols,
-		Facts:       lr.Stats.Facts,
-		Findings:    make([]LinkFinding, len(lr.Findings)),
-		FactsHits:   hits.Load(),
-		FactsMisses: misses.Load(),
-	}
+	resp.Units, resp.Symbols, resp.Facts = lr.Stats.Units, lr.Stats.Symbols, lr.Stats.Facts
+	resp.Findings = make([]LinkFinding, len(lr.Findings))
 	for i, f := range lr.Findings {
 		resp.Findings[i] = FromLink(f)
 	}
-	for i, e := range unitErrs {
-		if e != "" {
-			resp.Failed = append(resp.Failed, LinkUnit{File: req.Files[i], Errors: e})
-		}
-	}
 	s.counts.Add(unitsTotal, int64(len(req.Files)))
-	s.counts.Add(linkFactsHits, hits.Load())
-	s.counts.Add(linkFactsMisses, misses.Load())
+	s.counts.Add(linkFactsHits, resp.FactsHits)
+	s.counts.Add(linkFactsMisses, resp.FactsMisses)
 	link.Fields.Fold(s.links, &lr.Stats)
 	writeJSON(w, &resp)
 }
@@ -660,14 +609,14 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 // configurations share a key, and an omitted mode keys like "bdd". Jobs and
 // ParseWorkers are deliberately excluded — extraction is deterministic at
 // any worker count.
-func linkFingerprint(cfg core.Config, limits guard.Limits) string {
+func linkFingerprint(cfg harness.RunConfig) string {
 	key := struct {
 		Version      string
 		Mode         cond.Mode
 		IncludePaths []string
 		Defines      map[string]string
 		Limits       guard.Limits
-	}{Version: Version, Mode: cfg.CondMode, Limits: limits}
+	}{Version: Version, Mode: cfg.Mode, Limits: cfg.Budget}
 	if len(cfg.IncludePaths) > 0 {
 		key.IncludePaths = cfg.IncludePaths
 	}
@@ -685,18 +634,17 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	cfg, limits, err := s.resolve(req.pipeline())
+	cfg, err := s.resolve(req.pipeline())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	analyzers, err := selectPasses(req.Passes)
-	if err != nil {
+	if cfg.Analyzers, err = selectPasses(req.Passes); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	c := corpus.Generate(corpus.Params{Seed: req.Seed, CFiles: req.CFiles, GenHeaders: req.Headers})
-	fp := s.factsFingerprint(req, limits)
+	fp := s.factsFingerprint(req, cfg.Budget)
 
 	resp := CorpusResponse{Units: make([]CorpusUnit, len(c.CFiles))}
 	var missing []int
@@ -715,18 +663,9 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 		for j, i := range missing {
 			sub.CFiles[j] = c.CFiles[i]
 		}
-		results, _ := harness.RunMetered(r.Context(), &sub, harness.RunConfig{
-			Mode:         cfg.CondMode,
-			Parser:       *cfg.Parser,
-			Single:       cfg.SingleConfig,
-			Jobs:         s.jobs(req.Jobs, len(missing)),
-			ParseWorkers: cfg.ParseWorkers,
-			HeaderCache:  cfg.HeaderCache,
-			Budget:       limits,
-			Analyzers:    analyzers,
-		})
+		results, _ := harness.RunMetered(r.Context(), &sub, cfg)
+		s.fold(results)
 		for j, i := range missing {
-			harness.UnitFields.Fold(s.units, &results[j])
 			u := toCorpusUnit(&results[j])
 			resp.Units[i] = u
 			// A unit that errored (cancelled run, panic) is not a

@@ -1,20 +1,22 @@
 // Package harness drives the paper's evaluation (§6) over the synthetic
 // corpus and renders each table and figure in the paper's format. It is
 // shared by cmd/cstats, cmd/fmlrbench, and the repository's root
-// benchmarks.
+// benchmarks. Its RunUnits is also the one batch runner behind superd's
+// /v1/lint, /v1/parse and /v1/link and clint's in-process run.
 //
 // # Concurrent design
 //
 // Compilation units are independent — each gets a fresh core.Tool with its
-// own presence-condition space and macro table — so Run fans them out over
-// a bounded worker pool (RunConfig.Jobs wide, GOMAXPROCS by default).
-// Results land in a slice indexed by the unit's corpus position, so output
+// own presence-condition space and macro table — so RunUnits fans them out
+// over a bounded worker pool (RunConfig.Jobs wide, GOMAXPROCS by default).
+// Results land in a slice indexed by the unit's position, so output
 // ordering is deterministic regardless of scheduling, and per-unit timing
 // is measured inside the worker exactly as in the sequential harness. A
 // unit that panics or trips the subparser kill switch degrades to a
-// recorded failure in its UnitResult instead of taking down the run, and a
-// cancelled context marks the not-yet-processed remainder as skipped at
-// unit granularity.
+// recorded failure in its UnitResult instead of taking down the batch, and
+// a cancelled context marks the not-yet-processed remainder as skipped at
+// unit granularity. Callers add their own per-unit work through RunUnits'
+// callback, which runs behind the same panic barrier.
 //
 // # Resource governance
 //
@@ -84,10 +86,13 @@ func (cfg RunConfig) headerCache() *hcache.Cache {
 
 // RunConfig selects one experimental arm.
 type RunConfig struct {
-	Mode    cond.Mode
-	Parser  fmlr.Options
-	Single  bool
-	Defines map[string]string // single-configuration defines
+	Mode   cond.Mode
+	Parser fmlr.Options
+	Single bool
+	// Defines are -D style macro definitions seeding every unit's macro
+	// table, in every mode; in single-configuration mode they also decide
+	// the conditionals.
+	Defines map[string]string
 	// Jobs bounds the worker pool: 0 means GOMAXPROCS, 1 is fully
 	// sequential.
 	Jobs int
@@ -98,9 +103,8 @@ type RunConfig struct {
 	// Jobs: each of the Jobs units in flight may fan out up to ParseWorkers
 	// region parses.
 	ParseWorkers int
-	// IncludePaths overrides the corpus include directories for this run
-	// (empty defers to the package-level IncludePaths). The daemon sets it
-	// per request, since different corpora need different include roots.
+	// IncludePaths are the #include search directories. RunUnits uses them
+	// as given; RunMetered fills in the corpus's IncludePaths when empty.
 	IncludePaths []string
 	// HeaderCache overrides the shared cross-unit header cache for this run.
 	// nil uses the process-wide default cache unless NoHeaderCache is set.
@@ -118,22 +122,13 @@ type RunConfig struct {
 	Quarantine bool
 	// Analyzers, when non-empty, runs the variability-aware analysis passes
 	// over every unit after parsing (internal/analysis); each unit's
-	// diagnostics land in its UnitResult.Analysis and the run's counters in
-	// Metrics.
+	// diagnostics land in its UnitResult.Analysis.
 	Analyzers []*analysis.Analyzer
 	// Link extracts per-unit conditional link facts after parsing (each
-	// unit's facts land in UnitResult.LinkFacts) and joins them corpus-wide
-	// once every unit finishes; the findings land in Metrics.LinkResult and
-	// the run's link counters in Metrics.
+	// unit's facts land in UnitResult.LinkFacts). RunMetered also joins
+	// them corpus-wide once every unit finishes; the findings land in
+	// Metrics.LinkResult and the run's link counters in Metrics.
 	Link bool
-}
-
-// includePaths resolves the effective include directories.
-func (cfg RunConfig) includePaths() []string {
-	if len(cfg.IncludePaths) > 0 {
-		return cfg.IncludePaths
-	}
-	return IncludePaths
 }
 
 // UnitResult is one compilation unit's measurements.
@@ -182,18 +177,14 @@ func Run(c *corpus.Corpus, cfg RunConfig) []UnitResult {
 	return results
 }
 
-// RunMetered is Run with cancellation and a metrics snapshot. Units are
-// distributed over cfg.Jobs workers; results keep corpus order. When ctx is
-// cancelled, units not yet started are recorded as failed with Err
-// "run cancelled" and the call returns after in-flight units finish.
+// RunMetered is Run with cancellation and a metrics snapshot: RunUnits over
+// the corpus (whose include directories fill in when cfg names none), each
+// parsed unit's choice nodes counted, then the fold, the corpus-wide link
+// join and the snapshot.
 func RunMetered(ctx context.Context, c *corpus.Corpus, cfg RunConfig) ([]UnitResult, Metrics) {
-	parser := cfg.Parser
-	if parser.ParseWorkers == 0 {
-		parser.ParseWorkers = cfg.ParseWorkers
+	if len(cfg.IncludePaths) == 0 {
+		cfg.IncludePaths = IncludePaths
 	}
-	jobs := cli.Workers(cfg.Jobs, len(c.CFiles))
-	out := make([]UnitResult, len(c.CFiles))
-	var inFlight stats.HighWater
 	hc := cfg.headerCache()
 	var st *store.Store
 	if hc != nil {
@@ -203,40 +194,14 @@ func RunMetered(ctx context.Context, c *corpus.Corpus, cfg RunConfig) ([]UnitRes
 	}
 	before := snapshot(runTotals{}, make([]int64, len(UnitFields)), link.Stats{}, hc, st)
 	start := time.Now()
+	var inFlight stats.HighWater
+	out := runUnits(ctx, c.FS, c.CFiles, cfg, &inFlight, func(_ int, _ *core.Tool, res *core.Result, r *UnitResult) {
+		if res.AST != nil {
+			r.ChoiceNodes = res.AST.CountChoices()
+		}
+	})
 
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if ctx.Err() != nil {
-					out[i] = UnitResult{File: c.CFiles[i], ParseFail: true, Err: "run cancelled"}
-					continue
-				}
-				inFlight.Enter()
-				r := runUnitSafe(ctx, c, cfg, parser, hc, c.CFiles[i])
-				if cfg.Quarantine && r.unhealthy() && ctx.Err() == nil {
-					retry := runUnitSafe(ctx, c, cfg, parser, hc, c.CFiles[i])
-					retry.Retried = true
-					if retry.unhealthy() {
-						retry.Quarantined = true
-					}
-					r = retry
-				}
-				inFlight.Exit()
-				out[i] = r
-			}
-		}()
-	}
-	for i := range c.CFiles {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-
-	run := runTotals{jobs: int64(jobs), maxInFlight: inFlight.Max(), wallNS: int64(time.Since(start))}
+	run := runTotals{jobs: int64(cli.Workers(cfg.Jobs, len(c.CFiles))), maxInFlight: inFlight.Max(), wallNS: int64(time.Since(start))}
 	run.tableCacheHits, run.tableCacheMisses = cgrammar.TableCacheStats()
 	var m Metrics
 	units := stats.NewCounterSet(len(UnitFields))
@@ -269,6 +234,72 @@ func RunMetered(ctx context.Context, c *corpus.Corpus, cfg RunConfig) ([]UnitRes
 	return out, m
 }
 
+// RunUnits is the one batch runner: it processes files, read through fs,
+// on a pool of cfg.Jobs workers and returns one result per file, in file
+// order. Every unit gets its own core.Tool and guard.Budget on ctx, so
+// units share no mutable state and cancelling ctx abandons in-flight units;
+// once ctx is done, units not yet started are recorded as failed with Err
+// "run cancelled". A unit that panics is recorded as failed with the panic
+// text and stack instead of taking down the process, and with
+// cfg.Quarantine a panicked or budget-tripped unit is retried once.
+//
+// Each unit that preprocesses is parsed, then runs cfg.Analyzers into
+// UnitResult.Analysis and, with cfg.Link and an AST, extracts its link
+// facts into UnitResult.LinkFacts (RunUnits does not join them). each, when
+// non-nil, then sees the unit inside the panic barrier while its tool is
+// still live; the unit's budget outcome is recorded after it returns.
+// RunUnits uses cfg.IncludePaths as given: the corpus directories are
+// RunMetered's default, not its own.
+func RunUnits(ctx context.Context, fs preprocessor.FileSystem, files []string, cfg RunConfig, each func(i int, tool *core.Tool, res *core.Result, r *UnitResult)) []UnitResult {
+	return runUnits(ctx, fs, files, cfg, new(stats.HighWater), each)
+}
+
+func runUnits(ctx context.Context, fs preprocessor.FileSystem, files []string, cfg RunConfig, inFlight *stats.HighWater, each func(int, *core.Tool, *core.Result, *UnitResult)) []UnitResult {
+	u := unitRun{ctx: ctx, fs: fs, cfg: cfg, parser: cfg.Parser, hc: cfg.headerCache(), each: each}
+	if u.parser.ParseWorkers == 0 {
+		u.parser.ParseWorkers = cfg.ParseWorkers
+	}
+	out := make([]UnitResult, len(files))
+	Parallel(cfg.Jobs, len(files), func(i int) {
+		if ctx.Err() != nil {
+			out[i] = UnitResult{File: files[i], ParseFail: true, Err: "run cancelled"}
+			return
+		}
+		inFlight.Enter()
+		defer inFlight.Exit()
+		out[i] = u.runSafe(i, files[i])
+		if cfg.Quarantine && out[i].unhealthy() && ctx.Err() == nil {
+			out[i] = u.runSafe(i, files[i])
+			out[i].Retried = true
+			out[i].Quarantined = out[i].unhealthy()
+		}
+	})
+	return out
+}
+
+// Parallel calls fn(i) for every i in [0, n) on cli.Workers(jobs, n)
+// goroutines and returns once every call has returned. It is RunUnits'
+// pool, and the one other batches share: superd's /v1/link store lookups
+// (each miss then runs as a RunUnits batch of one) and superc's units.
+func Parallel(jobs, n int, fn func(i int)) {
+	work := make(chan int)
+	var wg sync.WaitGroup
+	for w := cli.Workers(jobs, n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
+}
+
 // testHookUnitStart, when set, runs at the top of every unit (inside the
 // panic barrier); tests use it to inject worker panics.
 var testHookUnitStart func(file string)
@@ -281,11 +312,20 @@ func (r *UnitResult) unhealthy() bool {
 	return r.Err != "" || r.Budget != nil
 }
 
-// runUnitSafe is runUnit behind a panic barrier: a poisoned unit (lexer
-// panic, grammar bug, injected fault) is recorded as that unit's failure —
-// with the unit path and goroutine stack — instead of crashing the whole
-// corpus run.
-func runUnitSafe(ctx context.Context, c *corpus.Corpus, cfg RunConfig, parser fmlr.Options, hc *hcache.Cache, cf string) (res UnitResult) {
+// unitRun is what every unit of one RunUnits call shares.
+type unitRun struct {
+	ctx    context.Context
+	fs     preprocessor.FileSystem
+	cfg    RunConfig
+	parser fmlr.Options
+	hc     *hcache.Cache
+	each   func(int, *core.Tool, *core.Result, *UnitResult)
+}
+
+// runSafe is run behind a panic barrier: a poisoned unit (lexer panic,
+// grammar bug, injected fault) is recorded as that unit's failure — with
+// the unit path and goroutine stack — instead of crashing the whole batch.
+func (u *unitRun) runSafe(i int, cf string) (res UnitResult) {
 	defer func() {
 		if p := recover(); p != nil {
 			res = UnitResult{
@@ -296,58 +336,57 @@ func runUnitSafe(ctx context.Context, c *corpus.Corpus, cfg RunConfig, parser fm
 			}
 		}
 	}()
-	return runUnit(ctx, c, cfg, parser, hc, cf)
+	return u.run(i, cf)
 }
 
-func runUnit(ctx context.Context, c *corpus.Corpus, cfg RunConfig, parser fmlr.Options, hc *hcache.Cache, cf string) UnitResult {
+func (u *unitRun) run(i int, cf string) UnitResult {
 	if testHookUnitStart != nil {
 		testHookUnitStart(cf)
 	}
 	// Every unit gets its own budget even when all limits are zero: the
 	// budget carries the run context into the stage loop heads, so
 	// cancelling the run abandons in-flight units, not just queued ones.
-	budget := guard.New(ctx, cfg.Budget)
+	budget := guard.New(u.ctx, u.cfg.Budget)
 	faultinject.At(faultinject.PointHarnessUnit, cf, budget)
+	parser := u.parser
 	parser.Budget = budget
 	// Each unit gets a fresh tool so that condition-space growth (BDD node
 	// tables, SAT statistics) is attributed per unit, as in the paper's
 	// per-compilation-unit latency measurements — and so that units share
 	// no mutable state and can run on any worker.
 	tool := core.New(core.Config{
-		FS:           c.FS,
-		IncludePaths: cfg.includePaths(),
-		CondMode:     cfg.Mode,
+		FS:           u.fs,
+		IncludePaths: u.cfg.IncludePaths,
+		CondMode:     u.cfg.Mode,
 		Parser:       &parser,
-		SingleConfig: cfg.Single,
-		Defines:      cfg.Defines,
-		HeaderCache:  hc,
+		SingleConfig: u.cfg.Single,
+		Defines:      u.cfg.Defines,
+		HeaderCache:  u.hc,
 		Budget:       budget,
 	})
-	res, parsed := Measure(tool, cf)
+	res, parsed := measure(tool, cf)
 	if parsed != nil {
-		if parsed.AST != nil {
-			res.ChoiceNodes = parsed.AST.CountChoices()
-		}
 		// Analysis runs under the same per-unit budget: a trip degrades to
 		// the passes already completed, never hangs the unit.
 		au := &analysis.Unit{File: cf, Space: tool.Space(), AST: parsed.AST, PP: parsed.Unit, Budget: budget}
-		if len(cfg.Analyzers) > 0 {
-			res.Analysis = analysis.Run(au, cfg.Analyzers)
+		if len(u.cfg.Analyzers) > 0 {
+			res.Analysis = analysis.Run(au, u.cfg.Analyzers)
 		}
-		if cfg.Link && parsed.AST != nil {
+		if u.cfg.Link && parsed.AST != nil {
 			res.LinkFacts = analysis.ExtractLinkFacts(au)
+		}
+		if u.each != nil {
+			u.each(i, tool, parsed, &res)
 		}
 	}
 	res.Budget = budget.Trip()
 	return res
 }
 
-// Measure preprocesses and parses file with tool, timing each stage, and
+// measure preprocesses and parses file with tool, timing each stage, and
 // returns the unit's measurements with the parse result — nil when
-// preprocessing failed, which the UnitResult then records. Callers fill in
-// what they need beyond that (ChoiceNodes, Analysis, LinkFacts) and the
-// Budget outcome before folding the result through UnitFields.
-func Measure(tool *core.Tool, file string) (UnitResult, *core.Result) {
+// preprocessing failed, which the UnitResult then records.
+func measure(tool *core.Tool, file string) (UnitResult, *core.Result) {
 	res := UnitResult{File: file}
 	start := time.Now()
 	unit, err := tool.Preprocess(file)
