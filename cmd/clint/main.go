@@ -6,9 +6,10 @@
 // independent SAT representation).
 //
 // Units run through harness.RunUnits, the batch runner superd uses too
-// (-j wide, GOMAXPROCS by default), and each unit's output is built by the
-// same daemon.Lint as superd's /v1/lint and printed in argument order, so
-// the output is byte-identical regardless of -j and via -daemon.
+// (-j wide, GOMAXPROCS by default), and each unit's output — and with
+// -link the corpus-wide join — is built by the same daemon.Lint as superd's
+// /v1/lint and printed in argument order, so the output is byte-identical
+// regardless of -j and via -daemon, where the batch is one request.
 //
 // Usage:
 //
@@ -42,8 +43,6 @@ import (
 	"repro/internal/analysis/passes"
 	"repro/internal/cli"
 	"repro/internal/daemon"
-	"repro/internal/guard"
-	"repro/internal/harness"
 	"repro/internal/link"
 )
 
@@ -57,7 +56,6 @@ func main() {
 	showStats := flag.Bool("stats", false, "print per-unit analysis statistics to stderr")
 	daemonAddr := flag.String("daemon", "", "serve the batch from a superd daemon at this address (unix:PATH or HOST:PORT); falls back in-process if unreachable")
 	daemonOpts := daemon.FlagClientOptions(flag.CommandLine)
-	limits := guard.FlagLimits(flag.CommandLine)
 	flag.Parse()
 
 	if *listPasses {
@@ -83,12 +81,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "clint: unknown -format %q\n", *format)
 		os.Exit(2)
 	}
-	var selected []*analysis.Analyzer
 	if *passNames == "" {
-		selected = passes.All()
+		cfg.Analyzers = passes.All()
 	} else {
 		names := strings.Split(*passNames, ",")
-		selected = passes.ByName(names)
+		cfg.Analyzers = passes.ByName(names)
 		known := make(map[string]bool)
 		for _, a := range passes.All() {
 			known[a.Name] = true
@@ -100,6 +97,7 @@ func main() {
 			}
 		}
 	}
+	cfg.Link = *doLink
 
 	if cfg.HeaderCache, err = o.HeaderCache(); err != nil {
 		fmt.Fprintln(os.Stderr, "clint:", err)
@@ -107,11 +105,9 @@ func main() {
 	}
 
 	files := flag.Args()
-	var units []daemon.LintUnit
-	var findings []link.Finding
-	var linkStats string
+	var resp *daemon.LintResponse
 	if *daemonAddr != "" {
-		units, err = lintViaDaemon(*daemonAddr, *daemonOpts, daemon.LintRequest{
+		resp, err = lintViaDaemon(*daemonAddr, *daemonOpts, daemon.LintRequest{
 			Files:        files,
 			IncludePaths: cfg.IncludePaths,
 			Defines:      cfg.Defines,
@@ -119,62 +115,25 @@ func main() {
 			Passes:       splitPasses(*passNames),
 			Jobs:         o.Jobs,
 			ParseWorkers: cfg.ParseWorkers,
-			Limits:       daemon.FromGuard(*limits),
-		})
-		if err == nil && *doLink {
-			findings, linkStats, err = linkViaDaemon(*daemonAddr, *daemonOpts, daemon.LinkRequest{
-				Files:        files,
-				IncludePaths: cfg.IncludePaths,
-				Defines:      cfg.Defines,
-				Mode:         o.Mode,
-				Jobs:         o.Jobs,
-				ParseWorkers: cfg.ParseWorkers,
-				Limits:       daemon.FromGuard(*limits),
-			})
-		}
-		if err != nil {
-			// Start over in-process: partial daemon output would
-			// double-report the per-unit diagnostics.
-			fmt.Fprintf(os.Stderr, "clint: %v; running in-process\n", err)
-			units = nil
-		}
-	}
-	if units == nil {
-		// The same lint path superd runs: each file gets its own tool, and
-		// with -link one parse yields both its analysis and its link facts.
-		var unitResults []harness.UnitResult
-		units, unitResults = daemon.Lint(context.Background(), nil, files, harness.RunConfig{
-			Mode:         cfg.CondMode,
-			Parser:       *cfg.Parser,
-			Defines:      cfg.Defines,
-			Jobs:         o.Jobs,
-			ParseWorkers: cfg.ParseWorkers,
-			IncludePaths: cfg.IncludePaths,
-			HeaderCache:  cfg.HeaderCache,
-			Budget:       *limits,
-			Analyzers:    selected,
+			Limits:       daemon.FromGuard(cfg.Budget),
 			Link:         *doLink,
 		})
-		if *doLink {
-			// The corpus-wide join runs after every unit finishes, over facts
-			// in argument order: the findings are a pure function of the
-			// inputs at any -j / -parse-workers.
-			var facts []*link.Facts
-			for _, r := range unitResults {
-				if r.LinkFacts != nil {
-					facts = append(facts, r.LinkFacts)
-				}
-			}
-			lr := link.Link(facts, cfg.HeaderCache.Canon())
-			findings, linkStats = lr.Findings, linkSummary(lr.Stats)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "clint: %v; running in-process\n", err)
 		}
+	}
+	if resp == nil {
+		// The same lint path superd runs: each file gets its own tool, and
+		// with -link one parse yields both its analysis and its link facts,
+		// joined after every unit finishes, in argument order.
+		resp, _, _ = daemon.Lint(context.Background(), nil, files, cfg)
 	}
 
 	// Units arrive in argument order, from the daemon or in-process alike;
 	// each becomes the file's result and stderr text.
 	results := make([]*analysis.Result, len(files))
 	exit := 0
-	for i, u := range units {
+	for i, u := range resp.Units {
 		if u.Errors != "" {
 			fmt.Fprint(os.Stderr, u.Errors)
 			exit = 1
@@ -188,7 +147,17 @@ func main() {
 		}
 		results[i] = r
 	}
-	mergeLinkDiags(results, files, findings)
+	var linkStats string
+	if l := resp.Link; l != nil {
+		// Rebuilt as link.Findings, the wire findings merge exactly like an
+		// in-process join's.
+		findings := make([]link.Finding, len(l.Findings))
+		for i, f := range l.Findings {
+			findings[i] = f.ToLink()
+		}
+		mergeLinkDiags(results, files, findings)
+		linkStats = fmt.Sprintf("%d units, %d symbols, %d facts, %d findings", l.Units, l.Symbols, l.Facts, len(l.Findings))
+	}
 	total := 0
 	for _, r := range results {
 		if r != nil {
@@ -251,42 +220,14 @@ func splitPasses(s string) []string {
 }
 
 // lintViaDaemon serves the batch from a superd daemon, which builds each
-// unit with the same daemon.Lint an in-process run uses.
-func lintViaDaemon(addr string, opts daemon.ClientOptions, req daemon.LintRequest) ([]daemon.LintUnit, error) {
+// unit, and with -link the corpus-wide join, with the same daemon.Lint an
+// in-process run uses.
+func lintViaDaemon(addr string, opts daemon.ClientOptions, req daemon.LintRequest) (*daemon.LintResponse, error) {
 	client, err := daemon.DialOptions(addr, opts)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := client.Lint(&req)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Units, nil
-}
-
-// linkViaDaemon serves the corpus-wide link join from a superd daemon. The
-// daemon extracts (or replays store-cached) per-unit facts, joins them in
-// one space, and returns the findings in total order; rebuilt as
-// link.Findings they merge exactly like an in-process join's.
-func linkViaDaemon(addr string, opts daemon.ClientOptions, req daemon.LinkRequest) ([]link.Finding, string, error) {
-	client, err := daemon.DialOptions(addr, opts)
-	if err != nil {
-		return nil, "", err
-	}
-	resp, err := client.Link(&req)
-	if err != nil {
-		return nil, "", err
-	}
-	findings := make([]link.Finding, len(resp.Findings))
-	for i, f := range resp.Findings {
-		findings[i] = f.ToLink()
-	}
-	return findings, linkSummary(link.Stats{Units: resp.Units, Symbols: resp.Symbols, Facts: resp.Facts, Findings: len(findings)}), nil
-}
-
-// linkSummary renders the -stats link line.
-func linkSummary(s link.Stats) string {
-	return fmt.Sprintf("%d units, %d symbols, %d facts, %d findings", s.Units, s.Symbols, s.Facts, s.Findings)
+	return client.Lint(&req)
 }
 
 // mergeLinkDiags folds corpus-level findings into the per-file results:

@@ -26,8 +26,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/corpus"
 	"repro/internal/daemon"
-	"repro/internal/fmlr"
-	"repro/internal/guard"
 	"repro/internal/harness"
 )
 
@@ -46,21 +44,18 @@ func main() {
 	quarantine := flag.Bool("quarantine", false, "retry failed or budget-tripped units once, then quarantine")
 	daemonAddr := flag.String("daemon", "", "serve the Table 3 sweep from a superd daemon at this address; falls back in-process")
 	daemonOpts := daemon.FlagClientOptions(flag.CommandLine)
-	limits := guard.FlagLimits(flag.CommandLine)
 	flag.Parse()
 
-	hc, err := o.HeaderCache()
+	base, err := o.Config()
 	if err != nil {
+		fmt.Fprintln(os.Stderr, "cstats:", err)
+		os.Exit(2)
+	}
+	if base.HeaderCache, err = o.HeaderCache(); err != nil {
 		fmt.Fprintln(os.Stderr, "cstats:", err)
 		os.Exit(1)
 	}
-	base := harness.RunConfig{
-		Jobs:         o.Jobs,
-		ParseWorkers: o.ParseWorkerCount(),
-		HeaderCache:  hc,
-		Budget:       *limits,
-		Quarantine:   *quarantine,
-	}
+	base.Quarantine = *quarantine
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -105,46 +100,25 @@ func main() {
 			// corpus, which the daemon cannot see; the sweep stays local.
 			fmt.Fprintln(os.Stderr, "cstats: -link runs in-process; ignoring -daemon for this sweep")
 		} else if *daemonAddr != "" {
-			if err := table3ViaDaemon(*daemonAddr, *daemonOpts, *seed, *cfiles, *headers, *analyze, o.Jobs, o.ParseWorkerCount(), *limits, *metrics); err == nil {
+			if err := table3ViaDaemon(*daemonAddr, *daemonOpts, *seed, *cfiles, *headers, *analyze, base, *metrics); err == nil {
 				return
 			} else {
 				fmt.Fprintf(os.Stderr, "cstats: %v; running in-process\n", err)
 			}
 		}
 		cfg := base
-		cfg.Parser, cfg.Link = fmlr.OptAll, *doLink
+		cfg.Link = *doLink
 		if *analyze {
 			cfg.Analyzers = passes.All()
 		}
 		results, m := harness.RunMetered(context.Background(), c, cfg)
 		fmt.Println(harness.Table3(results))
-		if *analyze {
-			// Results are indexed by corpus position, and each unit's
-			// diagnostics are sorted by the driver, so this listing is
-			// deterministic regardless of -j.
-			for _, r := range results {
-				if r.Analysis == nil {
-					continue
-				}
-				for _, d := range r.Analysis.Diags {
-					pos := d.File
-					if d.Line > 0 {
-						pos = fmt.Sprintf("%s:%d:%d", d.File, d.Line, d.Col)
-					}
-					fmt.Printf("%s: %s: %s [when %s]\n", pos, d.Pass, d.Msg, d.CondStr)
-				}
-			}
-		}
+		printAnalysis(results)
 		if *doLink && m.LinkResult != nil {
 			// Findings arrive in the linker's total deterministic order, so
 			// this listing is byte-stable at any -j / -parse-workers.
 			for _, f := range m.LinkResult.Findings {
-				d := analysis.LinkDiagnostic(f)
-				pos := d.File
-				if d.Line > 0 {
-					pos = fmt.Sprintf("%s:%d:%d", d.File, d.Line, d.Col)
-				}
-				fmt.Printf("%s: %s: %s [when %s]\n", pos, d.Pass, d.Msg, d.CondStr)
+				printDiag(analysis.LinkDiagnostic(f))
 			}
 		}
 		if *metrics {
@@ -156,7 +130,7 @@ func main() {
 // table3ViaDaemon runs the Table 3 sweep on a superd daemon and renders it
 // from the returned deterministic per-unit statistics — the same fields the
 // in-process path feeds harness.Table3, so the table is byte-identical.
-func table3ViaDaemon(addr string, opts daemon.ClientOptions, seed int64, cfiles, headers int, analyze bool, jobs, parseWorkers int, limits guard.Limits, metrics bool) error {
+func table3ViaDaemon(addr string, opts daemon.ClientOptions, seed int64, cfiles, headers int, analyze bool, cfg harness.RunConfig, metrics bool) error {
 	client, err := daemon.DialOptions(addr, opts)
 	if err != nil {
 		return err
@@ -167,9 +141,9 @@ func table3ViaDaemon(addr string, opts daemon.ClientOptions, seed int64, cfiles,
 		Headers:      headers,
 		Mode:         "bdd",
 		Opt:          "all",
-		Jobs:         jobs,
-		ParseWorkers: parseWorkers,
-		Limits:       daemon.FromGuard(limits),
+		Jobs:         cfg.Jobs,
+		ParseWorkers: cfg.ParseWorkers,
+		Limits:       daemon.FromGuard(cfg.Budget),
 	}
 	if analyze {
 		req.Passes = []string{"all"}
@@ -197,20 +171,7 @@ func table3ViaDaemon(addr string, opts daemon.ClientOptions, seed int64, cfiles,
 		}
 	}
 	fmt.Println(harness.Table3(results))
-	if analyze {
-		for i := range results {
-			if results[i].Analysis == nil {
-				continue
-			}
-			for _, d := range results[i].Analysis.Diags {
-				pos := d.File
-				if d.Line > 0 {
-					pos = fmt.Sprintf("%s:%d:%d", d.File, d.Line, d.Col)
-				}
-				fmt.Printf("%s: %s: %s [when %s]\n", pos, d.Pass, d.Msg, d.CondStr)
-			}
-		}
-	}
+	printAnalysis(results)
 	if metrics {
 		fmt.Printf("daemon corpus metrics: %d units, %d served from facts, %d computed\n",
 			len(resp.Units), resp.FactsHits, resp.FactsMisses)
@@ -219,4 +180,27 @@ func table3ViaDaemon(addr string, opts daemon.ClientOptions, seed int64, cfiles,
 			cm.Attempts, cm.Retries, cm.Sheds, cm.BreakerOpens, cm.FastFails, cm.BreakerState)
 	}
 	return nil
+}
+
+// printAnalysis lists every unit's analysis diagnostics. Results are
+// indexed by corpus position, and analysis.Run sorts each unit's
+// diagnostics, so the listing is deterministic regardless of -j.
+func printAnalysis(results []harness.UnitResult) {
+	for _, r := range results {
+		if r.Analysis == nil {
+			continue
+		}
+		for _, d := range r.Analysis.Diags {
+			printDiag(d)
+		}
+	}
+}
+
+// printDiag prints one diagnostic as "pos: pass: msg [when cond]".
+func printDiag(d analysis.Diagnostic) {
+	pos := d.File
+	if d.Line > 0 {
+		pos = fmt.Sprintf("%s:%d:%d", d.File, d.Line, d.Col)
+	}
+	fmt.Printf("%s: %s: %s [when %s]\n", pos, d.Pass, d.Msg, d.CondStr)
 }

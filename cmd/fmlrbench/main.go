@@ -31,8 +31,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/corpus"
-	"repro/internal/fmlr"
-	"repro/internal/guard"
 	"repro/internal/harness"
 )
 
@@ -48,15 +46,14 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	quarantine := flag.Bool("quarantine", false, "retry failed or budget-tripped units once, then quarantine")
-	limits := guard.FlagLimits(flag.CommandLine)
 	flag.Parse()
 
-	base := harness.RunConfig{
-		Jobs:         o.Jobs,
-		ParseWorkers: o.ParseWorkerCount(),
-		Budget:       *limits,
-		Quarantine:   *quarantine,
+	base, err := o.Config()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fmlrbench:", err)
+		os.Exit(2)
 	}
+	base.Quarantine = *quarantine
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -115,8 +112,8 @@ func main() {
 
 	// One instrumented sweep for the per-stage observability snapshot
 	// (units in flight, stage wall time, forks/merges, BDD nodes, table
-	// cache hit/miss, hot-path cache effectiveness).
-	base.Parser = fmlr.OptAll
+	// cache hit/miss, hot-path cache effectiveness), at the default
+	// optimization level.
 	_, m := harness.RunMetered(context.Background(), c, base)
 	fmt.Print(m)
 }

@@ -142,7 +142,7 @@ func resolve(s *cond.Space, root *ast.Node) *Resolution {
 		names: symtab.New(s),
 		defs:  symtab.New(s),
 		res:   &Resolution{},
-		uses:  make(map[useKey]int),
+		uses:  make(map[posKey]int),
 		decls: make(map[declKey]int),
 		enums: make(map[posKey]int),
 		reach: make(map[*ast.Node]int),
@@ -184,11 +184,6 @@ func (x at) as(r role) at {
 	return x
 }
 
-type useKey struct {
-	name      string
-	line, col int
-}
-
 // posKey is a token's own source position.
 type posKey struct {
 	name, file string
@@ -213,7 +208,7 @@ type resolver struct {
 	defs   *symtab.Table // block-scope definitions, for the same-scope check
 	depth  int           // the current scope's depth in names and defs
 	res    *Resolution
-	uses   map[useKey]int    // index into res.Uses
+	uses   map[posKey]int    // index into res.Uses
 	decls  map[declKey]int   // index into res.Decls
 	enums  map[posKey]int    // index into res.Enumerators
 	reach  map[*ast.Node]int // index into res.Reach
@@ -505,7 +500,7 @@ func (r *resolver) use(tok *token.Token, x at) {
 	if cgrammar.IsKeyword(tok.Text) {
 		return
 	}
-	key := useKey{name: tok.Text, line: tok.Line, col: tok.Col}
+	key := pos(tok)
 	i, ok := r.uses[key]
 	if !ok {
 		i = len(r.res.Uses)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hcache"
 	"repro/internal/link"
+	"repro/internal/preprocessor"
 )
 
 func parsedUnit(t *testing.T, src string) *analysis.Unit {
@@ -101,6 +102,37 @@ func TestResolveScopingRules(t *testing.T) {
 	// Member, label and goto names are not uses; neither are keywords.
 	if want := "RED self b p c g e self g"; strings.Join(got, " ") != want {
 		t.Errorf("uses %q, want %q", strings.Join(got, " "), want)
+	}
+}
+
+// TestResolveUsesByFile: uses in two headers at one line:col are two uses,
+// each anchored in its own header and under its own condition.
+func TestResolveUsesByFile(t *testing.T) {
+	tool := core.New(core.Config{FS: preprocessor.MapFS{
+		"m.c":  "#ifdef CONFIG_A\n#include \"ha.h\"\n#endif\n#include \"hb.h\"\n",
+		"ha.h": "int fa(void) { return n; }\n",
+		"hb.h": "int fb(void) { return n; }\n",
+	}})
+	res, err := tool.ParseFile("m.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := &analysis.Unit{File: "m.c", Space: tool.Space(), AST: res.AST, PP: res.Unit}
+	s := u.Space
+	var got []string
+	for _, use := range u.Resolution().Uses {
+		missing := s.String(use.Missing)
+		if s.IsTrue(use.Missing) {
+			missing = "1"
+		}
+		got = append(got, fmt.Sprintf("%s %s:%d:%d missing %s", use.Tok.Text, use.Tok.File, use.Tok.Line, use.Tok.Col, missing))
+	}
+	want := []string{
+		"n hb.h:1:23 missing 1",
+		"n ha.h:1:23 missing (defined CONFIG_A)",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("uses:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

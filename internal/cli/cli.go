@@ -1,28 +1,29 @@
 // Package cli declares the pipeline flags the SuperC command-line tools
-// share — -I, -D, -mode, -opt, -j, -parse-workers and -store — and resolves
-// them in one place. superc, clint, cstats and fmlrbench register them
-// through Options.RegisterFlags, and the superd handlers resolve the same
-// settings from the wire through ParseMode and ParseLevel, so the
-// experimental axes (BDD vs SAT conditions, Figure 8's optimization levels)
-// have one spelling everywhere.
+// share — -I, -D, -mode, -opt, -j, -parse-workers, -store and the per-unit
+// budget flags (-timeout, -budget-*) — and resolves them in one place into
+// the harness.RunConfig every tool's units run under. superc, clint, cstats
+// and fmlrbench register them through Options.RegisterFlags, and the superd
+// handlers resolve the same settings from the wire through ParseMode and
+// ParseLevel, so the experimental axes (BDD vs SAT conditions, Figure 8's
+// optimization levels) have one spelling everywhere.
 package cli
 
 import (
 	"flag"
 	"fmt"
-	"runtime"
 	"strings"
 
 	"repro/internal/cond"
-	"repro/internal/core"
 	"repro/internal/fmlr"
+	"repro/internal/guard"
+	"repro/internal/harness"
 	"repro/internal/hcache"
 	"repro/internal/preprocessor"
 	"repro/internal/store"
 )
 
-// Flags selects the optional flag groups a tool declares; -j and
-// -parse-workers are declared by every tool.
+// Flags selects the optional flag groups a tool declares; -j,
+// -parse-workers and the budget flags are declared by every tool.
 type Flags uint
 
 const (
@@ -43,6 +44,8 @@ type Options struct {
 	Jobs         int      // -j: worker-pool width (0: GOMAXPROCS)
 	ParseWorkers int      // -parse-workers (0: fmlr.AutoWorkers)
 	Store        string   // -store: artifact store directory
+
+	limits *guard.Limits // -timeout, -budget-*: set by RegisterFlags
 }
 
 // RegisterFlags declares the selected flags on fs. jobsFor completes the
@@ -73,28 +76,35 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet, groups Flags, jobsFor, unit st
 	fs.IntVar(&o.Jobs, "j", 0, "worker-pool width "+jobsFor+" (0: GOMAXPROCS)")
 	fs.IntVar(&o.ParseWorkers, "parse-workers", 0, "intra-unit parse workers per "+unit+
 		"; output is identical at any value (0: min(GOMAXPROCS, 8), 1: sequential)")
+	o.limits = guard.FlagLimits(fs)
 }
 
-// Config resolves the flags into the in-process pipeline configuration:
-// include paths, defines, condition mode, optimization level and intra-unit
-// parse workers. The header cache is left to HeaderCache, which may touch
-// the disk. An error names the unknown -mode or -opt value.
-func (o *Options) Config() (core.Config, error) {
+// Config resolves the flags into the configuration a tool's units run
+// under: include paths, defines, condition mode, optimization level, -j,
+// intra-unit parse workers and per-unit budget. The header cache is left to
+// HeaderCache, which may touch the disk. An error names the unknown -mode
+// or -opt value.
+func (o *Options) Config() (harness.RunConfig, error) {
 	mode, err := ParseMode(o.Mode)
 	if err != nil {
-		return core.Config{}, err
+		return harness.RunConfig{}, err
 	}
 	opts, err := ParseLevel(o.Opt)
 	if err != nil {
-		return core.Config{}, err
+		return harness.RunConfig{}, err
 	}
-	return core.Config{
-		IncludePaths: o.IncludePaths,
+	cfg := harness.RunConfig{
+		Mode:         mode,
+		Parser:       opts,
 		Defines:      parseDefines(o.Defines),
-		CondMode:     mode,
-		Parser:       &opts,
+		Jobs:         o.Jobs,
 		ParseWorkers: o.ParseWorkerCount(),
-	}, nil
+		IncludePaths: o.IncludePaths,
+	}
+	if o.limits != nil {
+		cfg.Budget = *o.limits
+	}
+	return cfg, nil
 }
 
 // ParseWorkerCount resolves -parse-workers: 0 (or less) means
@@ -174,14 +184,4 @@ func parseDefines(defs []string) map[string]string {
 		m[name] = val
 	}
 	return m
-}
-
-// Workers resolves a -j value for a batch of n units: zero or negative
-// means GOMAXPROCS, and the pool is never wider than the batch nor
-// narrower than one worker.
-func Workers(j, n int) int {
-	if j <= 0 {
-		j = runtime.GOMAXPROCS(0)
-	}
-	return max(1, min(j, n))
 }

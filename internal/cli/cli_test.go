@@ -8,14 +8,14 @@ import (
 	"testing"
 
 	"repro/internal/cond"
-	"repro/internal/core"
 	"repro/internal/fmlr"
+	"repro/internal/harness"
 	"repro/internal/store"
 )
 
 // parse registers every flag group on a fresh FlagSet, parses args and
 // resolves the configuration, as the CLIs do.
-func parse(t *testing.T, args ...string) (*Options, core.Config, error) {
+func parse(t *testing.T, args ...string) (*Options, harness.RunConfig, error) {
 	t.Helper()
 	var o Options
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -34,76 +34,76 @@ func TestResolve(t *testing.T) {
 		name    string
 		args    []string
 		wantErr string
-		check   func(t *testing.T, o *Options, cfg core.Config)
+		check   func(t *testing.T, o *Options, cfg harness.RunConfig)
 	}{
-		{name: "defaults", check: func(t *testing.T, o *Options, cfg core.Config) {
-			if cfg.CondMode != cond.ModeBDD || *cfg.Parser != fmlr.OptAll {
-				t.Errorf("mode %v parser %+v, want bdd/all", cfg.CondMode, *cfg.Parser)
+		{name: "defaults", check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
+			if cfg.Mode != cond.ModeBDD || cfg.Parser != fmlr.OptAll {
+				t.Errorf("mode %v parser %+v, want bdd/all", cfg.Mode, cfg.Parser)
 			}
 			if len(cfg.Defines) != 0 || cfg.IncludePaths != nil {
 				t.Errorf("defines %v includes %v, want none", cfg.Defines, cfg.IncludePaths)
 			}
 		}},
-		{name: "mode sat", args: []string{"-mode", "sat"}, check: func(t *testing.T, o *Options, cfg core.Config) {
-			if cfg.CondMode != cond.ModeSAT {
-				t.Errorf("mode %v, want sat", cfg.CondMode)
+		{name: "mode sat", args: []string{"-mode", "sat"}, check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
+			if cfg.Mode != cond.ModeSAT {
+				t.Errorf("mode %v, want sat", cfg.Mode)
 			}
 		}},
-		{name: "mode bdd", args: []string{"-mode", "bdd"}, check: func(t *testing.T, o *Options, cfg core.Config) {
-			if cfg.CondMode != cond.ModeBDD {
-				t.Errorf("mode %v, want bdd", cfg.CondMode)
+		{name: "mode bdd", args: []string{"-mode", "bdd"}, check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
+			if cfg.Mode != cond.ModeBDD {
+				t.Errorf("mode %v, want bdd", cfg.Mode)
 			}
 		}},
 		{name: "mode unknown", args: []string{"-mode", "zdd"}, wantErr: `unknown -mode "zdd"`},
-		{name: "opt follow", args: []string{"-opt", "follow"}, check: func(t *testing.T, o *Options, cfg core.Config) {
-			if *cfg.Parser != fmlr.OptFollowOnly {
-				t.Errorf("parser %+v, want follow-set only", *cfg.Parser)
+		{name: "opt follow", args: []string{"-opt", "follow"}, check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
+			if cfg.Parser != fmlr.OptFollowOnly {
+				t.Errorf("parser %+v, want follow-set only", cfg.Parser)
 			}
 		}},
-		{name: "opt mapr-largest", args: []string{"-opt", "mapr-largest"}, check: func(t *testing.T, o *Options, cfg core.Config) {
-			if *cfg.Parser != fmlr.OptMAPRLargest {
-				t.Errorf("parser %+v, want MAPR largest-first", *cfg.Parser)
+		{name: "opt mapr-largest", args: []string{"-opt", "mapr-largest"}, check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
+			if cfg.Parser != fmlr.OptMAPRLargest {
+				t.Errorf("parser %+v, want MAPR largest-first", cfg.Parser)
 			}
 		}},
 		{name: "opt unknown", args: []string{"-opt", "fastest"}, wantErr: `unknown -opt "fastest"`},
-		{name: "define name", args: []string{"-D", "A"}, check: func(t *testing.T, o *Options, cfg core.Config) {
+		{name: "define name", args: []string{"-D", "A"}, check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
 			if want := map[string]string{"A": "1"}; !reflect.DeepEqual(cfg.Defines, want) {
 				t.Errorf("defines %v, want %v", cfg.Defines, want)
 			}
 		}},
-		{name: "define splits at first =", args: []string{"-D", "A=B=C", "-D", "X="}, check: func(t *testing.T, o *Options, cfg core.Config) {
+		{name: "define splits at first =", args: []string{"-D", "A=B=C", "-D", "X="}, check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
 			if want := map[string]string{"A": "B=C", "X": ""}; !reflect.DeepEqual(cfg.Defines, want) {
 				t.Errorf("defines %v, want %v", cfg.Defines, want)
 			}
 		}},
-		{name: "includes keep order", args: []string{"-I", "b", "-I", "a"}, check: func(t *testing.T, o *Options, cfg core.Config) {
+		{name: "includes keep order", args: []string{"-I", "b", "-I", "a"}, check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
 			if want := []string{"b", "a"}; !reflect.DeepEqual(cfg.IncludePaths, want) {
 				t.Errorf("includes %v, want %v", cfg.IncludePaths, want)
 			}
 		}},
-		{name: "parse-workers 0 is auto", args: []string{"-parse-workers", "0"}, check: func(t *testing.T, o *Options, cfg core.Config) {
+		{name: "parse-workers 0 is auto", args: []string{"-parse-workers", "0"}, check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
 			if cfg.ParseWorkers != auto || o.ParseWorkerCount() != auto {
 				t.Errorf("parse workers %d, want fmlr.AutoWorkers() = %d", cfg.ParseWorkers, auto)
 			}
 		}},
-		{name: "parse-workers 3", args: []string{"-parse-workers", "3"}, check: func(t *testing.T, o *Options, cfg core.Config) {
+		{name: "parse-workers 3", args: []string{"-parse-workers", "3"}, check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
 			if cfg.ParseWorkers != 3 {
 				t.Errorf("parse workers %d, want 3", cfg.ParseWorkers)
 			}
 		}},
-		{name: "j 0 with small n", args: []string{"-j", "0"}, check: func(t *testing.T, o *Options, cfg core.Config) {
+		{name: "j 0 with small n", args: []string{"-j", "0"}, check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
 			for n, want := range map[int]int{0: 1, 1: 1, 2: min(2, runtime.GOMAXPROCS(0))} {
-				if got := Workers(o.Jobs, n); got != want {
+				if got := harness.Workers(o.Jobs, n); got != want {
 					t.Errorf("Workers(%d, %d) = %d, want %d", o.Jobs, n, got, want)
 				}
 			}
 		}},
-		{name: "j above n", args: []string{"-j", "8"}, check: func(t *testing.T, o *Options, cfg core.Config) {
-			if got := Workers(o.Jobs, 3); got != 3 {
+		{name: "j above n", args: []string{"-j", "8"}, check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
+			if got := harness.Workers(o.Jobs, 3); got != 3 {
 				t.Errorf("Workers(8, 3) = %d, want 3", got)
 			}
 		}},
-		{name: "no store: unbacked cache", check: func(t *testing.T, o *Options, cfg core.Config) {
+		{name: "no store: unbacked cache", check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
 			hc, err := o.HeaderCache()
 			if err != nil {
 				t.Fatal(err)
@@ -112,7 +112,7 @@ func TestResolve(t *testing.T) {
 				t.Errorf("backing %T, want none", hc.Backing())
 			}
 		}},
-		{name: "store backs the cache", args: []string{"-store", "$DIR"}, check: func(t *testing.T, o *Options, cfg core.Config) {
+		{name: "store backs the cache", args: []string{"-store", "$DIR"}, check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
 			hc, err := o.HeaderCache()
 			if err != nil {
 				t.Fatal(err)
@@ -152,10 +152,10 @@ func TestFlagGroups(t *testing.T) {
 		groups Flags
 		want   []string
 	}{
-		{0, []string{"j", "parse-workers"}},
-		{Store, []string{"j", "parse-workers", "store"}},
-		{Config | Store, []string{"D", "I", "j", "mode", "parse-workers", "store"}},
-		{Config | Opt | Store, []string{"D", "I", "j", "mode", "opt", "parse-workers", "store"}},
+		{0, []string{"budget-bdd-nodes", "budget-hoist", "budget-macro-steps", "budget-subparsers", "budget-tokens", "j", "parse-workers", "timeout"}},
+		{Store, []string{"budget-bdd-nodes", "budget-hoist", "budget-macro-steps", "budget-subparsers", "budget-tokens", "j", "parse-workers", "store", "timeout"}},
+		{Config | Store, []string{"D", "I", "budget-bdd-nodes", "budget-hoist", "budget-macro-steps", "budget-subparsers", "budget-tokens", "j", "mode", "parse-workers", "store", "timeout"}},
+		{Config | Opt | Store, []string{"D", "I", "budget-bdd-nodes", "budget-hoist", "budget-macro-steps", "budget-subparsers", "budget-tokens", "j", "mode", "opt", "parse-workers", "store", "timeout"}},
 	} {
 		var o Options
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)

@@ -321,6 +321,9 @@ func (c *Client) Lint(req *LintRequest) (*LintResponse, error) {
 	if len(resp.Units) != len(req.Files) {
 		return nil, fmt.Errorf("daemon: %d units for %d files", len(resp.Units), len(req.Files))
 	}
+	if req.Link && resp.Link == nil {
+		return nil, fmt.Errorf("daemon: lint response lacks the requested link join")
+	}
 	return &resp, nil
 }
 

@@ -140,6 +140,46 @@ func TestLinkDifferential(t *testing.T) {
 	}
 }
 
+// TestLintLinkOneRequest: a /v1/lint request with Link parses each unit
+// once and returns the same join /v1/link does, failed units excluded,
+// without a /v1/link request; without Link it joins nothing.
+func TestLintLinkOneRequest(t *testing.T) {
+	c := startServer(t, NewServer(Config{Root: writeLinkTree(t)}))
+	files := []string{"a.c", "b.c", "missing.c"}
+	lint, err := c.Lint(&LintRequest{Files: files, IncludePaths: []string{"."}, Mode: "bdd", Link: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := st.Counters; n["requests_link"] != 0 || n["units_total"] != 3 || n["harness_units"] != 3 || n["link_units"] != 2 {
+		t.Errorf("counters after one lint+link request: requests_link %d units_total %d harness_units %d link_units %d, want 0, 3, 3, 2",
+			n["requests_link"], n["units_total"], n["harness_units"], n["link_units"])
+	}
+	if !lint.Units[2].Failed {
+		t.Errorf("missing.c: %+v, want a failed unit", lint.Units[2])
+	}
+	req := linkReq()
+	want, err := c.Link(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.FactsHits, want.FactsMisses = 0, 0
+	if got := lint.Link; got == nil || !reflect.DeepEqual(*got, *want) {
+		t.Errorf("lint join:\n%+v\nwant the /v1/link join:\n%+v", got, want)
+	}
+
+	plain, err := c.Lint(&LintRequest{Files: files, IncludePaths: []string{"."}, Mode: "bdd"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Link != nil {
+		t.Errorf("lint without Link joined: %+v", plain.Link)
+	}
+}
+
 func TestLinkFailedUnits(t *testing.T) {
 	root := writeLinkTree(t)
 	c := startServer(t, NewServer(Config{Root: root}))

@@ -10,9 +10,9 @@ import (
 )
 
 // TestFlagsAgreeWithDaemon is the agreement oracle between the two
-// resolution paths of one set of pipeline flags: the in-process core.Config
-// cli.Options resolves, and the harness.RunConfig the daemon resolves from
-// the request a CLI builds out of the same flags (after a wire round trip).
+// resolution paths of one set of pipeline flags: the harness.RunConfig
+// cli.Options resolves in-process, and the one the daemon resolves from the
+// request a CLI builds out of the same flags (after a wire round trip).
 // The server allows 8 workers, so its QoS clamp stays out of the way of
 // -parse-workers.
 func TestFlagsAgreeWithDaemon(t *testing.T) {
@@ -22,6 +22,7 @@ func TestFlagsAgreeWithDaemon(t *testing.T) {
 		{"-mode", "sat", "-opt", "follow", "-parse-workers", "3"},
 		{"-I", "inc", "-I", "inc/gen", "-D", "A", "-D", "B=x=y", "-parse-workers", "0"},
 		{"-mode", "bdd", "-opt", "mapr-largest", "-parse-workers", "1"},
+		{"-timeout", "2s", "-budget-tokens", "900", "-budget-subparsers", "64"},
 	} {
 		var o cli.Options
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -42,6 +43,7 @@ func TestFlagsAgreeWithDaemon(t *testing.T) {
 			Opt:          o.Opt,
 			Jobs:         o.Jobs,
 			ParseWorkers: local.ParseWorkers,
+			Limits:       FromGuard(local.Budget),
 		}
 		data, err := json.Marshal(&req)
 		if err != nil {
@@ -62,14 +64,17 @@ func TestFlagsAgreeWithDaemon(t *testing.T) {
 		if len(remote.Defines)+len(local.Defines) > 0 && !reflect.DeepEqual(remote.Defines, local.Defines) {
 			t.Errorf("%v: defines %v, in-process %v", args, remote.Defines, local.Defines)
 		}
-		if remote.Mode != local.CondMode {
-			t.Errorf("%v: mode %v, in-process %v", args, remote.Mode, local.CondMode)
+		if remote.Mode != local.Mode {
+			t.Errorf("%v: mode %v, in-process %v", args, remote.Mode, local.Mode)
 		}
-		if remote.Parser != *local.Parser {
-			t.Errorf("%v: parser %+v, in-process %+v", args, remote.Parser, *local.Parser)
+		if remote.Parser != local.Parser {
+			t.Errorf("%v: parser %+v, in-process %+v", args, remote.Parser, local.Parser)
 		}
 		if remote.ParseWorkers != local.ParseWorkers {
 			t.Errorf("%v: parse workers %d, in-process %d", args, remote.ParseWorkers, local.ParseWorkers)
+		}
+		if remote.Budget != local.Budget {
+			t.Errorf("%v: budget %+v, in-process %+v", args, remote.Budget, local.Budget)
 		}
 	}
 }

@@ -12,9 +12,11 @@
 //
 // Endpoints:
 //
-//	POST /v1/lint    clint batches: analysis diagnostics per unit
+//	POST /v1/lint    clint batches: analysis diagnostics per unit, plus the
+//	                 cross-unit link findings of the same parse on request
 //	POST /v1/parse   superc batches: parse summaries per unit
-//	POST /v1/link    whole-corpus link analysis: cross-unit findings
+//	POST /v1/link    whole-corpus link analysis over the persisted facts
+//	                 store: cross-unit findings only
 //	POST /v1/corpus  harness runs over the synthetic corpus (cstats, bench)
 //	GET  /v1/stats   JSON snapshot of cache/store/server counters
 //	GET  /metrics    the same counters in Prometheus text format
@@ -36,7 +38,7 @@ import (
 
 // Version gates protocol compatibility between client and server; bump on
 // any wire-visible change.
-const Version = "superd/v1"
+const Version = "superd/v2"
 
 // DeadlineHeader carries the client's remaining per-request deadline in
 // milliseconds. The server folds it into the request context, so the guard
@@ -157,6 +159,9 @@ type LintRequest struct {
 	// (clamped by the server like Jobs; 0 = sequential).
 	ParseWorkers int    `json:"parseWorkers,omitempty"`
 	Limits       Limits `json:"limits,omitempty"`
+	// Link also extracts every unit's conditional link facts from the same
+	// parse and joins them corpus-wide into LintResponse.Link (clint -link).
+	Link bool `json:"link,omitempty"`
 }
 
 // LintUnit is one file's lint outcome. Failed units carry the rendered
@@ -170,8 +175,12 @@ type LintUnit struct {
 }
 
 // LintResponse carries one unit per requested file, in request order.
+// Link is the corpus-wide join when the request set Link: its findings and
+// fact-volume stats, with no Failed units (Units reports those) and no
+// facts-store counters.
 type LintResponse struct {
-	Units []LintUnit `json:"units"`
+	Units []LintUnit    `json:"units"`
+	Link  *LinkResponse `json:"link,omitempty"`
 }
 
 // LinkRequest is one whole-corpus link batch: parse every file, extract

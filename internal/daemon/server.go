@@ -435,19 +435,24 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	if cfg.Analyzers == nil {
 		cfg.Analyzers = passes.All()
 	}
-	units, results := Lint(r.Context(), rootFS{s.cfg.Root}, req.Files, cfg)
+	cfg.Link = req.Link
+	resp, results, ls := Lint(r.Context(), rootFS{s.cfg.Root}, req.Files, cfg)
 	s.fold(results)
 	s.counts.Add(unitsTotal, int64(len(req.Files)))
-	writeJSON(w, &LintResponse{Units: units})
+	if resp.Link != nil {
+		link.Fields.Fold(s.links, &ls)
+	}
+	writeJSON(w, resp)
 }
 
 // Lint runs files through harness.RunUnits under cfg and builds each
 // unit's LintUnit: cfg.Analyzers' diagnostics plus the stderr text clint
-// prints. It is the one lint path behind /v1/lint and clint's in-process
-// run, so both render the same bytes. With cfg.Link the same parse also
-// yields each unit's link facts, in the returned results.
-func Lint(ctx context.Context, fs preprocessor.FileSystem, files []string, cfg harness.RunConfig) ([]LintUnit, []harness.UnitResult) {
-	units := make([]LintUnit, len(files))
+// prints. With cfg.Link the same parse also yields each unit's link facts,
+// which Lint joins corpus-wide into the response's Link, returning the
+// join's counters too. It is the one lint path behind /v1/lint and clint's
+// in-process run, so both render the same bytes.
+func Lint(ctx context.Context, fs preprocessor.FileSystem, files []string, cfg harness.RunConfig) (*LintResponse, []harness.UnitResult, link.Stats) {
+	resp := &LintResponse{Units: make([]LintUnit, len(files))}
 	results := harness.RunUnits(ctx, fs, files, cfg, func(i int, _ *core.Tool, res *core.Result, r *harness.UnitResult) {
 		var errs strings.Builder
 		for _, d := range res.Unit.Diags {
@@ -466,14 +471,45 @@ func Lint(ctx context.Context, fs preprocessor.FileSystem, files []string, cfg h
 			}
 			u.Stats = a.Stats
 		}
-		units[i] = u
+		resp.Units[i] = u
 	})
+	facts := make([]*link.Facts, len(results))
 	for i := range results {
-		if r := &results[i]; r.Err != "" {
-			units[i] = LintUnit{File: r.File, Failed: true, Errors: fmt.Sprintf("clint: %s: %s\n", r.File, r.Err)}
+		r := &results[i]
+		if r.Err != "" {
+			resp.Units[i] = LintUnit{File: r.File, Failed: true, Errors: fmt.Sprintf("clint: %s: %s\n", r.File, r.Err)}
+		}
+		facts[i] = r.LinkFacts
+	}
+	if !cfg.Link {
+		return resp, results, link.Stats{}
+	}
+	var canon *hcache.Canon
+	if cfg.HeaderCache != nil {
+		canon = cfg.HeaderCache.Canon()
+	}
+	var ls link.Stats
+	resp.Link, ls = join(facts, canon)
+	return resp, results, ls
+}
+
+// join links the units' facts corpus-wide, in the given order (nil entries
+// are units without facts), and converts the result to wire form. It is
+// the one join behind /v1/link and Lint.
+func join(facts []*link.Facts, canon *hcache.Canon) (*LinkResponse, link.Stats) {
+	joined := make([]*link.Facts, 0, len(facts))
+	for _, f := range facts {
+		if f != nil {
+			joined = append(joined, f)
 		}
 	}
-	return units, results
+	lr := link.Link(joined, canon)
+	resp := &LinkResponse{Units: lr.Stats.Units, Symbols: lr.Stats.Symbols, Facts: lr.Stats.Facts,
+		Findings: make([]LinkFinding, len(lr.Findings))}
+	for i, f := range lr.Findings {
+		resp.Findings[i] = FromLink(f)
+	}
+	return resp, lr.Stats
 }
 
 func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
@@ -488,10 +524,21 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Each unit's superc-style summary: timings excluded, space-tied parse
-	// diagnostics pre-rendered while the unit's tool is live.
-	units := make([]ParseUnit, len(req.Files))
-	results := harness.RunUnits(r.Context(), rootFS{s.cfg.Root}, req.Files, cfg, func(i int, tool *core.Tool, res *core.Result, m *harness.UnitResult) {
+	units, results := Parse(r.Context(), rootFS{s.cfg.Root}, req.Files, cfg, nil)
+	s.fold(results)
+	s.counts.Add(unitsTotal, int64(len(req.Files)))
+	writeJSON(w, &ParseResponse{Units: units, TableCache: cgrammar.TableCacheState()})
+}
+
+// Parse runs files through harness.RunUnits under cfg and builds each
+// unit's superc summary: timings excluded, space-tied parse diagnostics
+// rendered while the unit's tool is live. each, when non-nil, then sees the
+// live unit too (superc's -ast, -print, -rename, -project and -check). It
+// is the one parse path behind /v1/parse and superc's in-process run, so
+// both render the same bytes.
+func Parse(ctx context.Context, fs preprocessor.FileSystem, files []string, cfg harness.RunConfig, each func(i int, tool *core.Tool, res *core.Result, r *harness.UnitResult)) ([]ParseUnit, []harness.UnitResult) {
+	units := make([]ParseUnit, len(files))
+	results := harness.RunUnits(ctx, fs, files, cfg, func(i int, tool *core.Tool, res *core.Result, m *harness.UnitResult) {
 		u := ParseUnit{File: m.File, Pre: m.Pre, PreDiags: res.Unit.Diags, Killed: m.Killed, HasAST: res.AST != nil}
 		u.Pre.LexTime = 0
 		for _, d := range res.Parse.Diags {
@@ -503,6 +550,9 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 			u.Parse.ASTNodes, u.Parse.ChoiceNodes = res.AST.Count(), res.AST.CountChoices()
 		}
 		units[i] = u
+		if each != nil {
+			each(i, tool, res, m)
+		}
 	})
 	for i := range results {
 		m := &results[i]
@@ -512,9 +562,7 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 			units[i].BudgetErr = fmt.Sprintf("%v", m.Budget)
 		}
 	}
-	s.fold(results)
-	s.counts.Add(unitsTotal, int64(len(req.Files)))
-	writeJSON(w, &ParseResponse{Units: units, TableCache: cgrammar.TableCacheState()})
+	return units, results
 }
 
 func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
@@ -568,7 +616,7 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 		})[0]
 		facts[i] = results[i].LinkFacts
 	})
-	var resp LinkResponse
+	resp, ls := join(facts, s.hc.Canon())
 	for _, m := range results {
 		if m == nil {
 			resp.FactsHits++
@@ -583,23 +631,11 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 			resp.Failed = append(resp.Failed, LinkUnit{File: m.File, Errors: fmt.Sprintf("%s: no AST (parse failed)\n", m.File)})
 		}
 	}
-	joined := make([]*link.Facts, 0, len(facts))
-	for _, f := range facts {
-		if f != nil {
-			joined = append(joined, f)
-		}
-	}
-	lr := link.Link(joined, s.hc.Canon())
-	resp.Units, resp.Symbols, resp.Facts = lr.Stats.Units, lr.Stats.Symbols, lr.Stats.Facts
-	resp.Findings = make([]LinkFinding, len(lr.Findings))
-	for i, f := range lr.Findings {
-		resp.Findings[i] = FromLink(f)
-	}
 	s.counts.Add(unitsTotal, int64(len(req.Files)))
 	s.counts.Add(linkFactsHits, resp.FactsHits)
 	s.counts.Add(linkFactsMisses, resp.FactsMisses)
-	link.Fields.Fold(s.links, &lr.Stats)
-	writeJSON(w, &resp)
+	link.Fields.Fold(s.links, &ls)
+	writeJSON(w, resp)
 }
 
 // linkFingerprint keys the persisted link-fact cache: every resolved

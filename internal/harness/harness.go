@@ -2,7 +2,8 @@
 // corpus and renders each table and figure in the paper's format. It is
 // shared by cmd/cstats, cmd/fmlrbench, and the repository's root
 // benchmarks. Its RunUnits is also the one batch runner behind superd's
-// /v1/lint, /v1/parse and /v1/link and clint's in-process run.
+// /v1/lint, /v1/parse and /v1/link and clint's and superc's in-process
+// runs.
 //
 // # Concurrent design
 //
@@ -37,6 +38,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -45,7 +47,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/cgrammar"
-	"repro/internal/cli"
 	"repro/internal/cond"
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -201,7 +202,7 @@ func RunMetered(ctx context.Context, c *corpus.Corpus, cfg RunConfig) ([]UnitRes
 		}
 	})
 
-	run := runTotals{jobs: int64(cli.Workers(cfg.Jobs, len(c.CFiles))), maxInFlight: inFlight.Max(), wallNS: int64(time.Since(start))}
+	run := runTotals{jobs: int64(Workers(cfg.Jobs, len(c.CFiles))), maxInFlight: inFlight.Max(), wallNS: int64(time.Since(start))}
 	run.tableCacheHits, run.tableCacheMisses = cgrammar.TableCacheStats()
 	var m Metrics
 	units := stats.NewCounterSet(len(UnitFields))
@@ -277,14 +278,24 @@ func runUnits(ctx context.Context, fs preprocessor.FileSystem, files []string, c
 	return out
 }
 
-// Parallel calls fn(i) for every i in [0, n) on cli.Workers(jobs, n)
+// Workers resolves a -j value for a batch of n units: zero or negative
+// means GOMAXPROCS, and the pool is never wider than the batch nor
+// narrower than one worker.
+func Workers(j, n int) int {
+	if j <= 0 {
+		j = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(j, n))
+}
+
+// Parallel calls fn(i) for every i in [0, n) on Workers(jobs, n)
 // goroutines and returns once every call has returned. It is RunUnits'
-// pool, and the one other batches share: superd's /v1/link store lookups
-// (each miss then runs as a RunUnits batch of one) and superc's units.
+// pool, and the one other batch shares: superd's /v1/link store lookups
+// (each miss then runs as a RunUnits batch of one).
 func Parallel(jobs, n int, fn func(i int)) {
 	work := make(chan int)
 	var wg sync.WaitGroup
-	for w := cli.Workers(jobs, n); w > 0; w-- {
+	for w := Workers(jobs, n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -11,7 +11,9 @@
 #      (c) the store hit counter rose across the warm batch, and (d) the
 #      live /metrics text is well-formed: every sample line is
 #      `superd_<name> <int>`, typed by an earlier `# TYPE` line, and no
-#      name repeats.
+#      name repeats, and (e) superc renders the same stdout (less its
+#      `tables:` lines, which report each side's own table cache), stderr
+#      and exit status in-process and via -daemon.
 #   4. Tear down and fail on any leaked process.
 #
 # Requires curl (for /healthz and /metrics). Run via `make daemon-smoke`.
@@ -32,6 +34,7 @@ trap cleanup EXIT
 
 go build -o "$WORK/superd" ./cmd/superd
 go build -o "$WORK/clint" ./cmd/clint
+go build -o "$WORK/superc" ./cmd/superc
 
 start_daemon() {
     # Root is the repo root: the client sends repo-relative paths, and the
@@ -87,6 +90,30 @@ run_batch() {
     fi
 }
 
+# superc exits 1 on a unit no configuration parses (noparse.c); both runs
+# must agree on that, on stderr byte for byte, and on stdout less tables:.
+superc_diff() {
+    set -- -I examples/clint examples/clint/config_bugs.c examples/clint/clean.c examples/link/noparse.c
+    set +e
+    "$WORK/superc" "$@" >"$WORK/superc.local" 2>"$WORK/superc.local.err"
+    local_status=$?
+    "$WORK/superc" -daemon "$ADDR" "$@" >"$WORK/superc.daemon" 2>"$WORK/superc.daemon.err"
+    daemon_status=$?
+    set -e
+    if [ "$local_status" -ne 1 ] || [ "$daemon_status" -ne 1 ]; then
+        echo "daemon-smoke: superc exit $local_status/$daemon_status, want 1/1"; cat "$WORK/superc.daemon.err"; exit 1
+    fi
+    if grep -q "running in-process" "$WORK/superc.daemon.err"; then
+        echo "daemon-smoke: superc fell back in-process"; cat "$WORK/superc.daemon.err"; exit 1
+    fi
+    grep -v '^tables:' "$WORK/superc.local" >"$WORK/superc.local.txt" || true
+    grep -v '^tables:' "$WORK/superc.daemon" >"$WORK/superc.daemon.txt" || true
+    diff "$WORK/superc.local.txt" "$WORK/superc.daemon.txt" \
+        || { echo "daemon-smoke: superc stdout differs in-process vs -daemon"; exit 1; }
+    diff "$WORK/superc.local.err" "$WORK/superc.daemon.err" \
+        || { echo "daemon-smoke: superc stderr differs in-process vs -daemon"; exit 1; }
+}
+
 echo "daemon-smoke: cold batch"
 start_daemon
 run_batch "$WORK/cold.json"
@@ -99,6 +126,7 @@ run_batch "$WORK/warm.json"
 hits_after=$(metric store_hits)
 misses=$(metric store_misses)
 check_metrics_shape
+superc_diff
 stop_daemon
 
 diff "$WORK/cold.json" "$WORK/warm.json" \
@@ -111,4 +139,4 @@ if [ "${hits_after:-0}" -le "${hits_before:-0}" ]; then
     exit 1
 fi
 
-echo "daemon-smoke: ok (store hits $hits_before -> $hits_after, outputs byte-identical)"
+echo "daemon-smoke: ok (store hits $hits_before -> $hits_after, outputs byte-identical, superc in-process = -daemon)"
