@@ -89,6 +89,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "superc:", err)
 		return 2
 	}
+	ff := fileFlags{printAST: *printAST, project: *project, check: *check, printSrc: *printSrc}
+	if *rename != "" {
+		from, to, ok := strings.Cut(*rename, "=")
+		if !ok || from == "" || to == "" {
+			fmt.Fprintln(stderr, "superc: -rename wants OLD=NEW")
+			return 2
+		}
+		ff.renameFrom, ff.renameTo = from, to
+	}
 	cfg.Single = *single
 	if !*single {
 		// Single-configuration mode evaluates conditionals concretely; the
@@ -97,10 +106,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "superc:", err)
 			return 1
 		}
-	}
-	ff := fileFlags{
-		printAST: *printAST, project: *project, check: *check,
-		printSrc: *printSrc, rename: *rename,
 	}
 	files := fs.Args()
 
@@ -228,11 +233,12 @@ func render(stdout, stderr io.Writer, u *daemon.ParseUnit, tables string, showSt
 
 // fileFlags carries the per-file output options.
 type fileFlags struct {
-	printAST bool
-	project  string
-	check    bool
-	printSrc bool
-	rename   string
+	printAST   bool
+	project    string
+	check      bool
+	printSrc   bool
+	renameFrom string // -rename OLD=NEW, checked before any unit parses
+	renameTo   string
 }
 
 // extras is one unit's in-process output beyond its summary, rendered while
@@ -257,13 +263,7 @@ func (x *extras) run(tool *core.Tool, res *core.Result, file string, ff fileFlag
 	if res.AST == nil {
 		return
 	}
-	if ff.rename != "" {
-		from, to, ok := strings.Cut(ff.rename, "=")
-		if !ok || from == "" || to == "" {
-			fmt.Fprintln(&x.errs, "superc: -rename wants OLD=NEW")
-			x.exit, x.halt = 1, true
-			return
-		}
+	if from, to := ff.renameFrom, ff.renameTo; from != "" {
 		if col := refactor.CheckCollisions(sp, res.AST, from, to); len(col) > 0 {
 			fmt.Fprintf(&x.errs, "superc: rename collides under %s\n", sp.String(col[0].Cond))
 			x.exit, x.halt = 1, true

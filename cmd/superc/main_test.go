@@ -85,3 +85,23 @@ func TestUnitPanicFailsAlone(t *testing.T) {
 		t.Errorf("stderr %q, want %q", gotErr, panicLine)
 	}
 }
+
+// TestMalformedRenameIsUsageError pins that a malformed -rename is rejected
+// once, before any unit parses: one usage line, no output, exit 2 — however
+// many files the batch names.
+func TestMalformedRenameIsUsageError(t *testing.T) {
+	chdirTemp(t, map[string]string{
+		"a.c": "int counter;\n",
+		"b.c": "int counter(void) { return 1; }\n",
+	})
+	for _, arg := range []string{"counter", "=c2", "counter="} {
+		got, gotErr, exit := runSuperc("-rename", arg, "a.c", "b.c")
+		if exit != 2 || got != "" || gotErr != "superc: -rename wants OLD=NEW\n" {
+			t.Errorf("-rename %q: exit %d, stdout %q, stderr %q; want exit 2, no stdout, one usage line",
+				arg, exit, got, gotErr)
+		}
+	}
+	if _, gotErr, exit := runSuperc("-rename", "counter=c2", "a.c", "b.c"); exit != 0 {
+		t.Errorf("-rename counter=c2: exit %d, stderr %q", exit, gotErr)
+	}
+}

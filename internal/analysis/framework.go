@@ -138,20 +138,23 @@ func Run(u *Unit, analyzers []*Analyzer) *Result {
 	// condition representation and re-checked on the independent SAT
 	// expression form. Merged subparsers share choice nodes, so a pass
 	// walking the AST can sight the same finding once per incoming path;
-	// identical diagnostics collapse to one before the witness work.
+	// identical diagnostics collapse to one before the witness work. The
+	// key is the condition itself, not its rendering, which String may
+	// elide: two different conditions never collapse.
 	type diagKey struct {
-		pass, file, msg, cond string
-		line, col             int
+		pass, file, msg string
+		cond            cond.Cond
+		line, col       int
 	}
 	seen := make(map[diagKey]bool)
 	kept := diags[:0]
 	for _, d := range diags {
-		d.CondStr = u.Space.String(d.Cond)
-		k := diagKey{d.Pass, d.File, d.Msg, d.CondStr, d.Line, d.Col}
+		k := diagKey{d.Pass, d.File, d.Msg, d.Cond, d.Line, d.Col}
 		if seen[k] {
 			continue
 		}
 		seen[k] = true
+		d.CondStr = u.Space.String(d.Cond)
 		w, ok := u.Space.SatOne(d.Cond)
 		if !ok {
 			res.Stats.InfeasibleDropped++

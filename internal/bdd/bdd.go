@@ -38,6 +38,7 @@ package bdd
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"sort"
 	"strings"
 	"sync"
@@ -750,11 +751,20 @@ func (f *Factory) Support(a Node) []string {
 	return out
 }
 
+// MaxCubes bounds String's output: a function with more cubes (paths to
+// True) than this renders its first MaxCubes cubes and the count of the
+// rest, so rendering work and size are linear in the diagram, never in its
+// path count, which can be exponential.
+const MaxCubes = 16
+
 // String renders a as a sum-of-products formula over variable names, e.g.
-// "A&!B | !A". Terminals render as "1" and "0". The rendering enumerates the
-// satisfying paths of the diagram; it is meant for diagnostics and tests, not
-// for minimal formulas.
-func (f *Factory) String(a Node) string {
+// "A&!B | !A", one cube per path to True. Terminals render as "1" and "0".
+// Past MaxCubes cubes the rest are elided as "… (+N cubes)". The rendering
+// is meant for diagnostics and tests, not for minimal formulas.
+func (f *Factory) String(a Node) string { return f.render(a, MaxCubes) }
+
+// render is String with the cube limit as a parameter.
+func (f *Factory) render(a Node, maxCubes int) string {
 	switch a {
 	case False:
 		return "0"
@@ -762,30 +772,61 @@ func (f *Factory) String(a Node) string {
 		return "1"
 	}
 	names := *f.names.Load()
-	var cubes []string
+	var b strings.Builder
 	var lits []string
-	var walk func(Node)
-	walk = func(n Node) {
+	cubes := 0
+	// walk renders the cubes below n in path order, reporting false once
+	// the next cube would be past maxCubes.
+	var walk func(Node) bool
+	walk = func(n Node) bool {
 		if n == False {
-			return
+			return true
 		}
 		if n == True {
-			cubes = append(cubes, strings.Join(lits, "&"))
-			return
+			if cubes == maxCubes {
+				return false
+			}
+			if cubes > 0 {
+				b.WriteString(" | ")
+			}
+			b.WriteString(strings.Join(lits, "&"))
+			cubes++
+			return true
 		}
 		nd := f.node(n)
 		lits = append(lits, "!"+names[nd.level])
-		walk(nd.lo)
+		ok := walk(nd.lo)
+		lits[len(lits)-1] = names[nd.level]
+		ok = ok && walk(nd.hi)
 		lits = lits[:len(lits)-1]
-		lits = append(lits, names[nd.level])
-		walk(nd.hi)
-		lits = lits[:len(lits)-1]
+		return ok
 	}
-	walk(a)
-	if len(cubes) == 0 {
+	if !walk(a) {
+		rest := new(big.Int).Sub(f.pathCount(a, map[Node]*big.Int{}), big.NewInt(int64(maxCubes)))
+		fmt.Fprintf(&b, " | … (+%s cubes)", rest)
+	}
+	if cubes == 0 {
 		return "0"
 	}
-	return strings.Join(cubes, " | ")
+	return b.String()
+}
+
+// pathCount returns the number of paths from n to True, memoized per node:
+// linear in the diagram however many paths there are.
+func (f *Factory) pathCount(n Node, memo map[Node]*big.Int) *big.Int {
+	switch n {
+	case False:
+		return big.NewInt(0)
+	case True:
+		return big.NewInt(1)
+	}
+	if c, ok := memo[n]; ok {
+		return c
+	}
+	nd := f.node(n)
+	c := new(big.Int).Add(f.pathCount(nd.lo, memo), f.pathCount(nd.hi, memo))
+	memo[n] = c
+	return c
 }
 
 // Eval evaluates a under the given assignment; variables absent from the

@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -149,7 +150,7 @@ func TestConcurrentAgreesWithReference(t *testing.T) {
 		wg.Wait()
 
 		for i := range progs {
-			if gs := f.String(got[i]); gs != wantStr[i] {
+			if gs := f.render(got[i], math.MaxInt); gs != wantStr[i] {
 				t.Fatalf("workers=%d prog %d: structure %q, reference %q", workers, i, gs, wantStr[i])
 			}
 			if gc := f.SatCount(got[i]); gc != wantCount[i] {

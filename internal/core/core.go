@@ -45,8 +45,6 @@ type Config struct {
 	IncludePaths []string
 	// Defines are -D style command-line macro definitions.
 	Defines map[string]string
-	// Builtins overrides the built-in macro table (nil: gcc-like defaults).
-	Builtins map[string]string
 	// CondMode selects the presence-condition representation:
 	// cond.ModeBDD (SuperC, default) or cond.ModeSAT (TypeChef baseline).
 	CondMode cond.Mode
@@ -118,7 +116,6 @@ func (t *Tool) newPreprocessor(fs preprocessor.FileSystem, budget *guard.Budget)
 		Space:        t.space,
 		FS:           fs,
 		IncludePaths: t.cfg.IncludePaths,
-		Builtins:     t.cfg.Builtins,
 		SingleConfig: t.cfg.SingleConfig,
 		HeaderCache:  t.cfg.HeaderCache,
 		Budget:       budget,

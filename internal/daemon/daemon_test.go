@@ -21,6 +21,7 @@ import (
 	"repro/internal/fmlr"
 	"repro/internal/guard"
 	"repro/internal/harness"
+	"repro/internal/preprocessor"
 	"repro/internal/stats"
 	"repro/internal/store"
 )
@@ -173,9 +174,13 @@ func TestLintDifferential(t *testing.T) {
 	if bu.Failed || !strings.HasPrefix(bu.Errors, "clint: broken.c:") {
 		t.Fatalf("broken.c unit = %+v", bu)
 	}
+	// missing.c's error names the request path, as the in-process file
+	// system's would (the package directory has no missing.c either), not
+	// the server root.
+	_, osErr := preprocessor.OSFileSystem{}.ReadFile("missing.c")
 	mu := resp.Units[3]
-	if !mu.Failed || !strings.HasPrefix(mu.Errors, "clint: missing.c: ") {
-		t.Fatalf("missing.c unit = %+v", mu)
+	if !mu.Failed || osErr == nil || mu.Errors != "clint: missing.c: "+osErr.Error()+"\n" {
+		t.Fatalf("missing.c unit = %+v; want the in-process error %v", mu, osErr)
 	}
 	// noparse.c preprocesses but no configuration parses: superc's wording
 	// on stderr, and the passes still run over the preprocessor's records.

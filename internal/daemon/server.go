@@ -4,7 +4,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
+	iofs "io/fs"
 	"net"
 	"net/http"
 	"os"
@@ -276,12 +278,19 @@ func (f rootFS) resolve(p string) (string, error) {
 	return filepath.Join(f.root, p), nil
 }
 
+// ReadFile reads p beneath the root. An error names p, the request's path,
+// as an in-process run's would, never the server's absolute path.
 func (f rootFS) ReadFile(p string) ([]byte, error) {
 	full, err := f.resolve(p)
 	if err != nil {
 		return nil, err
 	}
-	return os.ReadFile(full)
+	data, err := os.ReadFile(full)
+	var pe *iofs.PathError
+	if errors.As(err, &pe) {
+		pe.Path = p
+	}
+	return data, err
 }
 
 func (f rootFS) Exists(p string) bool {

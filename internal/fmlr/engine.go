@@ -105,14 +105,14 @@ type Stats struct {
 	FollowMisses    int
 	SubparserAllocs int
 	SubparserReuses int
-	// Streaming-pipeline flow counters (ParseUnit, stream.go): tokens
-	// consumed straight off chunk runs with no forest element, tokens that
-	// went through the materialized element path, and how often the fast
-	// path handed a unit back to the queue loop mid-stream (a conditional
-	// chunk or an ambiguously-defined name). The totals are deterministic
-	// for a given ParseWorkers count, but the streamed/materialized split
-	// shifts with region boundaries, so the differential suite compares
-	// every other field and zeroes these three.
+	// Streaming-pipeline flow counters (ParseUnit, stream.go): tokens the
+	// cursor consumed straight off chunk runs with no forest element,
+	// tokens parsed through materialized forest elements, and how often the
+	// cursor handed its lone subparser back to the queue loop mid-stream (a
+	// conditional chunk or an ambiguously-defined name). The totals are
+	// deterministic for a given ParseWorkers count, but the
+	// streamed/materialized split shifts with region boundaries, so the
+	// differential suite compares every other field and zeroes these three.
 	TokensStreamed     int
 	TokensMaterialized int
 	StreamFallbacks    int
@@ -218,13 +218,10 @@ type Engine struct {
 	track       bool
 	acceptDepth int
 
-	// Streaming hooks (stream.go). stream is non-nil only while parseStream
-	// runs; after() then materializes the next chunk instead of returning
-	// nil at the forest's current top-level tail. fastStall marks an element
-	// the fast path could not advance past (an ambiguously-defined name),
-	// so the queue loop handles it before the fast path re-engages.
-	stream    *streamState
-	fastStall *element
+	// Streaming hook (stream.go): non-nil only while parseStream runs;
+	// after() then materializes the next chunk instead of returning nil at
+	// the forest's current top-level tail.
+	stream *streamState
 }
 
 // New returns an engine for the given condition space, language, and
@@ -279,15 +276,13 @@ func (e *Engine) beginParse() {
 
 // runLoop is the main parse loop: pop the earliest subparser, resolve or
 // step it, until the queue drains, the kill switch fires, or the budget
-// trips. In streaming mode a lone unresolved subparser positioned at an
-// ordinary token is handed to the fast path (stream.go), which steps tokens
-// without queue traffic until variability reappears.
+// trips. In streaming mode a lone unresolved subparser on the run token
+// materialized last resumes the stream's cursor (stream.go), which steps
+// tokens without queue traffic until variability reappears.
 func (e *Engine) runLoop(budget *guard.Budget) (tripped bool) {
 	for e.queue.Len() > 0 {
 		if e.stream != nil && e.queue.Len() == 1 && e.opts.KillSwitch >= 1 {
-			p := e.queue.items[0]
-			if !p.resolved() && p.el != nil && p.el.tok != nil &&
-				p.el.tok.Kind != token.EOF && p.el != e.fastStall {
+			if p := e.queue.items[0]; !p.resolved() && e.stream.resumeAt(p.el) {
 				e.pop()
 				if e.fastDrain(p, budget) {
 					return true
@@ -295,28 +290,8 @@ func (e *Engine) runLoop(budget *guard.Budget) (tripped bool) {
 				continue
 			}
 		}
-		if !budget.Tick("fmlr") {
-			return true
-		}
-		e.stats.Iterations++
-		n := e.queue.Len()
-		// Histogram into a flat scratch counter; the map-shaped
-		// Stats.SubparserHist is materialized once after the loop.
-		if n >= len(e.sc.hist) {
-			grown := make([]int, n+64)
-			copy(grown, e.sc.hist)
-			e.sc.hist = grown
-		}
-		e.sc.hist[n]++
-		if n > e.stats.MaxSubparsers {
-			e.stats.MaxSubparsers = n
-		}
-		if n > e.opts.KillSwitch {
-			e.killed = true
-			return false
-		}
-		if !budget.Observe("fmlr", guard.AxisSubparsers, int64(n)) {
-			return true
+		if !e.tick(budget, e.queue.Len()) {
+			return !e.killed
 		}
 		p := e.pop()
 		if !p.resolved() {
@@ -326,6 +301,35 @@ func (e *Engine) runLoop(budget *guard.Budget) (tripped bool) {
 		e.step(p)
 	}
 	return false
+}
+
+// tick does one loop iteration's accounting with n live subparsers: budget
+// tick, iteration count, histogram, peak, kill switch, subparser observe.
+// It reports false when the iteration must not run — the budget tripped,
+// or the kill switch fired (e.killed) — and the iteration is counted only
+// if the budget's tick let it start. The cursor calls it with n = 1, which
+// never exceeds its KillSwitch of at least 1.
+func (e *Engine) tick(budget *guard.Budget, n int) bool {
+	if !budget.Tick("fmlr") {
+		return false
+	}
+	e.stats.Iterations++
+	// Histogram into a flat scratch counter; the map-shaped
+	// Stats.SubparserHist is materialized once after the loop.
+	if n >= len(e.sc.hist) {
+		grown := make([]int, n+64)
+		copy(grown, e.sc.hist)
+		e.sc.hist = grown
+	}
+	e.sc.hist[n]++
+	if n > e.stats.MaxSubparsers {
+		e.stats.MaxSubparsers = n
+	}
+	if n > e.opts.KillSwitch {
+		e.killed = true
+		return false
+	}
+	return budget.Observe("fmlr", guard.AxisSubparsers, int64(n))
 }
 
 // finishParse converts the loop's end state into a Result: budget trips

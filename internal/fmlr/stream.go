@@ -16,29 +16,25 @@ import (
 // Conditionals where hoisting genuinely buffered content) and the engine
 // consumes them without ever building the unit-wide segment slab.
 //
-// The fused loop has two gears, both only engaged while exactly one
-// subparser is live — which is the overwhelmingly common state between
-// conditionals:
-//
-//   - Cursor mode walks a run chunk's tokens in place: no forest element,
-//     no heap traffic, no merge bucket, just classify → reduce* → shift
-//     against the LR table. This is as close to flap-style fusion as the
-//     configuration-preserving setting allows.
-//   - Element mode steps lazily materialized forest elements the same way.
-//     It exists because conditional episodes materialize chunks (the queue
-//     loop needs the navigable forest), and the single survivor of such an
-//     episode should still bypass the queue on the way to the next one.
+// While exactly one subparser is live — the overwhelmingly common state
+// between conditionals — the fast path's one gear, the cursor, walks a run
+// chunk's tokens in place: no forest element, no heap traffic, no merge
+// bucket, just classify → reduce* → shift against the LR table. This is as
+// close to flap-style fusion as the configuration-preserving setting
+// allows.
 //
 // Whenever variability reappears — a conditional chunk, an ambiguously
-// defined name, EOF — the fast path parks its subparser back in the queue
-// and the classic loop takes over; the forest keeps growing chunk-at-a-time
-// through Engine.after. Every simulated iteration replicates the queue
-// loop's accounting (budget ticks, iteration counts, histogram, observes)
-// exactly, so streaming changes no observable statistic; the differential
-// suite (stream_test.go) holds ParseUnit to byte equality with the
-// sequential reference, Engine.Parse over the unit's segment forest.
+// defined name, EOF — the cursor parks its subparser back in the queue and
+// the classic loop takes over; the forest keeps growing chunk-at-a-time
+// through Engine.after, one run token per element. When a conditional
+// episode ends with a lone subparser on the run token materialized last,
+// the cursor resumes the run at that token. Every cursor iteration does the
+// queue loop's accounting (Engine.tick), so streaming changes no
+// observable statistic; the differential suite (stream_test.go) holds
+// ParseUnit to byte equality with the sequential reference, Engine.Parse
+// over the unit's segment forest.
 
-// BytesPerStreamedToken is the per-token footprint the cursor gear avoids:
+// BytesPerStreamedToken is the per-token footprint the cursor avoids:
 // the materialized Segment and the forest element the reference path
 // (Engine.Parse) builds for every token. Metrics use it to report bytes
 // saved by streaming.
@@ -46,7 +42,7 @@ const BytesPerStreamedToken = int64(unsafe.Sizeof(element{}) + unsafe.Sizeof(pre
 
 // streamState is the engine's view of an in-progress chunk stream: the
 // source, the lazily built forest (tail = last top-level element), and the
-// cursor gear's position inside the current run chunk.
+// cursor's position inside the current run chunk.
 type streamState struct {
 	src  preprocessor.TokenSource
 	fb   forestBuilder
@@ -55,17 +51,23 @@ type streamState struct {
 	tail    *element // last materialized top-level element (nil: no chain)
 	eofDone bool     // synthetic EOF already materialized
 
-	// Cursor gear: the run being consumed in place, nil when inactive.
+	// Cursor: the run being consumed in place, nil when inactive.
 	run    []token.Token
 	runIdx int
 
-	// One-chunk lookahead so the fast path can choose the cursor gear for a
-	// run without committing a conditional chunk it must hand back.
+	// One-chunk lookahead so the cursor can continue into the next run
+	// without committing a conditional chunk it must hand back.
 	pend    preprocessor.Chunk
 	hasPend bool
+
+	// The run whose first token materializeNext converted to resume, its
+	// remainder pending; nil once take() has moved past it.
+	resume    *element
+	resumeRun []token.Token
 }
 
 func (st *streamState) take() (preprocessor.Chunk, bool) {
+	st.resume, st.resumeRun = nil, nil
 	if st.hasPend {
 		st.hasPend = false
 		return st.pend, true
@@ -84,6 +86,21 @@ func (st *streamState) peek() (preprocessor.Chunk, bool) {
 	return st.pend, true
 }
 
+// resumeAt restarts the cursor on el's run when el is the run token
+// materializeNext cut last. The pending slot holds exactly that run's
+// remainder, which the cursor now owns, and the abandoned element is
+// un-counted: the cursor counts its token as streamed instead.
+func (st *streamState) resumeAt(el *element) bool {
+	if el == nil || el != st.resume {
+		return false
+	}
+	st.run, st.runIdx = st.resumeRun, 0
+	st.resume, st.resumeRun = nil, nil
+	st.hasPend = false
+	st.fb.tokens--
+	return true
+}
+
 // link appends a freshly materialized top-level chain [h..t]; with no chain
 // open (tail nil) it starts one.
 func (st *streamState) link(h, t *element) {
@@ -100,8 +117,8 @@ func (st *streamState) link(h, t *element) {
 // Run chunks convert one token at a time: the remainder is pushed back as
 // the pending chunk, so a multi-subparser episode that happens to span the
 // chunk boundary materializes only the tokens it actually steps over, and
-// the lone survivor of a conditional episode re-enters the cursor gear at
-// the next tail check instead of walking a fully materialized run.
+// the run is recorded so that a lone survivor on its first token resumes
+// the cursor there (resumeAt) instead of walking a materialized run.
 func (st *streamState) materializeNext() *element {
 	for {
 		c, ok := st.take()
@@ -135,6 +152,7 @@ func (st *streamState) materializeNext() *element {
 				st.pend, st.hasPend = preprocessor.Chunk{Run: c.Run[1:]}, true
 			}
 			st.link(h, t)
+			st.resume, st.resumeRun = h, c.Run
 			return h
 		}
 		// Empty run chunk (not produced by the writer, but legal): skip.
@@ -144,20 +162,20 @@ func (st *streamState) materializeNext() *element {
 // materializeRunSuffix converts the cursor's next unconsumed token into a
 // fresh top-level chain and deactivates the cursor, returning the chain's
 // first element; the rest of the run is pushed back as the pending chunk
-// and converts lazily through materializeNext. The consumed prefix gets no
-// elements; the old chain (if any) is fully consumed and never linked to,
-// so its dangling tail is unreachable.
+// and converts lazily through materializeNext. The run is not recorded for
+// resumeAt: the cursor stops on a token it cannot take (an ambiguous name)
+// or on a budget trip, so the queue loop must handle that token. The
+// consumed prefix gets no elements; the old chain (if any) is fully
+// consumed and never linked to, so its dangling tail is unreachable.
 func (st *streamState) materializeRunSuffix() *element {
 	st.tail = nil
 	rest := st.run[st.runIdx:]
 	st.run = nil
 	st.runIdx = 0
-	if len(rest) == 0 {
-		return st.materializeNext()
-	}
-	// The cursor gear is only entered by take()-ing a run chunk, which
-	// clears the pending slot, and nothing refills it while the cursor is
-	// active — so the remainder can be pushed back without clobbering.
+	// The cursor only runs after take()-ing a run chunk or resumeAt, both
+	// of which leave the pending slot empty, and nothing refills it while
+	// the cursor is active — so the remainder can be pushed back without
+	// clobbering. rest is non-empty: the cursor stops on an unconsumed token.
 	h, t := st.fb.convertRun(rest[:1])
 	if len(rest) > 1 {
 		st.pend, st.hasPend = preprocessor.Chunk{Run: rest[1:]}, true
@@ -181,7 +199,7 @@ func (e *Engine) ParseUnit(u *preprocessor.Unit) *Result {
 }
 
 // parseStream is the sequential parse over a chunk stream. It boots the
-// initial subparser directly into the cursor gear when the unit opens with
+// initial subparser directly into the cursor when the unit opens with
 // a True-condition run, and otherwise materializes the first chunk and
 // starts the queue loop; the loop and the fast path then trade control as
 // variability comes and goes.
@@ -193,10 +211,7 @@ func (e *Engine) parseStream(src preprocessor.TokenSource, file string) *Result 
 	e.beginParse()
 	st := &streamState{src: src, file: file}
 	e.stream = st
-	defer func() {
-		e.stream = nil
-		e.fastStall = nil
-	}()
+	defer func() { e.stream = nil }()
 	e.stats = Stats{}
 
 	p0 := e.newSub()
@@ -246,43 +261,12 @@ func (e *Engine) parseStream(src preprocessor.TokenSource, file string) *Result 
 	return e.finishParse(budget, tripped)
 }
 
-// tickIter replicates one queue-loop iteration's preamble for a lone
-// subparser: budget tick, iteration count, histogram, max, subparser
-// observe. It returns false when the budget trips (before or after the
-// iteration is counted, exactly as the queue loop would).
-func (e *Engine) tickIter(budget *guard.Budget) bool {
-	if !budget.Tick("fmlr") {
-		return false
-	}
-	e.stats.Iterations++
-	if len(e.sc.hist) < 2 {
-		grown := make([]int, 65)
-		copy(grown, e.sc.hist)
-		e.sc.hist = grown
-	}
-	e.sc.hist[1]++
-	if e.stats.MaxSubparsers < 1 {
-		e.stats.MaxSubparsers = 1
-	}
-	return budget.Observe("fmlr", guard.AxisSubparsers, 1)
-}
-
 // fastClassify resolves one token's terminal the way reclassify does for a
-// singleton follow-set, using the element's cached context-free
-// classification when it has an element. ambiguous reports a name defined
-// as both typedef and object in the current condition — the fast path's
-// signal to hand the token to the queue loop, which forks.
-func (e *Engine) fastClassify(p *subparser, t *token.Token, el *element) (sym lalr.Symbol, ambiguous bool) {
-	var ok bool
-	if el != nil {
-		if !el.clsSet {
-			el.cls, el.clsOK = e.lang.Classify(*t)
-			el.clsSet = true
-		}
-		sym, ok = el.cls, el.clsOK
-	} else {
-		sym, ok = e.lang.Classify(*t)
-	}
+// singleton follow-set. ambiguous reports a name defined as both typedef
+// and object in the current condition — the cursor's signal to hand the
+// token to the queue loop, which forks.
+func (e *Engine) fastClassify(p *subparser, t *token.Token) (sym lalr.Symbol, ambiguous bool) {
+	sym, ok := e.lang.Classify(*t)
 	if !ok {
 		sym = e.lang.Identifier
 	}
@@ -300,174 +284,78 @@ func (e *Engine) fastClassify(p *subparser, t *token.Token, el *element) (sym la
 	}
 }
 
-// fastDrain steps a lone unresolved subparser token by token until
-// variability (a conditional, an ambiguous name, EOF) or a budget trip
-// hands control back to the queue loop. On entry p is popped and either the
-// cursor gear is active (st.run non-nil, p.el nil) or p.el is an ordinary
-// token element. On a non-trip return p is back in the queue or dead (parse
-// error); on a trip (true) p is re-queued so degradation sees its
-// condition.
+// fastDrain steps a lone unresolved subparser through the cursor token by
+// token until variability (a conditional, an ambiguous name, EOF) or a
+// budget trip hands control back to the queue loop. On entry p is popped,
+// p.el is unused, and the cursor is active (st.run non-nil). On a non-trip
+// return p is back in the queue or dead (parse error); on a trip (true) p
+// is re-queued so degradation sees its condition.
 func (e *Engine) fastDrain(p *subparser, budget *guard.Budget) (tripped bool) {
 	st := e.stream
 	for {
-		if st.run != nil {
-			// --- cursor gear: consume the current run chunk in place ---
-			if st.runIdx >= len(st.run) {
-				if c, ok := st.peek(); ok && c.Run != nil {
-					st.take()
-					st.run, st.runIdx = c.Run, 0
-					continue
-				}
-				// Next is a conditional chunk or EOF: leave the cursor and
-				// re-queue at the materialized continuation.
-				wasEOF := !st.hasPend
-				st.run = nil
-				st.runIdx = 0
-				st.tail = nil
-				p.el = st.materializeNext()
-				e.insert(p)
-				if !wasEOF {
-					e.stats.StreamFallbacks++
-				}
-				return false
+		if st.runIdx >= len(st.run) {
+			if c, ok := st.peek(); ok && c.Run != nil {
+				st.take()
+				st.run, st.runIdx = c.Run, 0
+				continue
 			}
-			t := &st.run[st.runIdx]
-			sym, ambiguous := e.fastClassify(p, t, nil)
-			if ambiguous {
-				el := st.materializeRunSuffix()
-				p.el = el
-				e.fastStall = el
-				e.insert(p)
-				e.stats.StreamFallbacks++
-				return false
-			}
-			if !e.tickIter(budget) { // the resolve iteration
-				p.el = st.materializeRunSuffix()
-				e.insert(p)
-				return true
-			}
-			for {
-				act := e.lang.Table.Actions[p.stack.state][sym]
-				switch act.Kind {
-				case lalr.ActionReduce:
-					if !e.tickIter(budget) {
-						p.el = st.materializeRunSuffix()
-						e.insert(p)
-						return true
-					}
-					e.reduce(p, act.Target)
-					continue
-				case lalr.ActionShift:
-					if !e.tickIter(budget) {
-						p.el = st.materializeRunSuffix()
-						e.insert(p)
-						return true
-					}
-					e.stats.Shifts++
-					if !e.lang.IsLayout(sym) {
-						p.stack = e.pushNode(act.Target, sym, e.sc.ab.Leaf(*t), p.stack)
-					} else {
-						p.stack = e.pushNode(act.Target, sym, nil, p.stack)
-					}
-					st.runIdx++
-					e.stats.TokensStreamed++
-				default:
-					// Accept is impossible before the synthetic EOF; error.
-					if !e.tickIter(budget) {
-						p.el = st.materializeRunSuffix()
-						e.insert(p)
-						return true
-					}
-					e.diags = append(e.diags, Diagnostic{
-						Cond: p.c,
-						Tok:  *t,
-						Msg:  fmt.Sprintf("parse error on %s", t),
-					})
-					e.freeSub(p)
-					// The unconsumed remainder is counted by parseStream's
-					// end-of-parse drain; leave st.run in place.
-					return false
-				}
-				break
-			}
-			continue
-		}
-
-		// --- element gear: step the materialized forest ---
-		el := p.el
-		if el == nil {
-			// Defensive: should not happen (EOF is materialized, not nil).
-			e.freeSub(p)
-			return false
-		}
-		if el.tok == nil || el.tok.Kind == token.EOF || el == e.fastStall {
-			// A conditional, end of input, or a stalled ambiguity: the queue
-			// loop handles it.
+			// Next is a conditional chunk or EOF: leave the cursor and
+			// re-queue at the materialized continuation.
+			wasEOF := !st.hasPend
+			st.run = nil
+			st.runIdx = 0
+			st.tail = nil
+			p.el = st.materializeNext()
 			e.insert(p)
-			if el.tok == nil {
+			if !wasEOF {
 				e.stats.StreamFallbacks++
 			}
 			return false
 		}
-		sym, ambiguous := e.fastClassify(p, el.tok, el)
+		t := &st.run[st.runIdx]
+		sym, ambiguous := e.fastClassify(p, t)
 		if ambiguous {
-			e.fastStall = el
+			p.el = st.materializeRunSuffix()
 			e.insert(p)
 			e.stats.StreamFallbacks++
 			return false
 		}
-		if !e.tickIter(budget) { // the resolve iteration
-			e.insert(p)
-			return true
-		}
-		for {
+		// One iteration resolves the token, then one per LR action, as in
+		// the queue loop.
+		for resolved := false; ; resolved = true {
+			if !e.tick(budget, 1) {
+				p.el = st.materializeRunSuffix()
+				e.insert(p)
+				return true
+			}
+			if !resolved {
+				continue
+			}
 			act := e.lang.Table.Actions[p.stack.state][sym]
-			switch act.Kind {
-			case lalr.ActionReduce:
-				if !e.tickIter(budget) {
-					e.insert(p)
-					return true
-				}
+			if act.Kind == lalr.ActionReduce {
 				e.reduce(p, act.Target)
 				continue
-			case lalr.ActionShift:
-				if !e.tickIter(budget) {
-					e.insert(p)
-					return true
-				}
-				e.stats.Shifts++
-				if !e.lang.IsLayout(sym) {
-					p.stack = e.pushNode(act.Target, sym, el.leafNode(&e.sc.ab), p.stack)
-				} else {
-					p.stack = e.pushNode(act.Target, sym, nil, p.stack)
-				}
-				// Advance. At the top level's tail, prefer re-entering the
-				// cursor gear when the next chunk is a run; otherwise
-				// materialize (a conditional or EOF) and keep stepping.
-				if el.next == nil && el.up == nil && el == st.tail {
-					if c, ok := st.peek(); ok && c.Run != nil {
-						st.take()
-						st.run, st.runIdx = c.Run, 0
-						p.el = nil
-						break
-					}
-				}
-				nxt := e.after(el)
-				if nxt == nil {
-					// Past the materialized EOF; nothing left.
-					e.freeSub(p)
-					return false
-				}
-				p.el = nxt
-			default:
-				if !e.tickIter(budget) {
-					e.insert(p)
-					return true
-				}
-				e.parseError(head{cond: p.c, el: el, sym: sym})
+			}
+			if act.Kind != lalr.ActionShift {
+				// Accept is impossible before the synthetic EOF; error.
+				e.diags = append(e.diags, Diagnostic{
+					Cond: p.c,
+					Tok:  *t,
+					Msg:  fmt.Sprintf("parse error on %s", t),
+				})
 				e.freeSub(p)
+				// The unconsumed remainder is counted by parseStream's
+				// end-of-parse drain; leave st.run in place.
 				return false
 			}
+			e.stats.Shifts++
+			if !e.lang.IsLayout(sym) {
+				p.stack = e.pushNode(act.Target, sym, e.sc.ab.Leaf(*t), p.stack)
+			} else {
+				p.stack = e.pushNode(act.Target, sym, nil, p.stack)
+			}
+			st.runIdx++
+			e.stats.TokensStreamed++
 			break
 		}
 	}

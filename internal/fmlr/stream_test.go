@@ -120,6 +120,40 @@ func TestStreamPathEngages(t *testing.T) {
 	})
 }
 
+// TestStreamOneGear pins that the cursor is the fast path's only gear:
+// around one conditional with no ambiguous names, the only materialized
+// tokens are the conditional's branch tokens. The lone survivor of the
+// conditional episode resumes the cursor on the run token that follows it,
+// so that token streams too.
+func TestStreamOneGear(t *testing.T) {
+	src := "int a;\nint f(void);\n#ifdef A\nint b;\n#else\nlong b;\n#endif\nint c;\nint g(void);\n"
+	files := map[string]string{"main.c": src}
+	u, s := preprocessChunked(t, files)
+	branchTokens, conds := 0, 0
+	for _, c := range u.Chunks {
+		if c.Cond == nil {
+			continue
+		}
+		conds++
+		for _, b := range c.Cond.Branches {
+			branchTokens += preprocessor.CountTokens(b.Segs)
+		}
+	}
+	if conds != 1 {
+		t.Fatalf("%d conditional chunks; want 1", conds)
+	}
+	got := New(s, cgrammar.MustLoad(), OptAll).ParseUnit(u)
+	want, sa := parseSrc(t, files, OptAll)
+	checkStreamEquiv(t, "one conditional", sa, want, s, got)
+	if got.Stats.TokensMaterialized != branchTokens {
+		t.Fatalf("%d tokens materialized; want only the conditional's %d branch tokens (%d streamed)",
+			got.Stats.TokensMaterialized, branchTokens, got.Stats.TokensStreamed)
+	}
+	if got.Stats.StreamFallbacks != 1 {
+		t.Fatalf("%d stream fallbacks; want 1, at the conditional", got.Stats.StreamFallbacks)
+	}
+}
+
 // TestStreamDifferential is the oracle over generated units: streaming at
 // workers 1 and 4 must match the sequential reference parse byte for byte.
 func TestStreamDifferential(t *testing.T) {

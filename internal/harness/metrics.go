@@ -77,7 +77,7 @@ var UnitGroups = []stats.Fields[UnitResult]{
 	{
 		count("harness_tokens_streamed", "Tokens parsed straight off chunk runs.", func(r *UnitResult) int { return r.Parse.TokensStreamed }),
 		count("harness_tokens_materialized", "Tokens parsed through forest elements.", func(r *UnitResult) int { return r.Parse.TokensMaterialized }),
-		count("harness_stream_fallbacks", "Stream fast-path bail-outs to the element path.", func(r *UnitResult) int { return r.Parse.StreamFallbacks }),
+		count("harness_stream_fallbacks", "Stream fast-path bail-outs to the queue loop.", func(r *UnitResult) int { return r.Parse.StreamFallbacks }),
 		stats.NewField("harness_stream_bytes_avoided", stats.KindCounter, "Estimated forest bytes never allocated thanks to streaming.",
 			func(r *UnitResult) int64 { return int64(r.Parse.TokensStreamed) * fmlr.BytesPerStreamedToken }),
 	},

@@ -299,17 +299,15 @@ func Link(units []*Facts, canon *hcache.Canon) *Result {
 		sites := append([]site(nil), bySym[name]...)
 		sort.SliceStable(sites, siteSorter(sites))
 
-		var defs, providers, typed []site // defs: non-tentative; providers: defs+tentatives
+		var defs, typed []site // defs: non-tentative
 		var refs []site
 		provided := space.False()
 		for _, s := range sites {
 			switch s.fact.Kind {
 			case KindDef:
 				defs = append(defs, s)
-				providers = append(providers, s)
 				provided = space.Or(provided, s.cond)
 			case KindTentative:
-				providers = append(providers, s)
 				provided = space.Or(provided, s.cond)
 			case KindRef:
 				refs = append(refs, s)
@@ -318,7 +316,6 @@ func Link(units []*Facts, canon *hcache.Canon) *Result {
 				typed = append(typed, s)
 			}
 		}
-		_ = providers
 
 		// undef-ref: each reference site whose condition escapes the union
 		// of all defining conditions is reachable in a configuration that

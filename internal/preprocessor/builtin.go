@@ -17,7 +17,7 @@ import (
 // __FILE__ and __LINE__ are dynamic and handled specially during expansion.
 
 // DefaultBuiltins maps built-in object-like macro names to their replacement
-// text. Callers can extend or override via Options.Builtins.
+// text: the table every preprocessor installs.
 var DefaultBuiltins = map[string]string{
 	"__STDC__":           "1",
 	"__STDC_VERSION__":   "199901L",

@@ -93,7 +93,7 @@ func (p *Preprocessor) expandSegments(segs []Segment, c cond.Cond, depth int) []
 		if t.Expanded {
 			p.stats.NestedInvocations++
 		}
-		if DefaultBuiltins[t.Text] != "" || p.builtinNames[t.Text] {
+		if DefaultBuiltins[t.Text] != "" {
 			p.stats.BuiltinUses++
 		}
 		if single, onlyOne := singleCovering(p.space, defs, free, c); onlyOne {

@@ -506,7 +506,7 @@ func (p *Preprocessor) processFileCached(path string, c cond.Cond) ([]Segment, e
 // output beyond macro state: condition-space mode, include search path,
 // builtins, and the include-depth limit. Two Preprocessors sharing a cache
 // with different configurations never cross-hit.
-func configKey(opts Options, builtins map[string]string, maxInc int) string {
+func configKey(opts Options, maxInc int) string {
 	var b strings.Builder
 	if opts.Space.Mode() == cond.ModeBDD {
 		b.WriteString("bdd;")
@@ -517,15 +517,15 @@ func configKey(opts Options, builtins map[string]string, maxInc int) string {
 		b.WriteString(dir)
 		b.WriteByte(';')
 	}
-	names := make([]string, 0, len(builtins))
-	for name := range builtins {
+	names := make([]string, 0, len(DefaultBuiltins))
+	for name := range DefaultBuiltins {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
 		b.WriteString(name)
 		b.WriteByte('=')
-		b.WriteString(builtins[name])
+		b.WriteString(DefaultBuiltins[name])
 		b.WriteByte(';')
 	}
 	b.WriteString(strconv.Itoa(maxInc))

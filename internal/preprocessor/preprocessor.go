@@ -17,10 +17,9 @@ import (
 
 // Options configures a Preprocessor.
 type Options struct {
-	Space        *cond.Space       // required
-	FS           FileSystem        // required
-	IncludePaths []string          // directories searched for includes
-	Builtins     map[string]string // name -> body; nil means DefaultBuiltins
+	Space        *cond.Space // required
+	FS           FileSystem  // required
+	IncludePaths []string    // directories searched for includes
 	// SingleConfig selects single-configuration ("gcc-like") mode: static
 	// conditionals are evaluated concretely against the macro table and only
 	// one branch survives; the output contains no conditionals. This is the
@@ -96,8 +95,6 @@ type Preprocessor struct {
 	space        *cond.Space
 	fs           FileSystem
 	includePaths []string
-	builtins     map[string]string
-	builtinNames map[string]bool
 	singleConfig bool
 	maxInclude   int
 
@@ -146,10 +143,6 @@ func New(opts Options) *Preprocessor {
 	if opts.FS == nil {
 		panic("preprocessor: Options.FS is required")
 	}
-	builtins := opts.Builtins
-	if builtins == nil {
-		builtins = DefaultBuiltins
-	}
 	maxInc := opts.MaxIncludeDepth
 	if maxInc == 0 {
 		maxInc = 128
@@ -158,22 +151,17 @@ func New(opts Options) *Preprocessor {
 		space:        opts.Space,
 		fs:           opts.FS,
 		includePaths: opts.IncludePaths,
-		builtins:     builtins,
-		builtinNames: make(map[string]bool, len(builtins)),
 		singleConfig: opts.SingleConfig,
 		maxInclude:   maxInc,
 		guardOf:      make(map[string]string),
 		timesInc:     make(map[string]int),
-	}
-	for name := range builtins {
-		p.builtinNames[name] = true
 	}
 	p.budget = opts.Budget
 	if opts.HeaderCache != nil && !opts.SingleConfig {
 		p.hcache = opts.HeaderCache
 		p.exporter = opts.Space.NewExporter()
 		p.importer = opts.Space.NewImporter()
-		p.cfgKey = configKey(opts, builtins, maxInc)
+		p.cfgKey = configKey(opts, maxInc)
 	}
 	p.resetTable()
 	return p
@@ -190,7 +178,7 @@ func (p *Preprocessor) resetTable() {
 	if p.hcache != nil {
 		p.macros.obs = p
 	}
-	for name, body := range p.builtins {
+	for name, body := range DefaultBuiltins {
 		toks, err := lexer.Lex("<builtin>", []byte(body))
 		if err != nil {
 			continue

@@ -12,6 +12,7 @@ package sat
 
 import (
 	"fmt"
+	"math/big"
 	"strings"
 )
 
@@ -156,34 +157,70 @@ func (e *Expr) Size() int {
 	return n
 }
 
-// String renders e with C-preprocessor-style operators.
+// MaxStringNodes bounds String's output: a subexpression shared in the
+// DAG prints at each use, so the printed tree can be exponentially larger
+// than the expression. Past this many printed nodes String elides.
+const MaxStringNodes = 1024
+
+// String renders e with C-preprocessor-style operators. Once MaxStringNodes
+// nodes are printed, the remaining operands of each open conjunction or
+// disjunction print as "…" and the rendering ends with the count of nodes
+// left out, "(+N nodes)"; output size and work stay linear in the DAG.
 func (e *Expr) String() string {
+	var w exprWriter
+	w.write(e)
+	if w.elided {
+		rest := new(big.Int).Sub(e.treeSize(map[*Expr]*big.Int{}), big.NewInt(int64(w.printed)))
+		fmt.Fprintf(&w, " (+%s nodes)", rest)
+	}
+	return w.String()
+}
+
+// exprWriter is one String rendering in progress.
+type exprWriter struct {
+	strings.Builder
+	printed int  // nodes written so far
+	elided  bool // some operands were written as "…"
+}
+
+func (w *exprWriter) write(e *Expr) {
+	w.printed++
 	switch e.Op {
 	case OpConst:
 		if e.Value {
-			return "1"
+			w.WriteString("1")
+		} else {
+			w.WriteString("0")
 		}
-		return "0"
 	case OpVar:
-		return e.Name
+		w.WriteString(e.Name)
 	case OpNot:
-		return "!" + parenthesize(e.Args[0], OpNot)
+		w.WriteString("!")
+		w.operand(e.Args[0], OpNot)
 	case OpAnd, OpOr:
 		sep := " && "
 		if e.Op == OpOr {
 			sep = " || "
 		}
-		parts := make([]string, len(e.Args))
 		for i, a := range e.Args {
-			parts[i] = parenthesize(a, e.Op)
+			if i > 0 {
+				w.WriteString(sep)
+				if w.printed >= MaxStringNodes {
+					w.WriteString("…")
+					w.elided = true
+					return
+				}
+			}
+			w.operand(a, e.Op)
 		}
-		return strings.Join(parts, sep)
+	default:
+		panic("sat: bad op")
 	}
-	panic("sat: bad op")
 }
 
-func parenthesize(e *Expr, parent Op) string {
-	s := e.String()
+// operand writes e as an operand of parent, parenthesized where the
+// operators' precedence needs it.
+func (w *exprWriter) operand(e *Expr, parent Op) {
 	needs := false
 	switch e.Op {
 	case OpAnd:
@@ -192,7 +229,24 @@ func parenthesize(e *Expr, parent Op) string {
 		needs = parent != OpOr
 	}
 	if needs {
-		return "(" + s + ")"
+		w.WriteString("(")
 	}
-	return s
+	w.write(e)
+	if needs {
+		w.WriteString(")")
+	}
+}
+
+// treeSize returns the number of nodes in e printed as a tree, memoized per
+// DAG node: linear in the DAG however large the tree.
+func (e *Expr) treeSize(memo map[*Expr]*big.Int) *big.Int {
+	if n, ok := memo[e]; ok {
+		return n
+	}
+	n := big.NewInt(1)
+	for _, a := range e.Args {
+		n.Add(n, a.treeSize(memo))
+	}
+	memo[e] = n
+	return n
 }

@@ -83,11 +83,6 @@ type Options struct {
 	// MaxBytes bounds the total payload bytes on disk; 0 means
 	// DefaultMaxBytes, negative means unbounded.
 	MaxBytes int64
-	// NoSync skips the fsync of artifact files and their parent directory.
-	// Writes stay atomic (temp + rename) but a crash can then lose or tear
-	// recently written artifacts; the open-time scrub still recovers by
-	// quarantining anything torn. For benchmarks and tests only.
-	NoSync bool
 	// FailureThreshold is how many consecutive transient write failures
 	// (ENOSPC, EIO, ...) put the store into degraded mode; 0 means
 	// DefaultFailureThreshold, negative disables degradation.
@@ -156,7 +151,6 @@ const (
 type Store struct {
 	dir    string
 	max    int64
-	nosync bool
 	thresh int
 
 	mu    sync.Mutex
@@ -202,7 +196,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
 		dir:    dir,
 		max:    max,
-		nosync: opts.NoSync,
 		thresh: thresh,
 		index:  make(map[string]*artifact),
 		lru:    list.New(),
@@ -595,8 +588,8 @@ var errCrashed = errors.New("store: simulated crash")
 
 // writeArtifact writes one artifact durably: temp file, fsync, atomic
 // rename, parent-directory fsync. A crash anywhere in the sequence leaves
-// either the old artifact, a swept-at-open temp file, or (without the data
-// sync, which NoSync skips) a torn file the scrub quarantines — never a
+// either the old artifact or a swept-at-open temp file (or, should the file
+// system lose the data sync, a torn file the scrub quarantines) — never a
 // file that validates but carries the wrong payload.
 func (s *Store) writeArtifact(path, id string, payload []byte) error {
 	if hook := s.writeErrHook.Load(); hook != nil {
@@ -644,11 +637,9 @@ func (s *Store) writeArtifact(path, id string, payload []byte) error {
 			return err
 		}
 	}
-	if !s.nosync {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return err
-		}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
 	}
 	if err := tmp.Close(); err != nil {
 		return err
@@ -671,11 +662,9 @@ func (s *Store) writeArtifact(path, id string, payload []byte) error {
 		// file system, and the surviving case must index cleanly.
 		return errCrashed
 	}
-	if !s.nosync {
-		if d, err := os.Open(dir); err == nil {
-			d.Sync()
-			d.Close()
-		}
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
 	}
 	return nil
 }

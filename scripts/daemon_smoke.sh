@@ -13,7 +13,8 @@
 #      `superd_<name> <int>`, typed by an earlier `# TYPE` line, and no
 #      name repeats, and (e) superc renders the same stdout (less its
 #      `tables:` lines, which report each side's own table cache), stderr
-#      and exit status in-process and via -daemon.
+#      and exit status in-process and via -daemon, a missing file's error
+#      line included.
 #   4. Tear down and fail on any leaked process.
 #
 # Requires curl (for /healthz and /metrics). Run via `make daemon-smoke`.
@@ -37,9 +38,10 @@ go build -o "$WORK/clint" ./cmd/clint
 go build -o "$WORK/superc" ./cmd/superc
 
 start_daemon() {
-    # Root is the repo root: the client sends repo-relative paths, and the
-    # golden JSON embeds them.
-    "$WORK/superd" -listen "tcp:$ADDR" -root . \
+    # Root is the repo root, given as an absolute path so that an error
+    # naming the server's path would differ from the in-process one: the
+    # client sends repo-relative paths, and the golden JSON embeds them.
+    "$WORK/superd" -listen "tcp:$ADDR" -root "$(pwd)" \
         -store "$WORK/store" >"$WORK/superd.log" 2>&1 &
     SUPERD_PID=$!
     i=0
@@ -90,10 +92,12 @@ run_batch() {
     fi
 }
 
-# superc exits 1 on a unit no configuration parses (noparse.c); both runs
-# must agree on that, on stderr byte for byte, and on stdout less tables:.
+# superc exits 1 on a unit no configuration parses (noparse.c) and on a
+# file that does not exist (missing.c); both runs must agree on that, on
+# stderr byte for byte, and on stdout less tables:.
 superc_diff() {
-    set -- -I examples/clint examples/clint/config_bugs.c examples/clint/clean.c examples/link/noparse.c
+    set -- -I examples/clint examples/clint/config_bugs.c examples/clint/clean.c \
+        examples/link/noparse.c examples/link/missing.c
     set +e
     "$WORK/superc" "$@" >"$WORK/superc.local" 2>"$WORK/superc.local.err"
     local_status=$?
