@@ -8,6 +8,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/passes/condredef"
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/preprocessor"
 )
 
@@ -120,6 +121,53 @@ int f(void) {
 	}
 	if !strings.Contains(r.Diags[0].Msg, "redefined in the same scope") {
 		t.Errorf("msg: %s", r.Diags[0].Msg)
+	}
+}
+
+// TestBlockScopeRedefinitionReportedOnce: a function body the AST shares
+// between choice alternatives is reached on several paths, and its
+// redefinition is one finding under the disjunction of their conditions,
+// not one finding per path. In the giant unit the function is the file's
+// first item, shared by the 64 paths of six unrelated macros; in the short
+// source it follows the list's first item, so each path visits it.
+func TestBlockScopeRedefinitionReportedOnce(t *testing.T) {
+	giant := strings.Replace(corpus.GiantUnit(1, 300), "\tint t = a * 3;\n",
+		"\tint t = a * 3;\n#ifdef CONFIG_Q\n\tint t = 2;\n#endif\n", 1)
+	if !strings.HasPrefix(giant, "static int f1(int a, int b)\n{\n\tint t = a * 3;\n#ifdef CONFIG_Q") {
+		t.Fatalf("the giant unit no longer starts with f1:\n%.80s", giant)
+	}
+	for _, c := range []struct{ name, src string }{
+		{"giant unit", giant},
+		{"list item", `
+int w;
+int g(void) {
+    int t = 1;
+#ifdef CONFIG_Q
+    int t = 2;
+#endif
+    return t;
+}
+#ifdef CONFIG_A
+int x;
+#endif
+`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r, tool := lint(t, c.src)
+			var redefs []analysis.Diagnostic
+			for _, d := range r.Diags {
+				if strings.Contains(d.Msg, `"t" redefined in the same scope`) {
+					redefs = append(redefs, d)
+				}
+			}
+			if len(redefs) != 1 {
+				t.Fatalf("%d redefinitions of t reported, want 1: %+v", len(redefs), redefs)
+			}
+			s := tool.Space()
+			if want := s.Var("(defined CONFIG_Q)"); !s.Equal(redefs[0].Cond, want) {
+				t.Errorf("cond = %s, want (defined CONFIG_Q)", redefs[0].CondStr)
+			}
+		})
 	}
 }
 

@@ -23,9 +23,9 @@ func run(p *analysis.Pass) error {
 		// is a uniform error an ordinary compiler reports, not a
 		// variability bug; the check is global — hoisting can order an
 		// alternative with the use before the alternative with the
-		// declaration. (Top-level uses leave Declared False: only function
+		// declaration. (Top-level uses leave Declared false: only function
 		// bodies are checked.)
-		if s.IsFalse(u.Declared) || s.IsFalse(u.Missing) {
+		if !u.Declared || s.IsFalse(u.Missing) {
 			continue
 		}
 		p.Reportf(*u.Tok, u.Missing, "identifier %q is undeclared under some configurations reaching this use", u.Tok.Text)

@@ -31,10 +31,16 @@ package analysis
 //     alternatives infeasible on the path, and degradation error nodes
 //     (ast.ErrorLabel) are opaque: counted, never entered.
 //
-// A subtree shared by several choice alternatives is visited once per path,
-// under that path's condition. Results aggregate by source position as they
-// are produced, so the resolution stays proportional to the unit's sites,
-// not to its paths.
+// Merged subparsers share the file's earlier part between choice
+// alternatives, so the AST is a DAG. In BDD mode each node of the
+// file-scope spine — every node reached from the root only through choice
+// alternatives and the first item of an ExternalDeclarationList — is
+// visited once, under the disjunction of the leading path conditions
+// reaching it: nothing precedes a spine node on a leading path, so the
+// scope state there is the same on every one. Any other shared subtree is
+// visited once per path, under that path's condition. Results aggregate by source position as they are
+// produced, so the resolution stays proportional to the unit's sites, not
+// to its paths.
 
 import (
 	"repro/internal/ast"
@@ -50,7 +56,7 @@ type Resolution struct {
 	// a file-scope initializer, in first-sighting order.
 	Uses []Use
 	// Redefs are block-scope definitions overlapping an earlier definition
-	// of the same name in the same scope, in traversal order.
+	// of the same name in the same scope, in first-sighting order.
 	Redefs []Redef
 	// Decls holds one entry per file-scope declarator, in first-sighting
 	// order.
@@ -61,7 +67,9 @@ type Resolution struct {
 	// Reach holds every choice node on a feasible path with the disjunction
 	// of the path conditions reaching it, in first-visit order.
 	Reach []Reach
-	// ErrorRegions counts the opaque error regions met, once per path.
+	// ErrorRegions counts the opaque error regions met, once per path. FMLR
+	// builds an error region only as the root or as an alternative of the
+	// root choice, which one path reaches.
 	ErrorRegions int
 }
 
@@ -71,13 +79,13 @@ type Use struct {
 	Tok *token.Token
 	// TopLevel marks a use in a file-scope initializer rather than in a
 	// function body. Declared and Missing are resolved for function-body
-	// uses only, and stay False for top-level ones: file-scope
+	// uses only, and stay false for top-level ones: file-scope
 	// initializers can sit under many paths, and only link extraction
 	// reads them.
 	TopLevel bool
-	// Declared holds the conditions of the declarations in scope at the use,
-	// in any scope.
-	Declared cond.Cond
+	// Declared reports that some sighting had a declaration of the name in
+	// scope, in any scope, under any condition.
+	Declared bool
 	// Missing holds the paths that reach the use with no declaration in
 	// scope.
 	Missing cond.Cond
@@ -88,7 +96,9 @@ type Use struct {
 }
 
 // Redef is a block-scope definition overlapping an earlier definition of
-// the same name in the same scope.
+// the same name in the same scope, its condition OR-ed over every path that
+// reaches it. Sightings aggregate by the token's position and the two kind
+// bits.
 type Redef struct {
 	Tok       *token.Token
 	Cond      cond.Cond // where both definitions exist
@@ -138,17 +148,90 @@ func (u *Unit) Resolution() *Resolution {
 
 func resolve(s *cond.Space, root *ast.Node) *Resolution {
 	r := &resolver{
-		space: s,
-		names: symtab.New(s),
-		defs:  symtab.New(s),
-		res:   &Resolution{},
-		uses:  make(map[posKey]int),
-		decls: make(map[declKey]int),
-		enums: make(map[posKey]int),
-		reach: make(map[*ast.Node]int),
+		space:  s,
+		names:  symtab.New(s),
+		defs:   symtab.New(s),
+		res:    &Resolution{},
+		uses:   make(map[posKey]int),
+		redefs: make(map[redefKey]int),
+		decls:  make(map[declKey]int),
+		enums:  make(map[posKey]int),
+		reach:  make(map[*ast.Node]int),
 	}
-	r.visit(root, at{c: s.True(), role: external, top: true})
+	// The spine's disjunctions cost nothing where conditions are canonical
+	// BDDs. A SAT-mode condition is its syntax: OR-ing the leading paths
+	// makes a formula whose clause form, converted as a tree, grows with
+	// their number, so SAT mode keeps the per-path visits.
+	lead := s.Mode() == cond.ModeBDD
+	if lead {
+		r.spine = spine(s, root)
+	}
+	r.visit(root, at{c: s.True(), role: external, top: true, lead: lead})
 	return r.res
+}
+
+// spineList labels the translation unit's top-level list. FMLR builds it
+// flattened, so a merged prefix is its first item.
+const spineList = "ExternalDeclarationList"
+
+// firstItem returns the index of a list's first non-nil child, or -1.
+func firstItem(n *ast.Node) int {
+	for i, ch := range n.Children {
+		if ch != nil {
+			return i
+		}
+	}
+	return -1
+}
+
+// spine returns the file-scope spine — the nodes reached from the root
+// only through leading edges — with the disjunction of the path conditions
+// reaching each. A postorder over the leading edges, reversed, orders every
+// node after the nodes leading to it, so one pass in that order ORs each
+// node's condition into its successors.
+func spine(s *cond.Space, root *ast.Node) map[*ast.Node]cond.Cond {
+	lead := make(map[*ast.Node]cond.Cond)
+	var order []*ast.Node
+	var walk func(n *ast.Node)
+	walk = func(n *ast.Node) {
+		if _, ok := lead[n]; ok {
+			return
+		}
+		lead[n] = s.False()
+		leading(s, n, func(ch *ast.Node, _ cond.Cond) { walk(ch) })
+		order = append(order, n)
+	}
+	if root == nil {
+		return lead
+	}
+	walk(root)
+	lead[root] = s.True()
+	for i := len(order) - 1; i >= 0; i-- {
+		if c := lead[order[i]]; !s.IsFalse(c) {
+			leading(s, order[i], func(ch *ast.Node, edge cond.Cond) {
+				lead[ch] = s.Or(lead[ch], s.And(c, edge))
+			})
+		}
+	}
+	return lead
+}
+
+// leading calls f on each leading edge out of n with the condition the edge
+// adds: a choice's alternatives under their own conditions and a
+// spineList's first item under True.
+func leading(s *cond.Space, n *ast.Node, f func(ch *ast.Node, edge cond.Cond)) {
+	switch {
+	case n.Kind == ast.KindChoice:
+		for _, alt := range n.Alts {
+			if alt.Node != nil {
+				f(alt.Node, alt.Cond)
+			}
+		}
+	case n.Label == spineList:
+		if i := firstItem(n); i >= 0 {
+			f(n.Children[i], s.True())
+		}
+	}
 }
 
 // role says what a subtree means to name resolution.
@@ -167,6 +250,7 @@ type at struct {
 	c    cond.Cond // path condition
 	role role
 	top  bool // outside any function body
+	lead bool // reached through leading edges only: the node is on the spine
 
 	// Declarators only.
 	typedef bool      // names bind as typedef names
@@ -190,6 +274,11 @@ type posKey struct {
 	line, col  int
 }
 
+type redefKey struct {
+	pos            posKey
+	typedef, cross bool
+}
+
 type declKey struct {
 	pos         posKey
 	specs, root *ast.Node
@@ -208,17 +297,30 @@ type resolver struct {
 	defs   *symtab.Table // block-scope definitions, for the same-scope check
 	depth  int           // the current scope's depth in names and defs
 	res    *Resolution
-	uses   map[posKey]int    // index into res.Uses
-	decls  map[declKey]int   // index into res.Decls
-	enums  map[posKey]int    // index into res.Enumerators
-	reach  map[*ast.Node]int // index into res.Reach
-	params []binding         // parameters of the function definitions being entered
+	spine  map[*ast.Node]cond.Cond // spine nodes not yet visited, with their leading conditions
+	uses   map[posKey]int          // index into res.Uses
+	redefs map[redefKey]int        // index into res.Redefs
+	decls  map[declKey]int         // index into res.Decls
+	enums  map[posKey]int          // index into res.Enumerators
+	reach  map[*ast.Node]int       // index into res.Reach
+	params []binding               // parameters of the function definitions being entered
 }
 
 func (r *resolver) visit(n *ast.Node, x at) {
-	switch {
-	case n == nil:
+	if n == nil {
 		return
+	}
+	if x.lead {
+		// A spine node is visited once, on its first leading path, under
+		// all of them.
+		c, ok := r.spine[n]
+		if !ok {
+			return // visited on an earlier leading path
+		}
+		delete(r.spine, n)
+		x.c = c
+	}
+	switch {
 	case n.IsError():
 		r.res.ErrorRegions++
 		return
@@ -237,7 +339,17 @@ func (r *resolver) visit(n *ast.Node, x at) {
 			r.use(n.Tok, x)
 		}
 		return
+	case x.lead && n.Label == spineList:
+		// The first item continues the spine; the items after it do not.
+		first := firstItem(n)
+		for i, ch := range n.Children {
+			y := x
+			y.lead = i == first
+			r.visit(ch, y)
+		}
+		return
 	}
+	x.lead = false
 	if n.Label == "Enumerator" && len(n.Children) > 0 && n.Children[0].Kind == ast.KindToken {
 		r.enumerator(n.Children[0].Tok, x)
 	}
@@ -475,12 +587,23 @@ func (r *resolver) redefine(tok *token.Token, x at) {
 			same, cross = td, obj
 		}
 		if ov, ok := r.overlap(cross, x.c); ok {
-			r.res.Redefs = append(r.res.Redefs, Redef{Tok: tok, Cond: ov, Typedef: x.typedef, CrossKind: true})
+			r.redef(tok, ov, x.typedef, true)
 		} else if ov, ok := r.overlap(same, x.c); ok {
-			r.res.Redefs = append(r.res.Redefs, Redef{Tok: tok, Cond: ov, Typedef: x.typedef})
+			r.redef(tok, ov, x.typedef, false)
 		}
 	}
 	r.defs.Define(tok.Text, r.depth, x.c, x.typedef)
+}
+
+// redef records a same-scope redefinition sighting.
+func (r *resolver) redef(tok *token.Token, c cond.Cond, typedef, cross bool) {
+	key := redefKey{pos: pos(tok), typedef: typedef, cross: cross}
+	if i, ok := r.redefs[key]; ok {
+		r.res.Redefs[i].Cond = r.space.Or(r.res.Redefs[i].Cond, c)
+		return
+	}
+	r.redefs[key] = len(r.res.Redefs)
+	r.res.Redefs = append(r.res.Redefs, Redef{Tok: tok, Cond: c, Typedef: typedef, CrossKind: cross})
 }
 
 // overlap conjoins a scope entry's condition (the zero Cond: none) with c;
@@ -506,14 +629,14 @@ func (r *resolver) use(tok *token.Token, x at) {
 		i = len(r.res.Uses)
 		r.uses[key] = i
 		f := r.space.False()
-		r.res.Uses = append(r.res.Uses, Use{Tok: tok, TopLevel: x.top, Declared: f, Missing: f, Escaped: f})
+		r.res.Uses = append(r.res.Uses, Use{Tok: tok, TopLevel: x.top, Missing: f, Escaped: f})
 	}
 	u := &r.res.Uses[i]
 	local, file := r.names.Declared(tok.Text, r.depth)
 	escaped := r.space.AndNot(x.c, local)
 	if !x.top {
 		u.Missing = r.space.Or(u.Missing, r.space.AndNot(escaped, file))
-		u.Declared = r.space.Or(u.Declared, r.space.Or(local, file))
+		u.Declared = u.Declared || !r.space.IsFalse(local) || !r.space.IsFalse(file)
 	}
 	u.Escaped = r.space.Or(u.Escaped, escaped)
 }

@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -8,8 +9,10 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/passes"
+	"repro/internal/ast"
 	"repro/internal/cond"
 	"repro/internal/core"
+	"repro/internal/guard"
 	"repro/internal/hcache"
 	"repro/internal/link"
 	"repro/internal/preprocessor"
@@ -178,6 +181,62 @@ enum { OUT };
 	}
 	if want := "IN (defined CONFIG_A), OUT 1"; strings.Join(got, ", ") != want {
 		t.Errorf("enumerators %q, want %q", strings.Join(got, ", "), want)
+	}
+}
+
+// TestResolveErrorRegionOncePerPath pins the shape the resolver's count
+// relies on: FMLR builds a degradation error node only as the unit's root
+// or as an alternative of the root choice, which one path reaches, so
+// visiting the file-scope spine once still counts each error region once
+// per path.
+func TestResolveErrorRegionOncePerPath(t *testing.T) {
+	tool := core.New(core.Config{})
+	tool.SetBudget(guard.New(context.Background(), guard.Limits{Subparsers: 3}))
+	res, err := tool.ParseString("main.c", `
+int a;
+#ifdef CONFIG_A
+int b;
+#endif
+int c;
+#ifdef CONFIG_B
+int d(int x) { return x; }
+#elif defined CONFIG_C
+long d(long x) { return x; }
+#elif defined CONFIG_D
+short d(short x) { return x; }
+#else
+char d(char x) { return x; }
+#endif
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tool.Budget().Tripped() {
+		t.Fatal("subparser budget did not trip; the test needs a forkier source")
+	}
+	atRoot := 0
+	if res.AST.IsError() {
+		atRoot++
+	} else if res.AST.Kind == ast.KindChoice {
+		for _, alt := range res.AST.Alts {
+			if alt.Node.IsError() {
+				atRoot++
+			}
+		}
+	}
+	total := 0
+	ast.Walk(res.AST, func(n *ast.Node) bool {
+		if n.IsError() {
+			total++
+		}
+		return true
+	})
+	if atRoot != 1 || total != 1 {
+		t.Fatalf("error nodes: %d at the root, %d in all; want exactly one, at the root", atRoot, total)
+	}
+	u := &analysis.Unit{File: "main.c", Space: tool.Space(), AST: res.AST, PP: res.Unit}
+	if got := u.Resolution().ErrorRegions; got != 1 {
+		t.Errorf("ErrorRegions = %d, want 1", got)
 	}
 }
 

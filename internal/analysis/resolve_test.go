@@ -75,10 +75,12 @@ func projectTokens(s *cond.Space, root *ast.Node, assign map[string]bool) []stri
 }
 
 // checkDifferential compares the resolution's condition-filtered view
-// against brute-force projection under each configuration.
+// against brute-force projection under each configuration. Every leaf of
+// root must be read as a use: wrap it with inBody, or give it file-scope
+// items that are compound statements.
 func checkDifferential(t *testing.T, s *cond.Space, root *ast.Node, configs []map[string]bool) {
 	t.Helper()
-	r := resolve(s, inBody(root))
+	r := resolve(s, root)
 	for _, assign := range configs {
 		got := strings.Join(usesUnder(s, r, assign), " ")
 		want := strings.Join(projectTokens(s, root, assign), " ")
@@ -142,7 +144,7 @@ func TestWalkerDeeplyNestedChoices(t *testing.T) {
 		}
 		configs = append(configs, a)
 	}
-	checkDifferential(t, s, root, configs)
+	checkDifferential(t, s, inBody(root), configs)
 }
 
 func TestWalkerSharedChoiceNodes(t *testing.T) {
@@ -180,7 +182,7 @@ func TestWalkerSharedChoiceNodes(t *testing.T) {
 	if u, _ := useOf(r, "with_b"); !s.Equal(u.Escaped, b) {
 		t.Errorf("with_b cond = %s, want B", s.String(u.Escaped))
 	}
-	checkDifferential(t, s, root, enumerate([]string{"A", "B"}))
+	checkDifferential(t, s, inBody(root), enumerate([]string{"A", "B"}))
 }
 
 func TestWalkerErrorOpacity(t *testing.T) {
@@ -267,6 +269,110 @@ func TestWalkerDifferentialRandomTrees(t *testing.T) {
 			}
 		}
 		root := ast.New("Unit", build(4))
-		checkDifferential(t, s, root, enumerate(vars))
+		checkDifferential(t, s, inBody(root), enumerate(vars))
+
+		// A file-scope spine in the shapes FMLR builds: a flattened
+		// top-level list whose merged prefixes are choices, each shared by
+		// every later alternative, and one item reached both through a
+		// leading edge and through a non-leading one.
+		item := func() *ast.Node { return inBody(build(2)) }
+		unit := ast.List(spineList, item())
+		for step := 0; step < 6; step++ {
+			v := s.Var(vars[rng.Intn(len(vars))])
+			switch rng.Intn(4) {
+			case 0: // an unconditional item
+				unit = ast.List(spineList, unit, item())
+			case 1: // #ifdef v item #endif
+				unit = ast.NewChoice(
+					ast.Choice{Cond: v, Node: ast.List(spineList, unit, item())},
+					ast.Choice{Cond: s.Not(v), Node: unit},
+				)
+			case 2: // #ifdef v item #else item #endif
+				unit = ast.NewChoice(
+					ast.Choice{Cond: s.Not(v), Node: ast.List(spineList, unit, item())},
+					ast.Choice{Cond: v, Node: ast.List(spineList, unit, item())},
+				)
+			default: // the item starts the list under !v and follows the prefix under v
+				it := item()
+				unit = ast.NewChoice(
+					ast.Choice{Cond: v, Node: ast.List(spineList, unit, it)},
+					ast.Choice{Cond: s.Not(v), Node: ast.List(spineList, it)},
+				)
+			}
+		}
+		checkDifferential(t, s, unit, enumerate(vars))
+	}
+}
+
+// fileDecl builds the file-scope declaration "int name;".
+func fileDecl(name string) *ast.Node {
+	return ast.New("Declaration",
+		ast.New("DeclarationSpecifiers", ast.New("TypeSpecifier", leaf("int"))),
+		ast.New("IdentifierDeclarator", leaf(name)))
+}
+
+// funcDef builds the function definition "int name() { uses... }".
+func funcDef(name string, uses ...string) *ast.Node {
+	var body []*ast.Node
+	for _, u := range uses {
+		body = append(body, leaf(u))
+	}
+	return ast.New("FunctionDefinition",
+		ast.New("DeclarationSpecifiers", ast.New("TypeSpecifier", leaf("int"))),
+		ast.New("IdentifierDeclarator", leaf(name)),
+		ast.New("CompoundStatement", body...))
+}
+
+// TestWalkerSpineNodeOnNonLeadingEdge: "#ifdef A int x; #endif int y;"
+// where the two subparsers share y's subtree. y starts the !A list, a
+// leading edge, so it is a spine node visited once under !A; under A it
+// follows x, a non-leading edge, and keeps its own visit there. A use in y
+// must see x declared under A and missing under !A, in either order of
+// the alternatives.
+func TestWalkerSpineNodeOnNonLeadingEdge(t *testing.T) {
+	for _, notFirst := range []bool{false, true} {
+		s := cond.NewSpace(cond.ModeBDD)
+		a := s.Var("A")
+		y := funcDef("y", "x", "y")
+		alts := []ast.Choice{
+			{Cond: a, Node: ast.List(spineList, fileDecl("x"), y)},
+			{Cond: s.Not(a), Node: ast.List(spineList, y)},
+		}
+		if notFirst {
+			alts[0], alts[1] = alts[1], alts[0]
+		}
+		root := ast.NewChoice(alts...)
+		r := resolve(s, root)
+		u, ok := useOf(r, "x")
+		if !ok {
+			t.Fatal("use of x not reached")
+		}
+		if !u.Declared || !s.Equal(u.Missing, s.Not(a)) || !s.IsTrue(u.Escaped) {
+			t.Errorf("!A first %v: x declared %v, missing %s, escaped %s; want true, !A, 1",
+				notFirst, u.Declared, s.String(u.Missing), s.String(u.Escaped))
+		}
+		var decls []string
+		for _, d := range r.Decls {
+			decls = append(decls, d.Tok.Text+":"+s.String(d.Cond))
+		}
+		sort.Strings(decls)
+		if got, want := strings.Join(decls, " "), "x:A y:1"; got != want {
+			t.Errorf("!A first %v: decls %q, want %q", notFirst, got, want)
+		}
+
+		// The differential, with the item bodies read as uses.
+		x, z := inBody(leaf("x")), inBody(leaf("z"))
+		shared := inBody(ast.NewChoice(
+			ast.Choice{Cond: a, Node: leaf("under_a")},
+			ast.Choice{Cond: s.Not(a), Node: leaf("under_not_a")},
+		))
+		alts = []ast.Choice{
+			{Cond: a, Node: ast.List(spineList, x, shared)},
+			{Cond: s.Not(a), Node: ast.List(spineList, shared)},
+		}
+		if notFirst {
+			alts[0], alts[1] = alts[1], alts[0]
+		}
+		checkDifferential(t, s, ast.List(spineList, ast.NewChoice(alts...), z), enumerate([]string{"A"}))
 	}
 }
