@@ -74,12 +74,12 @@ analyze-smoke:
 # superc over the seeded-bug fixtures must reproduce the golden text exactly:
 # the -print rendering of config_bugs.c, then the two-unit summary without
 # its tables: line (the parse-table cache state depends on the machine), at
-# -j 1 and at -j 8 -parse-workers 4 (CI's analyze-smoke). Then superc -check
-# over the two-unit check example must reproduce its golden at both widths;
-# superc exits 1 when conflicts are reported.
+# -j 1 and at -j 8 (CI's "superc fixtures vs golden text"). Then superc
+# -check over the two-unit check example must reproduce its golden at both
+# widths; superc exits 1 when conflicts are reported.
 superc-smoke:
 	@$(GO) build -o superc.smoke ./cmd/superc
-	@for j in "-j 1" "-j 8 -parse-workers 4"; do \
+	@for j in "-j 1" "-j 8"; do \
 		{ ./superc.smoke $$j -I examples/clint -print -stats=false examples/clint/config_bugs.c && \
 		  ./superc.smoke $$j -I examples/clint examples/clint/config_bugs.c examples/clint/clean.c | grep -v '^tables:'; \
 		} > superc.got.txt 2>&1 || { echo "superc $$j failed"; cat superc.got.txt; rm -f superc.smoke superc.got.txt; exit 1; }; \
@@ -90,7 +90,7 @@ superc-smoke:
 		diff check.got.txt examples/check/golden.txt || { rm -f superc.smoke superc.got.txt check.got.txt; exit 1; }; \
 	done
 	@rm -f superc.smoke superc.got.txt check.got.txt
-	@echo "superc-smoke: golden match at -j 1 and -j 8 -parse-workers 4 (print, summary, -check)"
+	@echo "superc-smoke: golden match at -j 1 and -j 8 (print, summary, -check)"
 
 # Cold-then-warm superd round trip over a persisted store: outputs must be
 # byte-identical and the warm batch must be served from disk artifacts
@@ -107,7 +107,7 @@ link-smoke:
 		status=$$?; \
 		if [ "$$status" -ne 1 ]; then echo "clint -link exit $$status, want 1"; rm -f clint.smoke link.got.txt; exit 1; fi
 	@diff link.got.txt examples/link/golden.txt || { rm -f clint.smoke link.got.txt; exit 1; }
-	@cd examples/link && ../../clint.smoke -link -j 8 -parse-workers 4 -I . a.c b.c > ../../link.got8.txt; \
+	@cd examples/link && ../../clint.smoke -link -j 8 -I . a.c b.c > ../../link.got8.txt; \
 		status=$$?; \
 		if [ "$$status" -ne 1 ]; then echo "clint -link -j8 exit $$status, want 1"; rm -f clint.smoke link.got.txt link.got8.txt; exit 1; fi
 	@diff link.got.txt link.got8.txt || { rm -f clint.smoke link.got.txt link.got8.txt; exit 1; }

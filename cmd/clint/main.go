@@ -27,8 +27,8 @@
 // definitions, extern declarations, references) are joined corpus-wide and
 // the cross-unit diagnostic families — undef-ref, multidef, type-mismatch —
 // are reported alongside the per-unit passes, each SAT-gated with a
-// verified witness configuration. Output stays byte-identical at any -j,
-// any -parse-workers, and via -daemon.
+// verified witness configuration. Output stays byte-identical at any -j
+// and via -daemon.
 package main
 
 import (
@@ -48,7 +48,7 @@ import (
 
 func main() {
 	var o cli.Options
-	o.RegisterFlags(flag.CommandLine, cli.Config|cli.Store, "when given multiple files", "file")
+	o.RegisterFlags(flag.CommandLine, cli.Config|cli.Store, "when given multiple files")
 	format := flag.String("format", "text", "output format: text, json, or sarif")
 	passNames := flag.String("passes", "", "comma-separated pass names (default: all)")
 	listPasses := flag.Bool("list", false, "list the available passes and exit")
@@ -114,7 +114,6 @@ func main() {
 			Mode:         o.Mode,
 			Passes:       splitPasses(*passNames),
 			Jobs:         o.Jobs,
-			ParseWorkers: cfg.ParseWorkers,
 			Limits:       daemon.FromGuard(cfg.Budget),
 			Link:         *doLink,
 		})

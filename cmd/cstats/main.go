@@ -35,7 +35,7 @@ func main() {
 	cfiles := flag.Int("cfiles", 40, "number of compilation units")
 	headers := flag.Int("headers", 24, "number of generated headers")
 	var o cli.Options
-	o.RegisterFlags(flag.CommandLine, cli.Store, "for the Table 3 sweep", "unit")
+	o.RegisterFlags(flag.CommandLine, cli.Store, "for the Table 3 sweep")
 	metrics := flag.Bool("metrics", false, "print the harness metrics snapshot after the Table 3 sweep")
 	analyze := flag.Bool("analyze", false, "run the variability analysis passes during the Table 3 sweep and print diagnostics")
 	doLink := flag.Bool("link", false, "extract conditional link facts during the Table 3 sweep and print cross-unit findings (runs in-process: the synthetic corpus is in-memory)")
@@ -116,7 +116,7 @@ func main() {
 		printAnalysis(results)
 		if *doLink && m.LinkResult != nil {
 			// Findings arrive in the linker's total deterministic order, so
-			// this listing is byte-stable at any -j / -parse-workers.
+			// this listing is byte-stable at any -j.
 			for _, f := range m.LinkResult.Findings {
 				printDiag(analysis.LinkDiagnostic(f))
 			}
@@ -136,14 +136,13 @@ func table3ViaDaemon(addr string, opts daemon.ClientOptions, seed int64, cfiles,
 		return err
 	}
 	req := daemon.CorpusRequest{
-		Seed:         seed,
-		CFiles:       cfiles,
-		Headers:      headers,
-		Mode:         "bdd",
-		Opt:          "all",
-		Jobs:         cfg.Jobs,
-		ParseWorkers: cfg.ParseWorkers,
-		Limits:       daemon.FromGuard(cfg.Budget),
+		Seed:    seed,
+		CFiles:  cfiles,
+		Headers: headers,
+		Mode:    "bdd",
+		Opt:     "all",
+		Jobs:    cfg.Jobs,
+		Limits:  daemon.FromGuard(cfg.Budget),
 	}
 	if analyze {
 		req.Passes = []string{"all"}

@@ -42,7 +42,7 @@ func main() {
 	kill := flag.Int("kill", 1000, "subparser kill switch for the MAPR rows")
 	points := flag.Int("points", 10, "CDF resolution")
 	var o cli.Options
-	o.RegisterFlags(flag.CommandLine, 0, "for corpus runs", "unit")
+	o.RegisterFlags(flag.CommandLine, 0, "for corpus runs")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	quarantine := flag.Bool("quarantine", false, "retry failed or budget-tripped units once, then quarantine")

@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var o cli.Options
-	o.RegisterFlags(fs, cli.Config|cli.Opt|cli.Store, "when given multiple files", "file")
+	o.RegisterFlags(fs, cli.Config|cli.Opt|cli.Store, "when given multiple files")
 	single := fs.Bool("single", false, "single-configuration (gcc-like) mode")
 	printAST := fs.Bool("ast", false, "print the configuration-preserving AST")
 	project := fs.String("project", "", "comma-separated CONFIG vars to enable; prints that configuration's tokens")
@@ -121,7 +121,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Opt:          o.Opt,
 			Single:       *single,
 			Jobs:         o.Jobs,
-			ParseWorkers: cfg.ParseWorkers,
 			Limits:       daemon.FromGuard(cfg.Budget),
 		}); err != nil {
 			fmt.Fprintf(stderr, "superc: %v; running in-process\n", err)

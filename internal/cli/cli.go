@@ -1,7 +1,7 @@
 // Package cli declares the pipeline flags the SuperC command-line tools
-// share — -I, -D, -mode, -opt, -j, -parse-workers, -store and the per-unit
-// budget flags (-timeout, -budget-*) — and resolves them in one place into
-// the harness.RunConfig every tool's units run under. superc, clint, cstats
+// share — -I, -D, -mode, -opt, -j, -store and the per-unit budget flags
+// (-timeout, -budget-*) — and resolves them in one place into the
+// harness.RunConfig every tool's units run under. superc, clint, cstats
 // and fmlrbench register them through Options.RegisterFlags, and the superd
 // handlers resolve the same settings from the wire through ParseMode and
 // ParseLevel, so the experimental axes (BDD vs SAT conditions, Figure 8's
@@ -22,8 +22,8 @@ import (
 	"repro/internal/store"
 )
 
-// Flags selects the optional flag groups a tool declares; -j,
-// -parse-workers and the budget flags are declared by every tool.
+// Flags selects the optional flag groups a tool declares; -j and the budget
+// flags are declared by every tool.
 type Flags uint
 
 const (
@@ -42,16 +42,14 @@ type Options struct {
 	Mode         string   // -mode: a ParseMode name
 	Opt          string   // -opt: a ParseLevel name
 	Jobs         int      // -j: worker-pool width (0: GOMAXPROCS)
-	ParseWorkers int      // -parse-workers (0: fmlr.AutoWorkers)
 	Store        string   // -store: artifact store directory
 
 	limits *guard.Limits // -timeout, -budget-*: set by RegisterFlags
 }
 
 // RegisterFlags declares the selected flags on fs. jobsFor completes the
-// -j help ("worker-pool width <jobsFor>") and unit names what
-// -parse-workers splits ("file" or "unit").
-func (o *Options) RegisterFlags(fs *flag.FlagSet, groups Flags, jobsFor, unit string) {
+// -j help ("worker-pool width <jobsFor>").
+func (o *Options) RegisterFlags(fs *flag.FlagSet, groups Flags, jobsFor string) {
 	if groups&Config != 0 {
 		fs.Func("I", "include search path (repeatable)", func(v string) error {
 			o.IncludePaths = append(o.IncludePaths, v)
@@ -74,16 +72,15 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet, groups Flags, jobsFor, unit st
 		fs.StringVar(&o.Store, "store", "", "artifact store directory backing the header cache across runs")
 	}
 	fs.IntVar(&o.Jobs, "j", 0, "worker-pool width "+jobsFor+" (0: GOMAXPROCS)")
-	fs.IntVar(&o.ParseWorkers, "parse-workers", 0, "intra-unit parse workers per "+unit+
-		"; output is identical at any value (0: min(GOMAXPROCS, 8), 1: sequential)")
 	o.limits = guard.FlagLimits(fs)
 }
 
 // Config resolves the flags into the configuration a tool's units run
-// under: include paths, defines, condition mode, optimization level, -j,
-// intra-unit parse workers and per-unit budget. The header cache is left to
-// HeaderCache, which may touch the disk. An error names the unknown -mode
-// or -opt value.
+// under: include paths, defines, condition mode, optimization level, -j
+// and per-unit budget. The parser may spend up to fmlr.AutoWorkers
+// goroutines on one unit; it decides from the unit's size whether to. The
+// header cache is left to HeaderCache, which may touch the disk. An error
+// names the unknown -mode or -opt value.
 func (o *Options) Config() (harness.RunConfig, error) {
 	mode, err := ParseMode(o.Mode)
 	if err != nil {
@@ -93,27 +90,18 @@ func (o *Options) Config() (harness.RunConfig, error) {
 	if err != nil {
 		return harness.RunConfig{}, err
 	}
+	opts.ParseWorkers = fmlr.AutoWorkers()
 	cfg := harness.RunConfig{
 		Mode:         mode,
 		Parser:       opts,
 		Defines:      parseDefines(o.Defines),
 		Jobs:         o.Jobs,
-		ParseWorkers: o.ParseWorkerCount(),
 		IncludePaths: o.IncludePaths,
 	}
 	if o.limits != nil {
 		cfg.Budget = *o.limits
 	}
 	return cfg, nil
-}
-
-// ParseWorkerCount resolves -parse-workers: 0 (or less) means
-// fmlr.AutoWorkers, one worker per processor up to 8.
-func (o *Options) ParseWorkerCount() int {
-	if o.ParseWorkers <= 0 {
-		return fmlr.AutoWorkers()
-	}
-	return o.ParseWorkers
 }
 
 // HeaderCache returns a fresh cross-unit header cache, backed by the -store

@@ -20,7 +20,7 @@ func parse(t *testing.T, args ...string) (*Options, harness.RunConfig, error) {
 	var o Options
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	o.RegisterFlags(fs, Config|Opt|Store, "for tests", "unit")
+	o.RegisterFlags(fs, Config|Opt|Store, "for tests")
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
@@ -29,7 +29,11 @@ func parse(t *testing.T, args ...string) (*Options, harness.RunConfig, error) {
 }
 
 func TestResolve(t *testing.T) {
-	auto := fmlr.AutoWorkers()
+	// Every level runs with the parser's worker cap at fmlr.AutoWorkers.
+	auto := func(o fmlr.Options) fmlr.Options {
+		o.ParseWorkers = fmlr.AutoWorkers()
+		return o
+	}
 	cases := []struct {
 		name    string
 		args    []string
@@ -37,7 +41,7 @@ func TestResolve(t *testing.T) {
 		check   func(t *testing.T, o *Options, cfg harness.RunConfig)
 	}{
 		{name: "defaults", check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
-			if cfg.Mode != cond.ModeBDD || cfg.Parser != fmlr.OptAll {
+			if cfg.Mode != cond.ModeBDD || cfg.Parser != auto(fmlr.OptAll) {
 				t.Errorf("mode %v parser %+v, want bdd/all", cfg.Mode, cfg.Parser)
 			}
 			if len(cfg.Defines) != 0 || cfg.IncludePaths != nil {
@@ -56,12 +60,12 @@ func TestResolve(t *testing.T) {
 		}},
 		{name: "mode unknown", args: []string{"-mode", "zdd"}, wantErr: `unknown -mode "zdd"`},
 		{name: "opt follow", args: []string{"-opt", "follow"}, check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
-			if cfg.Parser != fmlr.OptFollowOnly {
+			if cfg.Parser != auto(fmlr.OptFollowOnly) {
 				t.Errorf("parser %+v, want follow-set only", cfg.Parser)
 			}
 		}},
 		{name: "opt mapr-largest", args: []string{"-opt", "mapr-largest"}, check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
-			if cfg.Parser != fmlr.OptMAPRLargest {
+			if cfg.Parser != auto(fmlr.OptMAPRLargest) {
 				t.Errorf("parser %+v, want MAPR largest-first", cfg.Parser)
 			}
 		}},
@@ -81,14 +85,14 @@ func TestResolve(t *testing.T) {
 				t.Errorf("includes %v, want %v", cfg.IncludePaths, want)
 			}
 		}},
-		{name: "parse-workers 0 is auto", args: []string{"-parse-workers", "0"}, check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
-			if cfg.ParseWorkers != auto || o.ParseWorkerCount() != auto {
-				t.Errorf("parse workers %d, want fmlr.AutoWorkers() = %d", cfg.ParseWorkers, auto)
+		{name: "parse workers are auto", check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
+			if cfg.Parser.ParseWorkers != fmlr.AutoWorkers() {
+				t.Errorf("parse workers %d, want fmlr.AutoWorkers() = %d", cfg.Parser.ParseWorkers, fmlr.AutoWorkers())
 			}
 		}},
-		{name: "parse-workers 3", args: []string{"-parse-workers", "3"}, check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
-			if cfg.ParseWorkers != 3 {
-				t.Errorf("parse workers %d, want 3", cfg.ParseWorkers)
+		{name: "opt level keeps auto workers", args: []string{"-opt", "shared"}, check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
+			if cfg.Parser != auto(fmlr.OptShared) {
+				t.Errorf("parser %+v, want shared with fmlr.AutoWorkers() workers", cfg.Parser)
 			}
 		}},
 		{name: "j 0 with small n", args: []string{"-j", "0"}, check: func(t *testing.T, o *Options, cfg harness.RunConfig) {
@@ -152,14 +156,14 @@ func TestFlagGroups(t *testing.T) {
 		groups Flags
 		want   []string
 	}{
-		{0, []string{"budget-bdd-nodes", "budget-hoist", "budget-macro-steps", "budget-subparsers", "budget-tokens", "j", "parse-workers", "timeout"}},
-		{Store, []string{"budget-bdd-nodes", "budget-hoist", "budget-macro-steps", "budget-subparsers", "budget-tokens", "j", "parse-workers", "store", "timeout"}},
-		{Config | Store, []string{"D", "I", "budget-bdd-nodes", "budget-hoist", "budget-macro-steps", "budget-subparsers", "budget-tokens", "j", "mode", "parse-workers", "store", "timeout"}},
-		{Config | Opt | Store, []string{"D", "I", "budget-bdd-nodes", "budget-hoist", "budget-macro-steps", "budget-subparsers", "budget-tokens", "j", "mode", "opt", "parse-workers", "store", "timeout"}},
+		{0, []string{"budget-bdd-nodes", "budget-hoist", "budget-macro-steps", "budget-subparsers", "budget-tokens", "j", "timeout"}},
+		{Store, []string{"budget-bdd-nodes", "budget-hoist", "budget-macro-steps", "budget-subparsers", "budget-tokens", "j", "store", "timeout"}},
+		{Config | Store, []string{"D", "I", "budget-bdd-nodes", "budget-hoist", "budget-macro-steps", "budget-subparsers", "budget-tokens", "j", "mode", "store", "timeout"}},
+		{Config | Opt | Store, []string{"D", "I", "budget-bdd-nodes", "budget-hoist", "budget-macro-steps", "budget-subparsers", "budget-tokens", "j", "mode", "opt", "store", "timeout"}},
 	} {
 		var o Options
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		o.RegisterFlags(fs, tc.groups, "for tests", "unit")
+		o.RegisterFlags(fs, tc.groups, "for tests")
 		var got []string
 		fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 		if !reflect.DeepEqual(got, tc.want) {

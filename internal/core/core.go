@@ -65,12 +65,13 @@ type Config struct {
 	// failing outright. Per-unit budgets can also be attached with
 	// Tool.SetBudget.
 	Budget *guard.Budget
-	// ParseWorkers, when greater than 1, enables intra-unit parallel parsing:
-	// the unit is split at balanced top-level declaration boundaries and the
-	// regions are parsed concurrently over the shared condition space, with
-	// results proven equivalent to (and stitched back into) the sequential
-	// parse. Output is byte-identical to sequential at any worker count. It
-	// only applies when Config.Parser leaves fmlr.Options.ParseWorkers unset.
+	// ParseWorkers, when greater than 1, enables intra-unit parallel parsing
+	// of large units: the parser splits a unit of enough tokens at balanced
+	// top-level declaration boundaries and parses the regions concurrently
+	// over the shared condition space, with results proven equivalent to
+	// (and stitched back into) the sequential parse. Output is
+	// byte-identical to sequential at any worker count. It only applies
+	// when Config.Parser leaves fmlr.Options.ParseWorkers unset.
 	ParseWorkers int
 }
 

@@ -39,6 +39,27 @@ func startServer(t *testing.T, s *Server) *Client {
 	return c
 }
 
+// writeGiantUnit adds giant.c to root: a unit of about 4k tokens, above
+// the parser's size gate for region-parallel parsing, so a request with
+// more than one parse worker runs it in parallel.
+func writeGiantUnit(t *testing.T, root string) string {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(root, "giant.c"), []byte(corpus.GiantUnit(1, 200)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return "giant.c"
+}
+
+// parallelUnits reads the server's harness_parallel_units counter.
+func parallelUnits(t *testing.T, c *Client) int64 {
+	t.Helper()
+	snap, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap.Counters["harness_parallel_units"]
+}
+
 // writeTestTree populates a daemon root with small variational C files that
 // trigger both parse-time conditionals and analysis diagnostics.
 func writeTestTree(t *testing.T) string {
@@ -256,19 +277,23 @@ func TestLintIncludePathsAsGiven(t *testing.T) {
 
 func TestParseDeterminismAndErrors(t *testing.T) {
 	root := writeTestTree(t)
-	c := startServer(t, NewServer(Config{Root: root}))
+	giant := writeGiantUnit(t, root)
+	// MaxJobs 8 keeps the clamp from turning parseWorkers 4 sequential on a
+	// one-processor host.
+	c := startServer(t, NewServer(Config{Root: root, MaxJobs: 8}))
 	req := ParseRequest{
-		Files:        []string{"a.c", "b.c", "missing.c"},
+		Files:        []string{"a.c", "b.c", "missing.c", giant},
 		IncludePaths: []string{"inc"},
 		Mode:         "bdd",
 		Opt:          "all",
+		ParseWorkers: 1,
 	}
 	resp, err := c.Parse(&req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Units[0].HasAST || !resp.Units[1].HasAST {
-		t.Fatalf("good units missing ASTs: %+v, %+v", resp.Units[0], resp.Units[1])
+	if !resp.Units[0].HasAST || !resp.Units[1].HasAST || !resp.Units[3].HasAST {
+		t.Fatalf("good units missing ASTs: %+v, %+v, %+v", resp.Units[0], resp.Units[1], resp.Units[3])
 	}
 	if resp.Units[0].Pre.LexTime != 0 {
 		t.Error("LexTime crossed the wire")
@@ -289,11 +314,18 @@ func TestParseDeterminismAndErrors(t *testing.T) {
 		t.Error("parse response differs between default jobs and -j8")
 	}
 	// The intra-unit axis must be equally invisible: region-parallel
-	// parsing is proven equivalent server-side or falls back.
+	// parsing is proven equivalent server-side or falls back. giant.c is
+	// the one unit large enough to split.
+	if n := parallelUnits(t, c); n != 0 {
+		t.Fatalf("%d units parsed in parallel at parseWorkers=1", n)
+	}
 	req.ParseWorkers = 4
 	respPW, err := c.Parse(&req)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := parallelUnits(t, c); n != 1 {
+		t.Errorf("%d units parsed in parallel at parseWorkers=4, want 1 (giant.c)", n)
 	}
 	respPW.TableCache = resp.TableCache
 	if !reflect.DeepEqual(resp, respPW) {
@@ -583,12 +615,21 @@ func TestMetricSurfaces(t *testing.T) {
 		t.Errorf("gauges = %v, want %v", gauges, wantGauges)
 	}
 
-	_, m := harness.RunMetered(context.Background(), corpus.Generate(corpus.Params{Seed: 1, CFiles: 2, GenHeaders: 2}),
-		harness.RunConfig{Parser: fmlr.OptAll, Jobs: 1})
+	// giant.c is above the parser's size gate, so at two parse workers
+	// harness_parallel_units counts it and only it.
+	c2 := corpus.Generate(corpus.Params{Seed: 1, CFiles: 2, GenHeaders: 2})
+	c2.FS["giant.c"] = corpus.GiantUnit(1, 200)
+	c2.CFiles = append(c2.CFiles, "giant.c")
+	cfg := harness.RunConfig{Parser: fmlr.OptAll, Jobs: 1}
+	cfg.Parser.ParseWorkers = 2
+	_, m := harness.RunMetered(context.Background(), c2, cfg)
 	text := m.String()
 	for name := range m.Map() {
 		if !strings.Contains(text, " "+name+"=") {
 			t.Errorf("harness text block lacks %s", name)
 		}
+	}
+	if n := m.Get("harness_parallel_units"); n != 1 {
+		t.Errorf("harness_parallel_units = %d, want 1 (giant.c)", n)
 	}
 }

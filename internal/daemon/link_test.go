@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -90,23 +91,30 @@ func linkInProcess(t *testing.T, root string, files []string) []LinkFinding {
 
 func TestLinkDifferential(t *testing.T) {
 	root := writeLinkTree(t)
-	c := startServer(t, NewServer(Config{Root: root}))
+	giant := writeGiantUnit(t, root)
+	c := startServer(t, NewServer(Config{Root: root, MaxJobs: 8}))
 
 	req := linkReq()
-	req.Jobs = 1
+	req.Files = append(req.Files, giant)
+	req.Jobs, req.ParseWorkers = 1, 1
 	r1, err := c.Link(&req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req8 := linkReq()
-	req8.Jobs = 8
-	req8.ParseWorkers = 4
+	if n := parallelUnits(t, c); n != 0 {
+		t.Fatalf("%d units parsed in parallel at parseWorkers=1", n)
+	}
+	req8 := req
+	req8.Jobs, req8.ParseWorkers = 8, 4
 	r8, err := c.Link(&req8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := parallelUnits(t, c); n != 1 {
+		t.Errorf("%d units parsed in parallel at parseWorkers=4, want 1 (giant.c)", n)
+	}
 	if !reflect.DeepEqual(r1, r8) {
-		t.Errorf("link responses differ between jobs=1 and jobs=8/parse-workers=4:\n%+v\n%+v", r1, r8)
+		t.Errorf("link responses differ between jobs=1/parseWorkers=1 and jobs=8/parseWorkers=4:\n%+v\n%+v", r1, r8)
 	}
 
 	fams := map[string]bool{}
@@ -121,8 +129,8 @@ func TestLinkDifferential(t *testing.T) {
 			t.Errorf("family %s missing from findings: %+v", want, r1.Findings)
 		}
 	}
-	if r1.Units != 2 || len(r1.Failed) != 0 {
-		t.Errorf("units = %d, failed = %+v; want 2 clean units", r1.Units, r1.Failed)
+	if r1.Units != 3 || len(r1.Failed) != 0 {
+		t.Errorf("units = %d, failed = %+v; want 3 clean units", r1.Units, r1.Failed)
 	}
 
 	// Compare against a direct in-process run through the wire encoding (the
@@ -258,7 +266,7 @@ func TestLinkFactsAcrossRestart(t *testing.T) {
 		t.Error("findings served across a restart differ from the original run")
 	}
 
-	// NoFacts bypasses the cache entirely but changes nothing observable.
+	// NoFacts skips the lookup but changes nothing observable.
 	nofacts := linkReq()
 	nofacts.NoFacts = true
 	r, err := c2.Link(&nofacts)
@@ -304,6 +312,65 @@ func TestLinkFactsAcrossRestart(t *testing.T) {
 		if f.Family == "undef-ref" && f.Symbol == "log_event" {
 			t.Errorf("log_event still undefined with CONFIG_LOGGING pinned: %+v", f)
 		}
+	}
+}
+
+// TestLinkNoFactsRefreshesStore: the facts key covers the root file's
+// content but not its headers, so after a header edit a plain request
+// serves stale facts; one noFacts request recomputes them and stores the
+// fresh facts, which the next plain request then serves.
+func TestLinkNoFactsRefreshesStore(t *testing.T) {
+	root := writeLinkTree(t)
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := startServer(t, NewServer(Config{Root: root, Store: st}))
+	link := func(noFacts bool) *LinkResponse {
+		t.Helper()
+		req := linkReq()
+		req.NoFacts = noFacts
+		r, err := c.Link(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	cold := link(false)
+
+	// a.c's prototype now returns long, against b.c's int definition: a
+	// type-mismatch the cold findings lack.
+	hdr := filepath.Join(root, "proto.h")
+	data, err := os.ReadFile(hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := strings.Replace(string(data), "int checksum(int v);", "long checksum(int v);", 1)
+	if err := os.WriteFile(hdr, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	stale := link(false)
+	if stale.FactsHits != 2 || !reflect.DeepEqual(stale.Findings, cold.Findings) {
+		t.Fatalf("after the header edit a plain request served %d hits and findings %+v; want the 2 stored units' cold findings",
+			stale.FactsHits, stale.Findings)
+	}
+	fresh := link(true)
+	if fresh.FactsHits != 0 || fresh.FactsMisses != 2 {
+		t.Errorf("noFacts request: %d hits, %d misses; want 0/2", fresh.FactsHits, fresh.FactsMisses)
+	}
+	if reflect.DeepEqual(fresh.Findings, cold.Findings) {
+		t.Fatalf("noFacts findings still match the pre-edit ones: %+v", fresh.Findings)
+	}
+	got, _ := json.Marshal(fresh.Findings)
+	want, _ := json.Marshal(linkInProcess(t, root, linkReq().Files))
+	if string(got) != string(want) {
+		t.Errorf("noFacts findings:\n%s\nwant the in-process link:\n%s", got, want)
+	}
+	again := link(false)
+	if again.FactsHits != 2 || !reflect.DeepEqual(again.Findings, fresh.Findings) {
+		t.Errorf("after noFacts a plain request served %d hits and findings %+v; want 2 hits and the fresh findings %+v",
+			again.FactsHits, again.Findings, fresh.Findings)
 	}
 }
 

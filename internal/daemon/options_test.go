@@ -13,20 +13,20 @@ import (
 // resolution paths of one set of pipeline flags: the harness.RunConfig
 // cli.Options resolves in-process, and the one the daemon resolves from the
 // request a CLI builds out of the same flags (after a wire round trip).
-// The server allows 8 workers, so its QoS clamp stays out of the way of
-// -parse-workers.
+// The request leaves parseWorkers 0 and the server allows 8 workers, so
+// both sides resolve the parser's worker cap to fmlr.AutoWorkers().
 func TestFlagsAgreeWithDaemon(t *testing.T) {
 	s := NewServer(Config{Root: t.TempDir(), MaxJobs: 8})
 	for _, args := range [][]string{
 		nil,
-		{"-mode", "sat", "-opt", "follow", "-parse-workers", "3"},
-		{"-I", "inc", "-I", "inc/gen", "-D", "A", "-D", "B=x=y", "-parse-workers", "0"},
-		{"-mode", "bdd", "-opt", "mapr-largest", "-parse-workers", "1"},
+		{"-mode", "sat", "-opt", "follow"},
+		{"-I", "inc", "-I", "inc/gen", "-D", "A", "-D", "B=x=y"},
+		{"-mode", "bdd", "-opt", "mapr-largest"},
 		{"-timeout", "2s", "-budget-tokens", "900", "-budget-subparsers", "64"},
 	} {
 		var o cli.Options
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		o.RegisterFlags(fs, cli.Config|cli.Opt|cli.Store, "for tests", "file")
+		o.RegisterFlags(fs, cli.Config|cli.Opt|cli.Store, "for tests")
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,6 @@ func TestFlagsAgreeWithDaemon(t *testing.T) {
 			Mode:         o.Mode,
 			Opt:          o.Opt,
 			Jobs:         o.Jobs,
-			ParseWorkers: local.ParseWorkers,
 			Limits:       FromGuard(local.Budget),
 		}
 		data, err := json.Marshal(&req)
@@ -69,9 +68,6 @@ func TestFlagsAgreeWithDaemon(t *testing.T) {
 		}
 		if remote.Parser != local.Parser {
 			t.Errorf("%v: parser %+v, in-process %+v", args, remote.Parser, local.Parser)
-		}
-		if remote.ParseWorkers != local.ParseWorkers {
-			t.Errorf("%v: parse workers %d, in-process %d", args, remote.ParseWorkers, local.ParseWorkers)
 		}
 		if remote.Budget != local.Budget {
 			t.Errorf("%v: budget %+v, in-process %+v", args, remote.Budget, local.Budget)

@@ -155,8 +155,10 @@ type LintRequest struct {
 	Mode         string            `json:"mode"` // "bdd" or "sat"
 	Passes       []string          `json:"passes,omitempty"`
 	Jobs         int               `json:"jobs,omitempty"`
-	// ParseWorkers enables intra-unit region-parallel parsing per unit
-	// (clamped by the server like Jobs; 0 = sequential).
+	// ParseWorkers caps the goroutines the parser may spend on one unit;
+	// only units large enough to pay for it are split. It resolves like
+	// Jobs: 0 asks for the server default, min(fmlr.AutoWorkers(),
+	// -max-jobs), and a larger count is clamped to -max-jobs.
 	ParseWorkers int    `json:"parseWorkers,omitempty"`
 	Limits       Limits `json:"limits,omitempty"`
 	// Link also extracts every unit's conditional link facts from the same
@@ -194,12 +196,16 @@ type LinkRequest struct {
 	Defines      map[string]string `json:"defines,omitempty"`
 	Mode         string            `json:"mode"` // "bdd" or "sat"
 	Jobs         int               `json:"jobs,omitempty"`
-	// ParseWorkers enables intra-unit region-parallel parsing per unit
-	// (clamped by the server like Jobs; 0 = sequential).
+	// ParseWorkers caps the goroutines the parser may spend on one unit;
+	// only units large enough to pay for it are split. It resolves like
+	// Jobs: 0 asks for the server default, min(fmlr.AutoWorkers(),
+	// -max-jobs), and a larger count is clamped to -max-jobs.
 	ParseWorkers int    `json:"parseWorkers,omitempty"`
 	Limits       Limits `json:"limits,omitempty"`
-	// NoFacts bypasses the persisted link-fact cache (for measuring cold
-	// runs and for determinism tests that compare cached vs. fresh).
+	// NoFacts skips the persisted link-fact lookup: every unit is parsed
+	// afresh and its facts overwrite the stored ones, which is how a client
+	// refreshes the cache after editing a shared header (the key covers
+	// only the root file's content).
 	NoFacts bool `json:"noFacts,omitempty"`
 }
 
@@ -301,8 +307,10 @@ type ParseRequest struct {
 	Opt          string            `json:"opt"`  // fmlr optimization level name
 	Single       bool              `json:"single,omitempty"`
 	Jobs         int               `json:"jobs,omitempty"`
-	// ParseWorkers enables intra-unit region-parallel parsing per unit
-	// (clamped by the server like Jobs; 0 = sequential).
+	// ParseWorkers caps the goroutines the parser may spend on one unit;
+	// only units large enough to pay for it are split. It resolves like
+	// Jobs: 0 asks for the server default, min(fmlr.AutoWorkers(),
+	// -max-jobs), and a larger count is clamped to -max-jobs.
 	ParseWorkers int    `json:"parseWorkers,omitempty"`
 	Limits       Limits `json:"limits,omitempty"`
 }
@@ -354,11 +362,14 @@ type CorpusRequest struct {
 	Single  bool     `json:"single,omitempty"`
 	Passes  []string `json:"passes,omitempty"` // analysis passes; empty = none
 	Jobs    int      `json:"jobs,omitempty"`
-	// ParseWorkers enables intra-unit region-parallel parsing per unit
-	// (clamped by the server like Jobs; 0 = sequential).
+	// ParseWorkers caps the goroutines the parser may spend on one unit;
+	// only units large enough to pay for it are split. It resolves like
+	// Jobs: 0 asks for the server default, min(fmlr.AutoWorkers(),
+	// -max-jobs), and a larger count is clamped to -max-jobs.
 	ParseWorkers int    `json:"parseWorkers,omitempty"`
 	Limits       Limits `json:"limits,omitempty"`
-	// NoFacts bypasses the per-unit facts cache (for measuring cold runs).
+	// NoFacts skips the per-unit facts lookup: every unit runs afresh and
+	// its facts overwrite the stored ones.
 	NoFacts bool `json:"noFacts,omitempty"`
 }
 

@@ -25,6 +25,7 @@ import (
 	"repro/internal/cond"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/fmlr"
 	"repro/internal/guard"
 	"repro/internal/harness"
 	"repro/internal/hcache"
@@ -331,26 +332,13 @@ func selectPasses(names []string) ([]*analysis.Analyzer, error) {
 	return passes.ByName(names), nil
 }
 
-// jobs clamps a requested worker count to the server bound (0 asks for
-// the bound).
-func (s *Server) jobs(req int) int {
-	if req <= 0 || req > s.cfg.MaxJobs {
-		return s.cfg.MaxJobs
-	}
-	return req
-}
-
-// parseWorkers clamps a requested intra-unit worker count to the server
-// bound. Unlike jobs, zero means sequential, not "use the maximum":
-// region-parallel parsing is opt-in per request.
-func (s *Server) parseWorkers(req int) int {
+// workers clamps a requested worker count to the server bound; 0 (or
+// less) asks for def.
+func (s *Server) workers(req, def int) int {
 	if req <= 0 {
-		return 0
+		req = def
 	}
-	if req > s.cfg.MaxJobs {
-		return s.cfg.MaxJobs
-	}
-	return req
+	return min(req, s.cfg.MaxJobs)
 }
 
 // pipeline is the pipeline block every batch request carries in its flat
@@ -387,7 +375,8 @@ func (r *CorpusRequest) pipeline() pipeline {
 // resolve validates a request's pipeline block and turns it into the
 // harness.RunConfig its units run under — names through the same lookups
 // as the CLI flags, paths confined to the root, jobs and parse workers
-// clamped, the warm header cache attached (RunUnits drops it in
+// clamped (0 asks for -max-jobs and fmlr.AutoWorkers() respectively), the
+// warm header cache attached (RunUnits drops it in
 // single-configuration mode) and the per-unit limits clamped to the server
 // caps.
 func (s *Server) resolve(p pipeline) (harness.RunConfig, error) {
@@ -405,13 +394,13 @@ func (s *Server) resolve(p pipeline) (harness.RunConfig, error) {
 	if err := checkLocal(p.includePaths); err != nil {
 		return harness.RunConfig{}, err
 	}
+	opts.ParseWorkers = s.workers(p.parseWorkers, fmlr.AutoWorkers())
 	return harness.RunConfig{
 		Mode:         mode,
 		Parser:       opts,
 		Single:       p.single,
 		Defines:      p.defines,
-		Jobs:         s.jobs(p.jobs),
-		ParseWorkers: s.parseWorkers(p.parseWorkers),
+		Jobs:         s.workers(p.jobs, s.cfg.MaxJobs),
 		IncludePaths: p.includePaths,
 		HeaderCache:  s.hc,
 		Budget:       Clamp(p.limits.ToGuard(), s.cfg.Caps),
@@ -589,26 +578,27 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 	cfg.Link = true
 	fs := rootFS{s.cfg.Root}
 	fp := linkFingerprint(cfg)
-	useFacts := s.cfg.Store != nil && !req.NoFacts
 	facts := make([]*link.Facts, len(req.Files))
 	results := make([]*harness.UnitResult, len(req.Files)) // nil: facts came from the store
 	harness.Parallel(cfg.Jobs, len(req.Files), func(i int) {
 		file := req.Files[i]
 		// The cache key folds in the root file's content hash, so editing a
 		// .c file invalidates its facts across restarts. Header edits are not
-		// tracked here; flush with -no-facts (or a fresh store) after
-		// changing shared headers.
+		// tracked here: a NoFacts request skips the lookup and overwrites
+		// each unit's stored facts with fresh ones.
 		var key string
-		if useFacts {
+		if s.cfg.Store != nil {
 			if data, err := fs.ReadFile(file); err == nil {
 				key = fmt.Sprintf("%s\x00%s\x00%x", fp, file, sha256.Sum256(data))
-				if raw, ok := s.cfg.Store.Get(store.NSLink, key); ok {
-					if f, err := link.DecodeFacts(raw); err == nil {
-						facts[i] = f
-						return
-					}
-					s.cfg.Store.Delete(store.NSLink, key)
+			}
+		}
+		if key != "" && !req.NoFacts {
+			if raw, ok := s.cfg.Store.Get(store.NSLink, key); ok {
+				if f, err := link.DecodeFacts(raw); err == nil {
+					facts[i] = f
+					return
 				}
+				s.cfg.Store.Delete(store.NSLink, key)
 			}
 		}
 		// A miss runs as a batch of one on this worker, so its parse and
@@ -693,9 +683,8 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 
 	resp := CorpusResponse{Units: make([]CorpusUnit, len(c.CFiles))}
 	var missing []int
-	useFacts := s.cfg.Store != nil && !req.NoFacts
 	for i, f := range c.CFiles {
-		if useFacts && store.GetGob(s.cfg.Store, store.NSFacts, fp+"\x00"+f, &resp.Units[i]) {
+		if s.cfg.Store != nil && !req.NoFacts && store.GetGob(s.cfg.Store, store.NSFacts, fp+"\x00"+f, &resp.Units[i]) {
 			resp.FactsHits++
 			continue
 		}
@@ -715,8 +704,9 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 			resp.Units[i] = u
 			// A unit that errored (cancelled run, panic) is not a
 			// deterministic fact; everything else is a pure function of
-			// (corpus, config, limits) and may be served across restarts.
-			if useFacts && u.Err == "" {
+			// (corpus, config, limits) and may be served across restarts; a
+			// NoFacts request refreshes it.
+			if s.cfg.Store != nil && u.Err == "" {
 				store.PutGob(s.cfg.Store, store.NSFacts, fp+"\x00"+c.CFiles[i], &u)
 			}
 		}

@@ -49,21 +49,24 @@ type Options struct {
 	// error node under the abandoned work's presence condition instead of
 	// a nil AST.
 	Budget *guard.Budget
-	// ParseWorkers, when greater than 1, lets the engine split the unit at
-	// balanced top-level declaration boundaries and run one sequential
-	// subparser family per region concurrently over the shared condition
-	// space, stitching the region ASTs back into the sequential result.
-	// Admission and post-hoc validation are conservative: any region whose
-	// stitched typedef context cannot be proven identical to the sequential
-	// parse triggers a full sequential reparse, so the output is
-	// byte-identical to ParseWorkers: 1 at any worker count. 0 and 1 mean
-	// sequential.
+	// ParseWorkers caps the goroutines ParseUnit may spend on one unit.
+	// With more than one, a unit of at least minParallelTokens tokens is
+	// split at balanced top-level declaration boundaries and one sequential
+	// subparser family per region runs concurrently over the shared
+	// condition space, the region ASTs stitched back into the sequential
+	// result; smaller units, where the split costs more than it saves,
+	// always parse sequentially. Admission and post-hoc validation are
+	// conservative: any region whose stitched typedef context cannot be
+	// proven identical to the sequential parse triggers a full sequential
+	// reparse, so the output is byte-identical to ParseWorkers: 1 at any
+	// worker count. 0 and 1 mean sequential.
 	ParseWorkers int
 }
 
-// AutoWorkers is the "GOMAXPROCS-aware" intra-unit worker count the CLIs
-// resolve a -parse-workers 0 to: one worker per processor, capped at 8 —
-// past that the region count, not the processor count, bounds speedup.
+// AutoWorkers is the intra-unit worker cap the pipeline runs under: one
+// worker per processor, capped at 8 — past that the region count, not the
+// processor count, bounds speedup. GOMAXPROCS=1 makes every parse
+// sequential.
 func AutoWorkers() int {
 	n := runtime.GOMAXPROCS(0)
 	if n > 8 {
@@ -131,6 +134,10 @@ type Result struct {
 	Stats  Stats
 	Diags  []Diagnostic
 	Killed bool // the kill switch tripped
+	// Regions is the number of regions the region-parallel strategy parsed
+	// the unit as, 0 when the parse ran sequentially. It lives outside
+	// Stats, which is identical at every worker count.
+	Regions int
 }
 
 // ErrKillSwitch is returned (inside Result.Killed) when the subparser

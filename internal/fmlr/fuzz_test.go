@@ -15,10 +15,10 @@ import (
 //  1. Structure: the chosen regions partition the unit's top-level segments
 //     contiguously, every non-final region ends on a top-level ";" or "}"
 //     token, and no region is empty.
-//  2. Equivalence: parsing through ParseUnit with the region-parallel
-//     strategy (workers=4) yields exactly the sequential reference AST,
-//     diagnostics, and kill flag — whether the split is admitted or the
-//     engine falls back.
+//  2. Equivalence: whenever the region-parallel strategy (workers=4,
+//     driven directly, past ParseUnit's size gate) accepts the split, it
+//     yields exactly the sequential reference AST, diagnostics, and kill
+//     flag. A declined split falls back to the sequential parse.
 //
 // The corpus seeds include the shapes that broke earlier drafts: array
 // initializers whose closing brace tempts a mid-declaration cut, typedefs
@@ -91,7 +91,10 @@ func FuzzBlockSplit(f *testing.F) {
 		if err != nil {
 			t.Fatalf("second preprocess disagrees: %v", err)
 		}
-		par := New(s2, lang, popts).ParseUnit(u2)
+		par, ok := New(s2, lang, popts).parseParallel(u2.EnsureSegments(), u2.Chunks, "main.c")
+		if !ok {
+			return
+		}
 		if !sameAST(s, seq, s2, par) {
 			t.Fatal("parallel AST diverges from sequential")
 		}

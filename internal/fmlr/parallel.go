@@ -124,7 +124,7 @@ func (e *Engine) parseParallel(segs []preprocessor.Segment, chunks []preprocesso
 	for k := 1; k < len(regions); k++ {
 		acc = st.join(acc, subs[k].accepts[0].Node)
 	}
-	return &Result{AST: acc, Stats: mergeRegionStats(results)}, true
+	return &Result{AST: acc, Stats: mergeRegionStats(results), Regions: len(regions)}, true
 }
 
 // runRegion parses one region with a fresh sequential engine, capturing any

@@ -50,6 +50,23 @@ func parseWith(t *testing.T, src string, opts Options) (*Result, *cond.Space) {
 	return parseChunked(t, map[string]string{"main.c": src}, opts)
 }
 
+// parseRegions drives the region-parallel strategy on src directly, past
+// ParseUnit's size gate; ok reports whether it split the unit and passed
+// the equivalence gate.
+func parseRegions(t *testing.T, src string, workers int) (*Result, *cond.Space, bool) {
+	t.Helper()
+	u, s := preprocessChunked(t, map[string]string{"main.c": src})
+	res, ok := parseUnitRegions(s, u, workers)
+	return res, s, ok
+}
+
+// parseUnitRegions is parseRegions on an already preprocessed unit.
+func parseUnitRegions(s *cond.Space, u *preprocessor.Unit, workers int) (*Result, bool) {
+	opts := OptAll
+	opts.ParseWorkers = workers
+	return New(s, cgrammar.MustLoad(), opts).parseParallel(u.EnsureSegments(), u.Chunks, u.File)
+}
+
 // astEq is a DAG-aware structural equality check between ASTs from two
 // independent parses (and hence two condition spaces): node kinds, labels,
 // tokens, child structure, and the *rendered* presence-condition strings must
@@ -135,12 +152,14 @@ func sampleAssignments() []map[string]bool {
 }
 
 // TestParallelDifferential is the oracle: generated units parsed at workers
-// 2, 4, and 8 must match the sequential reference parse byte for byte.
+// 2, 4, and 8 must match the sequential reference parse byte for byte. At
+// 150 items every seed's unit is above minParallelTokens, and each parse
+// must actually run in regions.
 func TestParallelDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			src := genUnit(seed, 120)
+			src := genUnit(seed, 150)
 			seq, s := parseSrc(t, map[string]string{"main.c": src}, OptAll)
 			if seq.AST == nil {
 				t.Fatalf("sequential parse failed: %+v", seq.Diags)
@@ -151,6 +170,9 @@ func TestParallelDifferential(t *testing.T) {
 				opts := OptAll
 				opts.ParseWorkers = w
 				par, s2 := parseWith(t, src, opts)
+				if par.Regions == 0 {
+					t.Fatalf("workers=%d parsed sequentially; the differential compares nothing", w)
+				}
 				if !sameAST(s, seq, s2, par) {
 					for _, a := range assigns {
 						sp, pp := projectTokens(s, seq.AST, a), projectTokens(s2, par.AST, a)
@@ -222,17 +244,18 @@ func TestParallelSplitDeclines(t *testing.T) {
 	})
 	t.Run("straddling-typedef", func(t *testing.T) {
 		// The typedef keyword and its declarator live in different branches;
-		// the prescan must poison rather than mis-seed, and ParseUnit must
-		// still agree with the sequential reference.
+		// the prescan must poison rather than mis-seed: a parallel parse the
+		// gate accepts must agree with the sequential reference.
 		var b strings.Builder
 		b.WriteString("#ifdef FEAT_A\ntypedef int\n#else\ntypedef long\n#endif\nweird_t;\n")
 		b.WriteString("weird_t w = 0;\n")
 		b.WriteString(genUnit(9, 80))
 		src := b.String()
 		seq, s := parseSrc(t, map[string]string{"main.c": src}, OptAll)
-		opts := OptAll
-		opts.ParseWorkers = 4
-		par, s2 := parseWith(t, src, opts)
+		par, s2, ok := parseRegions(t, src, 4)
+		if !ok {
+			return
+		}
 		if !sameAST(s, seq, s2, par) {
 			t.Fatal("straddling-typedef unit diverges from sequential")
 		}
@@ -268,10 +291,57 @@ func TestParallelDeterministicAcrossRuns(t *testing.T) {
 	opts.ParseWorkers = 8
 	a, s1 := parseWith(t, src, opts)
 	b, s2 := parseWith(t, src, opts)
+	if a.Regions == 0 || b.Regions == 0 {
+		t.Fatalf("parsed as %d and %d regions; want both in parallel", a.Regions, b.Regions)
+	}
 	if !sameAST(s1, a, s2, b) {
 		t.Fatal("two parallel runs of the same unit disagree")
 	}
 	if !reflect.DeepEqual(normStats(a.Stats), normStats(b.Stats)) {
 		t.Fatalf("stats differ across runs:\n%+v\n%+v", normStats(a.Stats), normStats(b.Stats))
+	}
+}
+
+// TestParallelAdmission pins ParseUnit's size gate: at two workers a corpus
+// unit below minParallelTokens parses sequentially even though it splits,
+// and a giant unit parses in regions.
+func TestParallelAdmission(t *testing.T) {
+	c := corpus.Generate(corpus.Params{Seed: 1, CFiles: 6, GenHeaders: 8})
+	lang := cgrammar.MustLoad()
+	opts := OptAll
+	opts.ParseWorkers = 2
+	preprocess := func(cf string) (*preprocessor.Unit, *cond.Space) {
+		t.Helper()
+		s := cond.NewSpace(cond.ModeBDD)
+		p := preprocessor.New(preprocessor.Options{Space: s, FS: c.FS, IncludePaths: []string{"include", "include/gen", "include/linux"}})
+		u, err := p.Preprocess(cf)
+		if err != nil {
+			t.Fatalf("%s: preprocess: %v", cf, err)
+		}
+		return u, s
+	}
+	split := ""
+	for _, cf := range c.CFiles {
+		u, s := preprocess(cf)
+		if u.Stats.Tokens >= minParallelTokens {
+			t.Fatalf("%s has %d tokens, not below the gate of %d", cf, u.Stats.Tokens, minParallelTokens)
+		}
+		if _, ok := New(s, lang, opts).parseParallel(u.EnsureSegments(), u.Chunks, cf); ok {
+			split = cf
+			break
+		}
+	}
+	if split == "" {
+		t.Fatal("no corpus unit splits; the gate is not what keeps them sequential")
+	}
+	u, s := preprocess(split)
+	if res := New(s, lang, opts).ParseUnit(u); res.Regions != 0 {
+		t.Errorf("%s (%d tokens) parsed as %d regions; want sequential below %d tokens",
+			split, u.Stats.Tokens, res.Regions, minParallelTokens)
+	}
+
+	res, _ := parseWith(t, genUnit(1, 400), opts)
+	if res.AST == nil || res.Regions == 0 {
+		t.Errorf("GiantUnit(1, 400) parsed as %d regions (AST %v); want a parallel parse", res.Regions, res.AST != nil)
 	}
 }

@@ -36,6 +36,14 @@ type region struct {
 // per-region EOF bookkeeping and seam validation dominate the parse.
 const minRegionTokens = 128
 
+// minParallelTokens is the smallest unit ParseUnit tries to split. Below
+// it the segment forest, the typedef prescan and the region engines cost
+// about as much as the concurrency saves, or more: two workers parse a
+// 909-token unit at 0.73x the sequential speed and a 2,022-token one at
+// 1.06x, and win steadily only above that (1.23x at 3k-4k tokens,
+// BenchmarkParallelCrossover; EXPERIMENTS.md "Region-parallel admission").
+const minParallelTokens = 16 * minRegionTokens
+
 // cutPoint marks a legal region boundary between segs[after] and
 // segs[after+1].
 type cutPoint struct {

@@ -185,12 +185,13 @@ func (st *streamState) materializeRunSuffix() *element {
 }
 
 // ParseUnit parses a preprocessed unit, streaming its chunks straight into
-// the LR loop. With Options.ParseWorkers > 1 it first attempts the
-// region-parallel strategy (parallel.go), falling back to the sequential
-// stream whenever the unit does not split cleanly or the equivalence gate
-// fails. This is the entry point core/harness use.
+// the LR loop. With Options.ParseWorkers > 1 and a unit of at least
+// minParallelTokens tokens it first attempts the region-parallel strategy
+// (parallel.go), falling back to the sequential stream whenever the unit
+// does not split cleanly or the equivalence gate fails. This is the entry
+// point core/harness use.
 func (e *Engine) ParseUnit(u *preprocessor.Unit) *Result {
-	if e.opts.ParseWorkers > 1 {
+	if e.opts.ParseWorkers > 1 && u.Stats.Tokens >= minParallelTokens {
 		if res, ok := e.parseParallel(u.EnsureSegments(), u.Chunks, u.File); ok {
 			return res
 		}

@@ -19,7 +19,9 @@ import (
 // (ParseUnit: chunk runs feeding the engine's cursor fast path) must
 // reproduce it byte for byte — AST with rendered presence conditions, diagnostics,
 // kill flag, and every pipeline-independent statistic — at every worker
-// count and with the header cache on or off. Run under -race these tests
+// count and with the header cache on or off. The multi-worker arm drives the
+// region-parallel strategy directly (checkRegionArm), since ParseUnit keeps
+// units below minParallelTokens sequential. Run under -race these tests
 // double as the concurrency check for streamed region parses.
 
 // preprocessChunked preprocesses main.c and fails the test on a hard
@@ -77,6 +79,20 @@ func checkStreamEquiv(t *testing.T, label string, sa *cond.Space, want *Result, 
 		t.Fatalf("%s: flow split %d streamed + %d materialized != %d tokens",
 			label, got.Stats.TokensStreamed, got.Stats.TokensMaterialized, got.Stats.Tokens)
 	}
+}
+
+// checkRegionArm is the workers=4 arm of the differential: it parses u
+// through the region-parallel strategy directly, past ParseUnit's size
+// gate, and checks the result against the reference whenever the strategy
+// accepts the split. It reports whether it did; a declined split has
+// nothing to compare.
+func checkRegionArm(t *testing.T, label string, sa *cond.Space, want *Result, sb *cond.Space, u *preprocessor.Unit) bool {
+	t.Helper()
+	got, ok := parseUnitRegions(sb, u, 4)
+	if ok {
+		checkStreamEquiv(t, label+" workers=4", sa, want, sb, got)
+	}
+	return ok
 }
 
 // TestStreamPathEngages pins that the streaming pipeline actually streams —
@@ -155,7 +171,8 @@ func TestStreamOneGear(t *testing.T) {
 }
 
 // TestStreamDifferential is the oracle over generated units: streaming at
-// workers 1 and 4 must match the sequential reference parse byte for byte.
+// workers 1 and 4 must match the sequential reference parse byte for byte,
+// and every unit must split at 4 workers.
 func TestStreamDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
@@ -165,11 +182,11 @@ func TestStreamDifferential(t *testing.T) {
 			if want.AST == nil {
 				t.Fatalf("reference parse failed: %+v", want.Diags)
 			}
-			for _, w := range []int{1, 4} {
-				opts := OptAll
-				opts.ParseWorkers = w
-				got, sb := parseChunked(t, files, opts)
-				checkStreamEquiv(t, fmt.Sprintf("workers=%d", w), sa, want, sb, got)
+			got, sb := parseChunked(t, files, OptAll)
+			checkStreamEquiv(t, "workers=1", sa, want, sb, got)
+			u, sb := preprocessChunked(t, files)
+			if !checkRegionArm(t, "", sa, want, sb, u) {
+				t.Fatal("workers=4: the unit did not split; the parallel arm compares nothing")
 			}
 		})
 	}
@@ -196,18 +213,22 @@ func TestStreamDifferentialShapes(t *testing.T) {
 		"macro-heavy":             "#define THREE(a,b,c) a + b + c\nint v = THREE(1, 2, 3);\n" + pad,
 		"only-conditional":        "#ifdef A\nint a;\n#else\nint b;\n#endif\n",
 	}
+	split := 0
 	for name, src := range cases {
 		name, src := name, src
 		t.Run(name, func(t *testing.T) {
 			files := map[string]string{"main.c": src}
 			want, sa := parseSrc(t, files, OptAll)
-			for _, w := range []int{1, 4} {
-				opts := OptAll
-				opts.ParseWorkers = w
-				got, sb := parseChunked(t, files, opts)
-				checkStreamEquiv(t, fmt.Sprintf("workers=%d", w), sa, want, sb, got)
+			got, sb := parseChunked(t, files, OptAll)
+			checkStreamEquiv(t, "workers=1", sa, want, sb, got)
+			u, sb := preprocessChunked(t, files)
+			if checkRegionArm(t, "", sa, want, sb, u) {
+				split++
 			}
 		})
+	}
+	if split == 0 {
+		t.Fatal("no shape split at workers=4; the parallel arm compared nothing")
 	}
 }
 
@@ -242,16 +263,20 @@ func TestStreamCorpusDifferential(t *testing.T) {
 			label = "hcache"
 		}
 		t.Run(label, func(t *testing.T) {
+			split := 0
 			for _, cf := range c.CFiles {
 				u, sa := preprocess(t, cf, hc)
 				want := New(sa, lang, OptAll).Parse(u.EnsureSegments(), cf)
-				for _, w := range []int{1, 4} {
-					opts := OptAll
-					opts.ParseWorkers = w
-					su, sb := preprocess(t, cf, hc)
-					got := New(sb, lang, opts).ParseUnit(su)
-					checkStreamEquiv(t, fmt.Sprintf("%s workers=%d", cf, w), sa, want, sb, got)
+				su, sb := preprocess(t, cf, hc)
+				got := New(sb, lang, OptAll).ParseUnit(su)
+				checkStreamEquiv(t, cf+" workers=1", sa, want, sb, got)
+				su, sb = preprocess(t, cf, hc)
+				if checkRegionArm(t, cf, sa, want, sb, su) {
+					split++
 				}
+			}
+			if split == 0 {
+				t.Fatal("no corpus unit split at workers=4; the parallel arm compared nothing")
 			}
 		})
 	}
@@ -289,10 +314,18 @@ func FuzzStreamTokens(f *testing.F) {
 			return
 		}
 		want := New(sa, lang, OptAll).Parse(ua.EnsureSegments(), "main.c")
+		// workers=1 streams through ParseUnit; workers=4 drives the
+		// region-parallel strategy directly, past ParseUnit's size gate, and
+		// is compared whenever it accepts the split.
 		for _, w := range []int{1, 4} {
-			opts := OptAll
-			opts.ParseWorkers = w
-			got := New(sb, lang, opts).ParseUnit(ub)
+			var got *Result
+			if w == 1 {
+				got = New(sb, lang, OptAll).ParseUnit(ub)
+			} else if res, ok := parseUnitRegions(sb, ub, w); ok {
+				got = res
+			} else {
+				continue
+			}
 			if !sameAST(sa, want, sb, got) {
 				t.Fatalf("workers=%d: streamed AST diverges", w)
 			}

@@ -56,22 +56,41 @@ func TestAnalysisOutputStableAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestOutputStableAcrossParseWorkers is the -parse-workers golden test: the
+// withGiantUnit adds giant.c to c: a generated unit of about 4k tokens,
+// above the parser's size gate, so a run with more than one parse worker
+// parses it region-parallel.
+func withGiantUnit(c *corpus.Corpus) *corpus.Corpus {
+	c.FS["giant.c"] = corpus.GiantUnit(1, 200)
+	c.CFiles = append(c.CFiles, "giant.c")
+	return c
+}
+
+// checkParallel requires that giant.c, the last unit, parsed in regions
+// exactly when the run had more than one parse worker.
+func checkParallel(t *testing.T, results []UnitResult, pw int) {
+	t.Helper()
+	if r := results[len(results)-1]; (r.Regions > 0) != (pw > 1) {
+		t.Errorf("%s parsed as %d regions with %d parse workers", r.File, r.Regions, pw)
+	}
+}
+
+// TestOutputStableAcrossParseWorkers is the parse-worker golden test: the
 // rendered Table 3 and analysis output must be byte-identical whether units
 // parse sequentially or region-parallel, at any worker-pool width — the two
-// parallelism axes compose without touching observable output. The corpus
-// uses large units so the region-parallel path actually engages instead of
-// uniformly falling back.
+// parallelism axes compose without touching observable output. giant.c is
+// large enough that the region-parallel path engages on it.
 func TestOutputStableAcrossParseWorkers(t *testing.T) {
-	c := corpus.Generate(corpus.Params{Seed: 5, CFiles: 8, GenHeaders: 10, BlocksPerFile: 60})
+	c := withGiantUnit(corpus.Generate(corpus.Params{Seed: 5, CFiles: 8, GenHeaders: 10, BlocksPerFile: 60}))
 	render := func(jobs, pw int) string {
-		cfg := RunConfig{Parser: fmlr.OptAll, Analyzers: passes.All(), Jobs: jobs, ParseWorkers: pw}
+		cfg := RunConfig{Parser: fmlr.OptAll, Analyzers: passes.All(), Jobs: jobs}
+		cfg.Parser.ParseWorkers = pw
 		results := Run(c, cfg)
+		checkParallel(t, results, pw)
 		return Table3(results) + "\n" + renderAnalysis(results)
 	}
 	want := render(1, 1)
 	if want == "\n" {
-		t.Fatal("no output at -j 1 -parse-workers 1")
+		t.Fatal("no output at jobs=1 parse workers=1")
 	}
 	for _, jobs := range []int{1, 8} {
 		for _, pw := range []int{1, 4} {
@@ -79,7 +98,7 @@ func TestOutputStableAcrossParseWorkers(t *testing.T) {
 				continue
 			}
 			if got := render(jobs, pw); got != want {
-				t.Errorf("output differs between -j 1 -parse-workers 1 and -j %d -parse-workers %d:\n--- want ---\n%s\n--- got ---\n%s",
+				t.Errorf("output differs between jobs=1 parse workers=1 and jobs=%d parse workers=%d:\n--- want ---\n%s\n--- got ---\n%s",
 					jobs, pw, want, got)
 			}
 		}
@@ -138,11 +157,11 @@ func renderLink(m Metrics) string {
 }
 
 // TestLinkOutputStableAcrossWorkers is the linker's scheduling golden: the
-// corpus-wide findings must be byte-identical at any -j and -parse-workers
+// corpus-wide findings must be byte-identical at any jobs and parse-worker
 // combination — the join is a pure function of the fact set, and fact
-// extraction is per-unit.
+// extraction is per-unit. giant.c is the unit the parse workers split.
 func TestLinkOutputStableAcrossWorkers(t *testing.T) {
-	c := corpus.Generate(corpus.Params{Seed: 7, CFiles: 8, GenHeaders: 8})
+	c := withGiantUnit(corpus.Generate(corpus.Params{Seed: 7, CFiles: 8, GenHeaders: 8}))
 	base := RunConfig{Parser: fmlr.OptAll, Link: true, Jobs: 1}
 	_, m := RunMetered(context.Background(), c, base)
 	sequential := renderLink(m)
@@ -151,10 +170,11 @@ func TestLinkOutputStableAcrossWorkers(t *testing.T) {
 	}
 	for _, w := range []struct{ jobs, pw int }{{2, 0}, {8, 0}, {1, 4}, {8, 4}} {
 		cfg := base
-		cfg.Jobs, cfg.ParseWorkers = w.jobs, w.pw
-		_, mw := RunMetered(context.Background(), c, cfg)
+		cfg.Jobs, cfg.Parser.ParseWorkers = w.jobs, w.pw
+		results, mw := RunMetered(context.Background(), c, cfg)
+		checkParallel(t, results, w.pw)
 		if got := renderLink(mw); got != sequential {
-			t.Errorf("link output differs at jobs=%d parse-workers=%d:\n--- base ---\n%s\n--- got ---\n%s",
+			t.Errorf("link output differs at jobs=%d parse workers=%d:\n--- base ---\n%s\n--- got ---\n%s",
 				w.jobs, w.pw, sequential, got)
 		}
 	}

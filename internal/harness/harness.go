@@ -87,7 +87,10 @@ func (cfg RunConfig) headerCache() *hcache.Cache {
 
 // RunConfig selects one experimental arm.
 type RunConfig struct {
-	Mode   cond.Mode
+	Mode cond.Mode
+	// Parser is the parser's optimization level and its worker cap per
+	// unit (ParseWorkers: 0 and 1 parse sequentially; with more, the
+	// parser splits the units large enough to pay for it).
 	Parser fmlr.Options
 	Single bool
 	// Defines are -D style macro definitions seeding every unit's macro
@@ -97,13 +100,6 @@ type RunConfig struct {
 	// Jobs bounds the worker pool: 0 means GOMAXPROCS, 1 is fully
 	// sequential.
 	Jobs int
-	// ParseWorkers bounds intra-unit parallelism: with more than one worker
-	// the parser splits each unit at top-level declaration boundaries and
-	// parses the regions concurrently, with output proven byte-identical to
-	// the sequential parse. 0 and 1 parse sequentially. It composes with
-	// Jobs: each of the Jobs units in flight may fan out up to ParseWorkers
-	// region parses.
-	ParseWorkers int
 	// IncludePaths are the #include search directories. RunUnits uses them
 	// as given; RunMetered fills in the corpus's IncludePaths when empty.
 	IncludePaths []string
@@ -139,6 +135,7 @@ type UnitResult struct {
 	Tokens    int
 	Pre       preprocessor.UnitStats
 	Parse     fmlr.Stats
+	Regions   int // regions the parse ran as in parallel; 0: sequential
 	Killed    bool
 	ParseFail bool
 	Err       string // non-parse failure: panic recovered or run cancelled
@@ -217,7 +214,7 @@ func RunMetered(ctx context.Context, c *corpus.Corpus, cfg RunConfig) ([]UnitRes
 	if cfg.Link {
 		// The join runs after the pool drains, over facts in corpus order —
 		// worker scheduling cannot reach it, so the findings are a pure
-		// function of the inputs at any Jobs/ParseWorkers combination.
+		// function of the inputs at any Jobs and parse-worker combination.
 		var facts []*link.Facts
 		for i := range out {
 			if out[i].LinkFacts != nil {
@@ -256,10 +253,7 @@ func RunUnits(ctx context.Context, fs preprocessor.FileSystem, files []string, c
 }
 
 func runUnits(ctx context.Context, fs preprocessor.FileSystem, files []string, cfg RunConfig, inFlight *stats.HighWater, each func(int, *core.Tool, *core.Result, *UnitResult)) []UnitResult {
-	u := unitRun{ctx: ctx, fs: fs, cfg: cfg, parser: cfg.Parser, hc: cfg.headerCache(), each: each}
-	if u.parser.ParseWorkers == 0 {
-		u.parser.ParseWorkers = cfg.ParseWorkers
-	}
+	u := unitRun{ctx: ctx, fs: fs, cfg: cfg, hc: cfg.headerCache(), each: each}
 	out := make([]UnitResult, len(files))
 	Parallel(cfg.Jobs, len(files), func(i int) {
 		if ctx.Err() != nil {
@@ -325,12 +319,11 @@ func (r *UnitResult) unhealthy() bool {
 
 // unitRun is what every unit of one RunUnits call shares.
 type unitRun struct {
-	ctx    context.Context
-	fs     preprocessor.FileSystem
-	cfg    RunConfig
-	parser fmlr.Options
-	hc     *hcache.Cache
-	each   func(int, *core.Tool, *core.Result, *UnitResult)
+	ctx  context.Context
+	fs   preprocessor.FileSystem
+	cfg  RunConfig
+	hc   *hcache.Cache
+	each func(int, *core.Tool, *core.Result, *UnitResult)
 }
 
 // runSafe is run behind a panic barrier: a poisoned unit (lexer panic,
@@ -359,7 +352,7 @@ func (u *unitRun) run(i int, cf string) UnitResult {
 	// cancelling the run abandons in-flight units, not just queued ones.
 	budget := guard.New(u.ctx, u.cfg.Budget)
 	faultinject.At(faultinject.PointHarnessUnit, cf, budget)
-	parser := u.parser
+	parser := u.cfg.Parser
 	parser.Budget = budget
 	// Each unit gets a fresh tool so that condition-space growth (BDD node
 	// tables, SAT statistics) is attributed per unit, as in the paper's
@@ -414,6 +407,7 @@ func measure(tool *core.Tool, file string) (UnitResult, *core.Result) {
 	res.Tokens = unit.Stats.Tokens
 	res.Pre = unit.Stats
 	res.Parse = parsed.Parse.Stats
+	res.Regions = parsed.Parse.Regions
 	res.Killed = parsed.Parse.Killed
 	res.ParseFail = parsed.AST == nil
 	res.LexTime = unit.Stats.LexTime
@@ -552,15 +546,18 @@ var Levels = []Level{
 	{"MAPR", fmlr.OptMAPR},
 }
 
-// withLevel is base with one Figure 8 optimization level and kill switch.
+// withLevel is base with one Figure 8 optimization level and kill switch;
+// the level runs at base's parse-worker cap.
 func withLevel(base RunConfig, parser fmlr.Options, killSwitch int) RunConfig {
+	parser.KillSwitch, parser.ParseWorkers = killSwitch, base.Parser.ParseWorkers
 	base.Parser = parser
-	base.Parser.KillSwitch = killSwitch
 	return base
 }
 
-// withTool is base as one Figure 9 tool: a condition mode and parser level.
+// withTool is base as one Figure 9 tool: a condition mode and parser level,
+// run at base's parse-worker cap.
 func withTool(base RunConfig, mode cond.Mode, parser fmlr.Options) RunConfig {
+	parser.ParseWorkers = base.Parser.ParseWorkers
 	base.Mode, base.Parser = mode, parser
 	return base
 }

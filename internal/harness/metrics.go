@@ -50,6 +50,7 @@ var UnitGroups = []stats.Fields[UnitResult]{
 		count("harness_killed_units", "Units that tripped the subparser kill switch.", func(r *UnitResult) int { return flag(r.Killed) }),
 		count("harness_retried_units", "Units whose recorded result is a quarantine retry.", func(r *UnitResult) int { return flag(r.Retried) }),
 		count("harness_quarantined_units", "Units that failed both attempts.", func(r *UnitResult) int { return flag(r.Quarantined) }),
+		count("harness_parallel_units", "Units the parser split into regions and parsed in parallel.", func(r *UnitResult) int { return flag(r.Regions > 0) }),
 	},
 	guardFields(),
 	{
