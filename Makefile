@@ -76,7 +76,10 @@ analyze-smoke:
 # its tables: line (the parse-table cache state depends on the machine), at
 # -j 1 and at -j 8 (CI's "superc fixtures vs golden text"). Then superc
 # -check over the two-unit check example must reproduce its golden at both
-# widths; superc exits 1 when conflicts are reported.
+# widths; superc exits 1 when conflicts are reported. Last, the gcc-spelling
+# example must reproduce its golden at both widths: -print and -rename of
+# examples/gnu/ext.c, then the summary of ext.c with stray.c, whose stray
+# '@' makes superc exit 1.
 superc-smoke:
 	@$(GO) build -o superc.smoke ./cmd/superc
 	@for j in "-j 1" "-j 8"; do \
@@ -88,9 +91,17 @@ superc-smoke:
 		status=$$?; \
 		if [ "$$status" -ne 1 ]; then echo "superc -check $$j exit $$status, want 1"; cat check.got.txt; rm -f superc.smoke superc.got.txt check.got.txt; exit 1; fi; \
 		diff check.got.txt examples/check/golden.txt || { rm -f superc.smoke superc.got.txt check.got.txt; exit 1; }; \
+		(cd examples/gnu && ../../superc.smoke $$j -print -stats=false ext.c && \
+		  ../../superc.smoke $$j -rename __inline__=foo -stats=false ext.c) > gnu.got.txt 2>&1 || \
+			{ echo "superc gnu $$j failed"; cat gnu.got.txt; rm -f superc.smoke superc.got.txt check.got.txt gnu.got.txt; exit 1; }; \
+		(cd examples/gnu && ../../superc.smoke $$j ext.c stray.c) > gnu.gotsum.txt 2>&1; \
+		status=$$?; \
+		grep -v '^tables:' gnu.gotsum.txt >> gnu.got.txt; \
+		if [ "$$status" -ne 1 ]; then echo "superc gnu summary $$j exit $$status, want 1"; cat gnu.got.txt; rm -f superc.smoke superc.got.txt check.got.txt gnu.got.txt gnu.gotsum.txt; exit 1; fi; \
+		diff gnu.got.txt examples/gnu/golden.txt || { rm -f superc.smoke superc.got.txt check.got.txt gnu.got.txt gnu.gotsum.txt; exit 1; }; \
 	done
-	@rm -f superc.smoke superc.got.txt check.got.txt
-	@echo "superc-smoke: golden match at -j 1 and -j 8 (print, summary, -check)"
+	@rm -f superc.smoke superc.got.txt check.got.txt gnu.got.txt gnu.gotsum.txt
+	@echo "superc-smoke: golden match at -j 1 and -j 8 (print, summary, -check, gnu)"
 
 # Cold-then-warm superd round trip over a persisted store: outputs must be
 # byte-identical and the warm batch must be served from disk artifacts

@@ -26,6 +26,7 @@ import (
 	"sort"
 
 	"repro/internal/ast"
+	"repro/internal/cgrammar"
 	"repro/internal/cond"
 	"repro/internal/link"
 	"repro/internal/token"
@@ -141,7 +142,7 @@ type sigVar struct {
 var droppedSpecWords = map[string]string{
 	"typedef": "t", "extern": "e", "static": "s",
 	"auto": "", "register": "", "inline": "", "_Noreturn": "",
-	"_Thread_local": "", "__inline": "", "__inline__": "", "__forceinline": "",
+	"_Thread_local": "", "__forceinline": "",
 }
 
 // sigVariants builds the canonical signature-word variants of a specifier
@@ -159,6 +160,9 @@ func (x *extractor) sigVariants(n *ast.Node, inParam bool) []sigVar {
 	switch n.Kind {
 	case ast.KindToken:
 		t := n.Tok.Text
+		if kw, ok := cgrammar.Keyword(t); ok {
+			t = kw // gcc's __const is const
+		}
 		if flag, dropped := droppedSpecWords[t]; dropped {
 			v := sigVar{c: x.space.True()}
 			switch flag {

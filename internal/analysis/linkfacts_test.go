@@ -277,3 +277,24 @@ int helper(void) { return 2; }
 		t.Errorf("size is always defined; findings: %v", got)
 	}
 }
+
+// gcc's keyword spellings are the keywords they spell: a declaration in
+// glibc's __const/__volatile__/__signed__/__inline spelling links against
+// the plain one without a type mismatch.
+func TestLinkCanonicalKeywordSpellings(t *testing.T) {
+	a, _ := extract(t, "a.c", `
+extern const int x;
+extern volatile signed char flag;
+inline int twice(int v);
+int use(void) { return x + flag + twice(1); }
+`)
+	b, _ := extract(t, "b.c", `
+__const int x = 1;
+__volatile__ __signed__ char flag;
+__inline int twice(int v) { return 2 * v; }
+`)
+	r := link.Link([]*link.Facts{a, b}, nil)
+	for _, f := range r.Findings {
+		t.Errorf("unexpected finding: %+v", f)
+	}
+}

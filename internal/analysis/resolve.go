@@ -620,7 +620,7 @@ func (r *resolver) overlap(have, c cond.Cond) (cond.Cond, bool) {
 // pipeline (reclassification is a parse-time concern), so they are
 // filtered here.
 func (r *resolver) use(tok *token.Token, x at) {
-	if cgrammar.IsKeyword(tok.Text) {
+	if _, kw := cgrammar.Keyword(tok.Text); kw {
 		return
 	}
 	key := pos(tok)

@@ -4,11 +4,11 @@
 // Following paper §5.1, most AST construction is automatic: each reduction
 // creates a generic node named after its production with the semantic
 // values of the right-hand side as children. Grammar annotations refine
-// this: layout omits punctuation, passthrough reuses a sole child,
-// list flattens left-recursive repetition, and complete marks the
-// productions at which subparsers may merge. Merging combines the merged
-// subparsers' semantic values under a *static choice node* that records
-// each alternative's presence condition.
+// this: passthrough reuses a sole child, list flattens left-recursive
+// repetition, and complete marks the productions at which subparsers may
+// merge. Merging combines the merged subparsers' semantic values under a
+// *static choice node* that records each alternative's presence condition.
+// Punctuation stays in the tree, so source text can be restored.
 package ast
 
 import (

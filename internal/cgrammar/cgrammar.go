@@ -4,10 +4,9 @@
 // The paper reuses Roskind's tokenization rules and C grammar, extended with
 // common gcc extensions (§5). This package encodes an ANSI C89 grammar in
 // the same lineage (with C99 block items and a few gnu extensions: inline,
-// typeof, asm, __attribute__), generates LALR(1) tables with package lalr,
-// and attaches the paper's AST annotations:
+// typeof, asm, __attribute__, __extension__), generates LALR(1) tables with
+// package lalr, and attaches the paper's AST annotations:
 //
-//   - layout: punctuation terminals contribute no semantic value;
 //   - passthrough: single-child productions reuse the child's value
 //     (expressions nest 17 levels deep for precedence);
 //   - list: left-recursive repetitions flatten into linear lists;
@@ -16,9 +15,12 @@
 //     commonly configured lists (parameters, struct members, initializers,
 //     enumerators) per §5.1.
 //
-// The typedef-name/identifier split is context-sensitive; the parser's
-// context plugin (package symtab) reclassifies identifier tokens into
-// TYPEDEFNAME terminals against a configuration-dependent symbol table.
+// Classify decides every token's terminal, and it is total: a token no rule
+// accepts (a stray '#', '@' or '\') classifies as STRAY, so it is a parse
+// error wherever it appears. The typedef-name/identifier split is
+// context-sensitive; the parser's context plugin (package symtab)
+// reclassifies IDENTIFIER into TYPEDEFNAME against a configuration-dependent
+// symbol table.
 package cgrammar
 
 import (
@@ -61,11 +63,11 @@ type C struct {
 	TypedefName lalr.Symbol
 	Constant    lalr.Symbol
 	StringLit   lalr.Symbol
+	Stray       lalr.Symbol // tokens no rule accepts
 
-	keywords map[string]lalr.Symbol
+	keywords map[string]lalr.Symbol // every spelling, gcc's variants included
 	puncts   map[string]lalr.Symbol
 	complete map[lalr.Symbol]bool
-	layout   map[lalr.Symbol]bool
 }
 
 var (
@@ -101,46 +103,43 @@ var keywordList = []string{
 	"long", "register", "return", "short", "signed", "sizeof", "static",
 	"struct", "switch", "typedef", "union", "unsigned", "void", "volatile",
 	"while",
-	// gnu extensions (aliases normalized by Classify)
-	"inline", "typeof", "asm", "__attribute__", "restrict",
+	// gnu extensions
+	"inline", "typeof", "asm", "__attribute__", "restrict", "__extension__",
 }
 
-// IsKeyword reports whether an identifier-shaped word is a C keyword (or a
-// gcc spelling variant of one) rather than a programmer-chosen name. The
-// lexer emits keywords as plain identifiers, so AST consumers that care
-// about the ordinary identifier namespace filter through this.
-func IsKeyword(name string) bool {
-	if _, ok := keywordAliases[name]; ok {
-		return true
+// keywordSpellings maps every spelling of a keyword, gcc's variants
+// included, to the canonical keyword that names its terminal.
+var keywordSpellings = func() map[string]string {
+	m := map[string]string{
+		"__inline":     "inline",
+		"__inline__":   "inline",
+		"__typeof":     "typeof",
+		"__typeof__":   "typeof",
+		"__asm":        "asm",
+		"__asm__":      "asm",
+		"__attribute":  "__attribute__",
+		"__const":      "const",
+		"__const__":    "const",
+		"__volatile":   "volatile",
+		"__volatile__": "volatile",
+		"__restrict":   "restrict",
+		"__restrict__": "restrict",
+		"__signed__":   "signed",
 	}
-	return keywordSet[name]
-}
-
-var keywordSet = func() map[string]bool {
-	m := make(map[string]bool, len(keywordList))
 	for _, kw := range keywordList {
-		m[kw] = true
+		m[kw] = kw
 	}
 	return m
 }()
 
-// keywordAliases maps gcc spelling variants onto the canonical keyword.
-var keywordAliases = map[string]string{
-	"__inline":      "inline",
-	"__inline__":    "inline",
-	"__typeof":      "typeof",
-	"__typeof__":    "typeof",
-	"__asm":         "asm",
-	"__asm__":       "asm",
-	"__attribute":   "__attribute__",
-	"__const":       "const",
-	"__const__":     "const",
-	"__volatile":    "volatile",
-	"__volatile__":  "volatile",
-	"__restrict":    "restrict",
-	"__restrict__":  "restrict",
-	"__signed__":    "signed",
-	"__extension__": "",
+// Keyword reports whether an identifier-shaped word is a C keyword (or a
+// gcc spelling of one) rather than a programmer-chosen name, and gives its
+// canonical spelling. The lexer emits keywords as plain identifiers, so AST
+// consumers that care about the ordinary identifier namespace, or compare
+// specifiers by spelling, ask here.
+func Keyword(word string) (canonical string, ok bool) {
+	canonical, ok = keywordSpellings[word]
+	return canonical, ok
 }
 
 var punctList = []string{
@@ -186,23 +185,21 @@ func newSkeleton() (*C, *infoBuilder) {
 		keywords: make(map[string]lalr.Symbol),
 		puncts:   make(map[string]lalr.Symbol),
 		complete: make(map[lalr.Symbol]bool),
-		layout:   make(map[lalr.Symbol]bool),
 	}
 	c.Identifier = g.Terminal("IDENTIFIER")
 	c.TypedefName = g.Terminal("TYPEDEFNAME")
 	c.Constant = g.Terminal("CONSTANT")
 	c.StringLit = g.Terminal("STRING")
+	c.Stray = g.Terminal("STRAY")
 	for _, kw := range keywordList {
 		c.keywords[kw] = g.Terminal(kw)
+	}
+	for spelling, kw := range keywordSpellings {
+		c.keywords[spelling] = c.keywords[kw]
 	}
 	for _, p := range punctList {
 		c.puncts[p] = g.Terminal(p)
 	}
-	// The paper's layout annotation omits punctuation from the AST. This
-	// implementation keeps punctuation leaves (cached per input token, so
-	// merging is unaffected): automated refactorings need to restore source
-	// text, and projection tests compare exact token streams. The layout
-	// set stays available for deployments that prefer leaner trees.
 
 	g.SetStart("TranslationUnit")
 
@@ -248,38 +245,30 @@ func Rebuild() (*C, error) {
 // (merge point).
 func (c *C) IsComplete(s lalr.Symbol) bool { return c.complete[s] }
 
-// IsLayout reports whether the terminal's value is omitted from the AST.
-func (c *C) IsLayout(s lalr.Symbol) bool { return c.layout[s] }
-
-// Classify maps a preprocessed token to its terminal symbol. Identifiers
-// that name types must be reclassified to TYPEDEFNAME by the caller's
-// context plugin; Classify always returns IDENTIFIER for words that are not
-// keywords. The bool result is false for tokens the parser never sees
-// (gcc's __extension__ no-op marker).
-func (c *C) Classify(t token.Token) (lalr.Symbol, bool) {
+// Classify maps a preprocessed token to its terminal symbol. It is total:
+// EOF maps to the grammar's end marker, and a token no rule accepts ('#',
+// '##', any token.Other) to STRAY. Identifiers that name types must be
+// reclassified to TYPEDEFNAME by the caller's context plugin; Classify
+// always returns IDENTIFIER for words that are not keywords.
+func (c *C) Classify(t *token.Token) lalr.Symbol {
 	switch t.Kind {
 	case token.Identifier:
-		name := t.Text
-		if alias, ok := keywordAliases[name]; ok {
-			if alias == "" {
-				return 0, false
-			}
-			name = alias
+		if s, ok := c.keywords[t.Text]; ok {
+			return s
 		}
-		if s, ok := c.keywords[name]; ok {
-			return s, true
-		}
-		return c.Identifier, true
+		return c.Identifier
 	case token.Number, token.Char:
-		return c.Constant, true
+		return c.Constant
 	case token.String:
-		return c.StringLit, true
+		return c.StringLit
 	case token.Punct:
 		if s, ok := c.puncts[t.Text]; ok {
-			return s, true
+			return s
 		}
+	case token.EOF:
+		return c.Grammar.EOF()
 	}
-	return 0, false
+	return c.Stray
 }
 
 // infoBuilder records per-production metadata as rules are declared.

@@ -54,14 +54,13 @@ func classify(t *testing.T, c *C, src string, typedefs map[string]bool) []lalr.S
 		t.Fatal(err)
 	}
 	var syms []lalr.Symbol
-	for _, tk := range lexer.StripEOF(toks) {
+	toks = lexer.StripEOF(toks)
+	for i := range toks {
+		tk := &toks[i]
 		if tk.Kind == token.Newline {
 			continue
 		}
-		s, ok := c.Classify(tk)
-		if !ok {
-			continue
-		}
+		s := c.Classify(tk)
 		if s == c.Identifier && typedefs[tk.Text] {
 			s = c.TypedefName
 		}
@@ -200,6 +199,11 @@ func TestParseGnuExtensions(t *testing.T) {
 		"void f(void) { asm volatile(\"mfence\" : : ); }",
 		"void f(void) { __asm__(\"mov %0, %1\" : \"=r\"(out) : \"r\"(in)); }",
 		"__extension__ typedef unsigned long long u64;",
+		"__extension__ int f(void) { return 0; }",
+		"void f(void) { __extension__ long long v; }",
+		"struct s { __extension__ long long wide; };",
+		"int v = __extension__ (long)1;",
+		"static __const int c = 1; __volatile__ __signed__ char f;",
 	}
 	for _, src := range cases {
 		mustParse(t, src, nil)
@@ -244,6 +248,9 @@ func TestRejectsInvalid(t *testing.T) {
 		"return 0;", // statement at top level
 		"int x x;",
 		"if (a) b();", // statement at top level
+		"int @;",      // stray tokens
+		"int #;",
+		"int \\;",
 	}
 	for _, src := range cases {
 		mustFail(t, src, nil)
@@ -271,24 +278,23 @@ func TestClassify(t *testing.T) {
 	cases := []struct {
 		tok  token.Token
 		want string
-		ok   bool
 	}{
-		{token.Token{Kind: token.Identifier, Text: "foo"}, "IDENTIFIER", true},
-		{token.Token{Kind: token.Identifier, Text: "while"}, "while", true},
-		{token.Token{Kind: token.Identifier, Text: "__inline__"}, "inline", true},
-		{token.Token{Kind: token.Identifier, Text: "__extension__"}, "", false},
-		{token.Token{Kind: token.Number, Text: "42"}, "CONSTANT", true},
-		{token.Token{Kind: token.Char, Text: "'a'"}, "CONSTANT", true},
-		{token.Token{Kind: token.String, Text: `"s"`}, "STRING", true},
-		{token.Token{Kind: token.Punct, Text: "->"}, "->", true},
+		{token.Token{Kind: token.Identifier, Text: "foo"}, "IDENTIFIER"},
+		{token.Token{Kind: token.Identifier, Text: "while"}, "while"},
+		{token.Token{Kind: token.Identifier, Text: "__inline__"}, "inline"},
+		{token.Token{Kind: token.Identifier, Text: "__extension__"}, "__extension__"},
+		{token.Token{Kind: token.Number, Text: "42"}, "CONSTANT"},
+		{token.Token{Kind: token.Char, Text: "'a'"}, "CONSTANT"},
+		{token.Token{Kind: token.String, Text: `"s"`}, "STRING"},
+		{token.Token{Kind: token.Punct, Text: "->"}, "->"},
+		{token.Token{Kind: token.Other, Text: "@"}, "STRAY"},
+		{token.Token{Kind: token.Other, Text: `\`}, "STRAY"},
+		{token.Token{Kind: token.Punct, Text: "#"}, "STRAY"},
+		{token.Token{Kind: token.Punct, Text: "##"}, "STRAY"},
+		{token.Token{Kind: token.EOF}, c.Grammar.Name(c.Grammar.EOF())},
 	}
 	for _, tc := range cases {
-		s, ok := c.Classify(tc.tok)
-		if ok != tc.ok {
-			t.Errorf("Classify(%v): ok=%v, want %v", tc.tok, ok, tc.ok)
-			continue
-		}
-		if ok && c.Grammar.Name(s) != tc.want {
+		if s := c.Classify(&tc.tok); c.Grammar.Name(s) != tc.want {
 			t.Errorf("Classify(%v) = %s, want %s", tc.tok, c.Grammar.Name(s), tc.want)
 		}
 	}

@@ -7,6 +7,11 @@ import "repro/internal/lalr"
 // designated for-loop declarations, and gnu extensions grafted on. The
 // grammar is LALR(1)-clean except for the dangling else, which the default
 // shift resolves as in every C compiler.
+//
+// gcc's __extension__ is a keyword in exactly the four prefix positions
+// gcc's own parser accepts it (c-parser.c): before an external declaration,
+// a block-scope declaration, a struct member declaration, and a cast
+// expression. The token stays in the AST, so printing and renaming keep it.
 
 func defineExpressions(g *lalr.Grammar, b *infoBuilder) {
 	b.pass("PrimaryExpression", "IDENTIFIER")
@@ -40,6 +45,7 @@ func defineExpressions(g *lalr.Grammar, b *infoBuilder) {
 	b.rule("UnaryExpression", "UnaryOperator", "CastExpression").WithLabel("UnaryOpExpr")
 	b.rule("UnaryExpression", "sizeof", "UnaryExpression").WithLabel("SizeofExpr")
 	b.rule("UnaryExpression", "sizeof", "(", "TypeName", ")").WithLabel("SizeofType")
+	b.rule("UnaryExpression", "__extension__", "CastExpression").WithLabel("ExtensionExpr")
 
 	for _, op := range []string{"&", "*", "+", "-", "~", "!"} {
 		b.rule("UnaryOperator", op).WithLabel("UnaryOperator")
@@ -138,6 +144,7 @@ func defineDeclarations(g *lalr.Grammar, b *infoBuilder) {
 		WithLabel("StructDeclaration")
 	// gnu: anonymous struct/union members.
 	b.rule("StructDeclaration", "SpecifierQualifierList", ";").WithLabel("StructDeclaration")
+	b.rule("StructDeclaration", "__extension__", "StructDeclaration").WithLabel("ExtensionStructDeclaration")
 
 	for _, kind := range []string{"TypeSpecifier", "TypeQualifier"} {
 		b.list("SpecifierQualifierList", kind)
@@ -263,6 +270,7 @@ func defineStatements(g *lalr.Grammar, b *infoBuilder) {
 	// C99 block items: declarations and statements intermixed.
 	b.pass("BlockItem", "Declaration")
 	b.pass("BlockItem", "Statement")
+	b.rule("BlockItem", "__extension__", "Declaration").WithLabel("ExtensionDeclaration")
 	b.pass("BlockItemList", "BlockItem")
 	b.list("BlockItemList", "BlockItemList", "BlockItem")
 
@@ -319,6 +327,7 @@ func defineTopLevel(g *lalr.Grammar, b *infoBuilder) {
 	b.pass("ExternalDeclaration", "Declaration")
 	// Stray semicolons at file scope are a common gnu-ism.
 	b.rule("ExternalDeclaration", ";").WithLabel("EmptyExternalDeclaration")
+	b.rule("ExternalDeclaration", "__extension__", "ExternalDeclaration").WithLabel("ExtensionDeclaration")
 
 	// K&R-style parameter declaration lists are omitted: they are absent
 	// from modern code and their DeclarationSpecifiers-after-Declarator

@@ -623,46 +623,44 @@ func (e *Engine) reclassify(p *subparser, h head, dst []head) []head {
 	if h.reclassified {
 		return append(dst, h)
 	}
-	if h.el.tok.Kind == token.EOF {
-		h.sym = e.lang.Grammar.EOF()
-		h.reclassified = true
-		return append(dst, h)
-	}
 	if !h.el.clsSet {
-		h.el.cls, h.el.clsOK = e.lang.Classify(*h.el.tok)
+		h.el.cls = e.lang.Classify(h.el.tok)
 		h.el.clsSet = true
 	}
-	sym, ok := h.el.cls, h.el.clsOK
-	if !ok {
-		// Token invisible to the parser (e.g. __extension__): skip ahead.
-		// Treat as a reduce-less advance: reposition past the token.
-		// Simplest correct handling: classify as identifier.
-		sym = e.lang.Identifier
-	}
-	h.sym = sym
+	h.sym = h.el.cls
 	h.reclassified = true
-	if sym != e.lang.Identifier {
+	if h.sym != e.lang.Identifier {
 		return append(dst, h)
 	}
-	cl := e.tab.Classify(h.el.tok.Text, p.depth, h.cond)
-	tdFalse := e.space.IsFalse(cl.TypedefCond)
-	otherFalse := e.space.IsFalse(cl.OtherCond)
+	sym, cl, ambiguous := e.resolveName(h.el.tok.Text, p.depth, h.cond)
+	if !ambiguous {
+		h.sym = sym
+		return append(dst, h)
+	}
+	// Ambiguously defined: both classifications are live.
+	e.stats.TypedefForks++
+	td := h
+	td.cond = cl.TypedefCond
+	td.sym = e.lang.TypedefName
+	other := h
+	other.cond = cl.OtherCond
+	return append(dst, td, other)
+}
+
+// resolveName resolves an IDENTIFIER terminal against the symbol table
+// under c at depth: TYPEDEFNAME or IDENTIFIER when only one meaning is live,
+// and ambiguous with the classification when the name is a typedef in some
+// configurations of c and an object in others. The queue loop forks on an
+// ambiguous name; the cursor hands it to the queue loop.
+func (e *Engine) resolveName(name string, depth int, c cond.Cond) (sym lalr.Symbol, cl symtab.Classification, ambiguous bool) {
+	cl = e.tab.Classify(name, depth, c)
 	switch {
-	case tdFalse:
-		return append(dst, h)
-	case otherFalse:
-		h.sym = e.lang.TypedefName
-		return append(dst, h)
-	default:
-		// Ambiguously defined: both classifications are live.
-		e.stats.TypedefForks++
-		td := h
-		td.cond = cl.TypedefCond
-		td.sym = e.lang.TypedefName
-		other := h
-		other.cond = cl.OtherCond
-		return append(dst, td, other)
+	case e.space.IsFalse(cl.TypedefCond):
+		return e.lang.Identifier, cl, false
+	case e.space.IsFalse(cl.OtherCond):
+		return e.lang.TypedefName, cl, false
 	}
+	return e.lang.Identifier, cl, true
 }
 
 // fork creates subparsers for the heads per the optimization level (paper
@@ -828,11 +826,7 @@ func (e *Engine) step(p *subparser) {
 // shift pushes the head's token and repositions the subparser after it.
 func (e *Engine) shift(p *subparser, h head, target int) {
 	e.stats.Shifts++
-	var val *ast.Node
-	if !e.lang.IsLayout(h.sym) {
-		val = h.el.leafNode(&e.sc.ab)
-	}
-	p.stack = e.pushNode(target, h.sym, val, p.stack)
+	p.stack = e.pushNode(target, h.sym, h.el.leafNode(&e.sc.ab), p.stack)
 	p.c = h.cond
 	p.heads = nil
 	p.el = e.after(h.el)

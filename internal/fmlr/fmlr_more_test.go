@@ -360,3 +360,59 @@ uptr_ptr_t b;
 		t.Errorf("typedef-name uses: %d, want 4 (handler_fn, rb_node_t, uptr_t, uptr_ptr_t)", len(uses))
 	}
 }
+
+// parsed is one parse result with the space its conditions live in.
+type parsed struct {
+	res *Result
+	s   *cond.Space
+}
+
+// parseBothPaths parses src through Engine.Parse (the queue loop over the
+// materialized forest) and ParseUnit (the stream, whose cursor takes the
+// unconditional runs).
+func parseBothPaths(t *testing.T, src string) map[string]parsed {
+	t.Helper()
+	files := map[string]string{"main.c": src}
+	ref, sr := parseSrc(t, files, OptAll)
+	str, ss := parseChunked(t, files, OptAll)
+	return map[string]parsed{"Parse": {ref, sr}, "ParseUnit": {str, ss}}
+}
+
+// TestExtensionKeyword: gcc's __extension__ parses in its four prefix
+// positions, both in unconditional code (the cursor's runs) and inside a
+// conditional (the queue loop), and stays in the AST.
+func TestExtensionKeyword(t *testing.T) {
+	positions := map[string]string{
+		"external": "__extension__ typedef unsigned long long u64;\nu64 big;\n",
+		"block":    "int f(void)\n{\n\t__extension__ long long v = 1;\n\treturn v;\n}\n",
+		"member":   "struct s {\n\t__extension__ long long wide;\n\tint narrow;\n};\n",
+		"cast":     "int g(int a)\n{\n\treturn __extension__ (long)a + 1;\n}\n",
+	}
+	on := map[string]bool{"(defined A)": true}
+	for name, body := range positions {
+		for _, src := range []string{body, "#ifdef A\n" + body + "#endif\n"} {
+			for path, p := range parseBothPaths(t, src) {
+				if p.res.AST == nil || len(p.res.Diags) != 0 {
+					t.Errorf("%s, %s: %q: diags %v", name, path, src, diagMsgs(p.res.Diags))
+					continue
+				}
+				if got := projectTokens(p.s, p.res.AST, on); !strings.Contains(" "+got, " __extension__ ") {
+					t.Errorf("%s, %s: __extension__ lost: %q", name, path, got)
+				}
+			}
+		}
+	}
+}
+
+// TestStrayTokensAreParseErrors: a token no rule accepts is a parse error
+// on that token, not an identifier, on both parse paths.
+func TestStrayTokensAreParseErrors(t *testing.T) {
+	for _, stray := range []string{"@", "#", `\`} {
+		src := "int ok;\nint " + stray + ";\n"
+		for path, p := range parseBothPaths(t, src) {
+			if len(p.res.Diags) != 1 || p.res.Diags[0].Tok.Text != stray {
+				t.Errorf("%s: %q: diags %v, want one parse error on %s", path, src, diagMsgs(p.res.Diags), stray)
+			}
+		}
+	}
+}

@@ -42,7 +42,6 @@ type element struct {
 	// Cached context-free terminal classification (engine.reclassify):
 	// every subparser visiting this token needs it, and it never changes.
 	cls    lalr.Symbol
-	clsOK  bool
 	clsSet bool
 }
 

@@ -262,29 +262,6 @@ func (e *Engine) parseStream(src preprocessor.TokenSource, file string) *Result 
 	return e.finishParse(budget, tripped)
 }
 
-// fastClassify resolves one token's terminal the way reclassify does for a
-// singleton follow-set. ambiguous reports a name defined as both typedef
-// and object in the current condition — the cursor's signal to hand the
-// token to the queue loop, which forks.
-func (e *Engine) fastClassify(p *subparser, t *token.Token) (sym lalr.Symbol, ambiguous bool) {
-	sym, ok := e.lang.Classify(*t)
-	if !ok {
-		sym = e.lang.Identifier
-	}
-	if sym != e.lang.Identifier {
-		return sym, false
-	}
-	cl := e.tab.Classify(t.Text, p.depth, p.c)
-	switch {
-	case e.space.IsFalse(cl.TypedefCond):
-		return sym, false
-	case e.space.IsFalse(cl.OtherCond):
-		return e.lang.TypedefName, false
-	default:
-		return sym, true
-	}
-}
-
 // fastDrain steps a lone unresolved subparser through the cursor token by
 // token until variability (a conditional, an ambiguous name, EOF) or a
 // budget trip hands control back to the queue loop. On entry p is popped,
@@ -314,7 +291,10 @@ func (e *Engine) fastDrain(p *subparser, budget *guard.Budget) (tripped bool) {
 			return false
 		}
 		t := &st.run[st.runIdx]
-		sym, ambiguous := e.fastClassify(p, t)
+		sym, ambiguous := e.lang.Classify(t), false
+		if sym == e.lang.Identifier {
+			sym, _, ambiguous = e.resolveName(t.Text, p.depth, p.c)
+		}
 		if ambiguous {
 			p.el = st.materializeRunSuffix()
 			e.insert(p)
@@ -350,11 +330,7 @@ func (e *Engine) fastDrain(p *subparser, budget *guard.Budget) (tripped bool) {
 				return false
 			}
 			e.stats.Shifts++
-			if !e.lang.IsLayout(sym) {
-				p.stack = e.pushNode(act.Target, sym, e.sc.ab.Leaf(*t), p.stack)
-			} else {
-				p.stack = e.pushNode(act.Target, sym, nil, p.stack)
-			}
+			p.stack = e.pushNode(act.Target, sym, e.sc.ab.Leaf(*t), p.stack)
 			st.runIdx++
 			e.stats.TokensStreamed++
 			break

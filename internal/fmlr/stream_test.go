@@ -212,6 +212,9 @@ func TestStreamDifferentialShapes(t *testing.T) {
 		"error-at-eof":            pad + "int trailing = ;\n",
 		"macro-heavy":             "#define THREE(a,b,c) a + b + c\nint v = THREE(1, 2, 3);\n" + pad,
 		"only-conditional":        "#ifdef A\nint a;\n#else\nint b;\n#endif\n",
+		"extension-in-ifdef": "#ifdef A\n__extension__ typedef long long ll;\nstruct w { __extension__ ll v; };\n#endif\n" +
+			pad + "int h(void)\n{\n#ifdef A\n\t__extension__ int x = __extension__ 1;\n#else\n\tint x = 0;\n#endif\n" +
+			"\t__extension__ int y = __extension__ (long)x;\n\treturn x + y;\n}\n" + pad,
 	}
 	split := 0
 	for name, src := range cases {

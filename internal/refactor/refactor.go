@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"repro/internal/ast"
+	"repro/internal/cgrammar"
 	"repro/internal/cond"
 	"repro/internal/token"
 )
@@ -32,24 +33,13 @@ import (
 // rename would otherwise rewrite them.
 func Rename(s *cond.Space, root *ast.Node, oldName, newName string) (*ast.Node, *Report) {
 	r := &Report{space: s, Old: oldName, New: newName, Cond: s.False()}
-	if cKeywords[oldName] || cKeywords[newName] {
+	_, oldKw := cgrammar.Keyword(oldName)
+	_, newKw := cgrammar.Keyword(newName)
+	if oldKw || newKw {
 		return root, r
 	}
 	out := r.rewrite(root, s.True())
 	return out, r
-}
-
-// cKeywords are the names Rename refuses to touch.
-var cKeywords = map[string]bool{
-	"auto": true, "break": true, "case": true, "char": true, "const": true,
-	"continue": true, "default": true, "do": true, "double": true,
-	"else": true, "enum": true, "extern": true, "float": true, "for": true,
-	"goto": true, "if": true, "int": true, "long": true, "register": true,
-	"return": true, "short": true, "signed": true, "sizeof": true,
-	"static": true, "struct": true, "switch": true, "typedef": true,
-	"union": true, "unsigned": true, "void": true, "volatile": true,
-	"while": true, "inline": true, "typeof": true, "asm": true,
-	"__attribute__": true, "restrict": true,
 }
 
 // Report describes a rename's effect.

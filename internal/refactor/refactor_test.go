@@ -114,6 +114,24 @@ func TestRenameRefusesKeywordsAndSkipsStrings(t *testing.T) {
 	}
 }
 
+// TestRenameRefusesGccKeywordSpellings: gcc's spellings of keywords
+// (__inline__, __const) are keywords too, in either position of the
+// rename.
+func TestRenameRefusesGccKeywordSpellings(t *testing.T) {
+	res, tool := parse(t, `static __inline__ int f(void) { return 0; }
+__const int c = 1;
+int foo;
+`)
+	for _, pair := range [][2]string{
+		{"__inline__", "foo"}, {"__const", "bar"}, {"foo", "__inline__"},
+	} {
+		out, rep := Rename(tool.Space(), res.AST, pair[0], pair[1])
+		if rep.Occurrences != 0 || out != res.AST {
+			t.Errorf("rename %s=%s touched %d occurrence(s), want 0", pair[0], pair[1], rep.Occurrences)
+		}
+	}
+}
+
 func TestCheckCollisions(t *testing.T) {
 	res, tool := parse(t, `
 int alpha;
