@@ -5,8 +5,10 @@
 //
 // The /v1/link endpoint joins per-unit conditional link facts corpus-wide
 // (clint -link is its thin client); extracted facts persist in the store's
-// "link" namespace keyed by request fingerprint and root-file content hash,
-// so warm batches skip re-parsing unchanged units even across restarts.
+// "link" namespace keyed by request fingerprint, build and file, beside the
+// unit's read set (every file it read, with its hash, and every include-path
+// probe), which a lookup re-checks. Warm batches skip re-parsing exactly the
+// units whose files and headers are unchanged, even across restarts.
 //
 // Per-request guard budgets are clamped against the daemon's -timeout and
 // -budget-* caps, so a single client cannot monopolize the pool with an

@@ -98,16 +98,19 @@ func TestGuardOverhead(t *testing.T) {
 		return r.NsPerOp()
 	}
 
-	// Interleave the arms and keep each arm's fastest round: minima are far
-	// more stable than means under CI scheduling noise.
+	// Interleave the arms, alternating which runs first so neither always
+	// inherits the other's warm (or dirty) state, and keep each arm's
+	// fastest round: minima are far more stable than means under CI
+	// scheduling noise.
 	const rounds = 4
 	minPlain, minGov := int64(1<<62), int64(1<<62)
 	for i := 0; i < rounds; i++ {
-		if v := run(false); v < minPlain {
-			minPlain = v
-		}
-		if v := run(true); v < minGov {
-			minGov = v
+		for _, governed := range [2]bool{i%2 == 1, i%2 == 0} {
+			if v := run(governed); governed {
+				minGov = min(minGov, v)
+			} else {
+				minPlain = min(minPlain, v)
+			}
 		}
 	}
 	overhead := float64(minGov-minPlain) / float64(minPlain)

@@ -95,14 +95,17 @@ func MustLoad() *C {
 	return c
 }
 
-// keywords of C89 plus supported gnu extensions. All reclassification
-// happens at parse time: the lexer emits plain identifiers.
+// keywords of C89, the C99/C11 ones the grammar has rules for, and
+// supported gnu extensions. All reclassification happens at parse time: the
+// lexer emits plain identifiers.
 var keywordList = []string{
 	"auto", "break", "case", "char", "const", "continue", "default", "do",
 	"double", "else", "enum", "extern", "float", "for", "goto", "if", "int",
 	"long", "register", "return", "short", "signed", "sizeof", "static",
 	"struct", "switch", "typedef", "union", "unsigned", "void", "volatile",
 	"while",
+	// C99/C11
+	"_Bool", "_Noreturn", "_Thread_local",
 	// gnu extensions
 	"inline", "typeof", "asm", "__attribute__", "restrict", "__extension__",
 }

@@ -210,6 +210,13 @@ func TestParseGnuExtensions(t *testing.T) {
 	}
 }
 
+// TestParseC11Keywords: the C99/C11 keywords the grammar has rules for
+// parse as specifiers, not as declared names.
+func TestParseC11Keywords(t *testing.T) {
+	mustParse(t, "_Bool b; _Noreturn void f(void); _Thread_local int t;", nil)
+	mustParse(t, "static _Thread_local _Bool flag; _Noreturn static inline void die(int code) { for (;;) ; }", nil)
+}
+
 func TestParseMousedevExample(t *testing.T) {
 	// The paper's Figure 1 code, in a single configuration.
 	src := `
@@ -282,6 +289,7 @@ func TestClassify(t *testing.T) {
 		{token.Token{Kind: token.Identifier, Text: "foo"}, "IDENTIFIER"},
 		{token.Token{Kind: token.Identifier, Text: "while"}, "while"},
 		{token.Token{Kind: token.Identifier, Text: "__inline__"}, "inline"},
+		{token.Token{Kind: token.Identifier, Text: "_Bool"}, "_Bool"},
 		{token.Token{Kind: token.Identifier, Text: "__extension__"}, "__extension__"},
 		{token.Token{Kind: token.Number, Text: "42"}, "CONSTANT"},
 		{token.Token{Kind: token.Char, Text: "'a'"}, "CONSTANT"},

@@ -114,11 +114,11 @@ func defineDeclarations(g *lalr.Grammar, b *infoBuilder) {
 	reg(b.rule("InitDeclarator", "Declarator", "AttributeSpecifierList", "=", "Initializer").
 		WithLabel("InitializedDeclarator"))
 
-	for _, kw := range []string{"typedef", "extern", "static", "auto", "register", "inline"} {
+	for _, kw := range []string{"typedef", "extern", "static", "auto", "register", "inline", "_Noreturn", "_Thread_local"} {
 		b.rule("StorageClassSpecifier", kw).WithLabel("StorageClassSpecifier")
 	}
 
-	for _, kw := range []string{"void", "char", "short", "int", "long", "float", "double", "signed", "unsigned"} {
+	for _, kw := range []string{"void", "char", "short", "int", "long", "float", "double", "signed", "unsigned", "_Bool"} {
 		b.rule("TypeSpecifier", kw).WithLabel("TypeSpecifier")
 	}
 	b.pass("TypeSpecifier", "StructOrUnionSpecifier")

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/hcache"
 	"repro/internal/link"
 	"repro/internal/store"
 )
@@ -266,22 +267,8 @@ func TestLinkFactsAcrossRestart(t *testing.T) {
 		t.Error("findings served across a restart differ from the original run")
 	}
 
-	// NoFacts skips the lookup but changes nothing observable.
-	nofacts := linkReq()
-	nofacts.NoFacts = true
-	r, err := c2.Link(&nofacts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.FactsHits != 0 {
-		t.Errorf("no-facts request hit the cache: %d hits", r.FactsHits)
-	}
-	if !reflect.DeepEqual(cold.Findings, r.Findings) {
-		t.Error("no-facts findings differ from cached findings")
-	}
-
-	// Editing a root file invalidates that unit's facts (content-hashed key)
-	// while the untouched unit still hits.
+	// Editing a root file invalidates that unit's facts (the file's hash is
+	// in its read set) while the untouched unit still hits.
 	a := filepath.Join(root, "a.c")
 	data, err := os.ReadFile(a)
 	if err != nil {
@@ -315,28 +302,36 @@ func TestLinkFactsAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestLinkNoFactsRefreshesStore: the facts key covers the root file's
-// content but not its headers, so after a header edit a plain request
-// serves stale facts; one noFacts request recomputes them and stores the
-// fresh facts, which the next plain request then serves.
-func TestLinkNoFactsRefreshesStore(t *testing.T) {
-	root := writeLinkTree(t)
-	st, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+// linkServer starts a store-backed server over root and returns its client
+// and a helper that sends one link request (linkReq, adjusted by mut).
+func linkServer(t *testing.T, root string, st *store.Store) (*Client, func(mut func(*LinkRequest)) *LinkResponse) {
+	t.Helper()
 	c := startServer(t, NewServer(Config{Root: root, Store: st}))
-	link := func(noFacts bool) *LinkResponse {
+	return c, func(mut func(*LinkRequest)) *LinkResponse {
 		t.Helper()
 		req := linkReq()
-		req.NoFacts = noFacts
+		if mut != nil {
+			mut(&req)
+		}
 		r, err := c.Link(&req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	cold := link(false)
+}
+
+// TestLinkHeaderEditRefreshesFacts: a stored unit is served only while its
+// read set holds, so after a header edit the next plain request recomputes
+// exactly the unit that includes it, and its findings are the fresh ones.
+func TestLinkHeaderEditRefreshesFacts(t *testing.T) {
+	root := writeLinkTree(t)
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, link := linkServer(t, root, st)
+	cold := link(nil)
 
 	// a.c's prototype now returns long, against b.c's int definition: a
 	// type-mismatch the cold findings lack.
@@ -350,27 +345,89 @@ func TestLinkNoFactsRefreshesStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stale := link(false)
-	if stale.FactsHits != 2 || !reflect.DeepEqual(stale.Findings, cold.Findings) {
-		t.Fatalf("after the header edit a plain request served %d hits and findings %+v; want the 2 stored units' cold findings",
-			stale.FactsHits, stale.Findings)
-	}
-	fresh := link(true)
-	if fresh.FactsHits != 0 || fresh.FactsMisses != 2 {
-		t.Errorf("noFacts request: %d hits, %d misses; want 0/2", fresh.FactsHits, fresh.FactsMisses)
+	fresh := link(nil)
+	if fresh.FactsHits != 1 || fresh.FactsMisses != 1 {
+		t.Errorf("after the header edit: %d hits, %d misses; want 1/1 (a.c recomputed, b.c served)", fresh.FactsHits, fresh.FactsMisses)
 	}
 	if reflect.DeepEqual(fresh.Findings, cold.Findings) {
-		t.Fatalf("noFacts findings still match the pre-edit ones: %+v", fresh.Findings)
+		t.Fatalf("findings after the header edit still match the pre-edit ones: %+v", fresh.Findings)
 	}
 	got, _ := json.Marshal(fresh.Findings)
 	want, _ := json.Marshal(linkInProcess(t, root, linkReq().Files))
 	if string(got) != string(want) {
-		t.Errorf("noFacts findings:\n%s\nwant the in-process link:\n%s", got, want)
+		t.Errorf("findings after the header edit:\n%s\nwant the in-process link:\n%s", got, want)
 	}
-	again := link(false)
+	if stats, err := c.Stats(); err != nil || stats.Counters["link_facts_stale"] != 1 {
+		t.Errorf("link_facts_stale = %d (%v), want 1", stats.Counters["link_facts_stale"], err)
+	}
+	again := link(nil)
 	if again.FactsHits != 2 || !reflect.DeepEqual(again.Findings, fresh.Findings) {
-		t.Errorf("after noFacts a plain request served %d hits and findings %+v; want 2 hits and the fresh findings %+v",
+		t.Errorf("next request served %d hits and findings %+v; want 2 hits and the fresh findings %+v",
 			again.FactsHits, again.Findings, fresh.Findings)
+	}
+}
+
+// TestLinkIncludeShadowRefreshesFacts: a unit's read set covers the
+// include-path lookups that missed, so a header created earlier on the
+// path, which would now win resolution, makes the unit miss.
+func TestLinkIncludeShadowRefreshesFacts(t *testing.T) {
+	root := writeLinkTree(t)
+	for _, dir := range []string{"inc1", "inc2"} {
+		if err := os.Mkdir(filepath.Join(root, dir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Rename(filepath.Join(root, "proto.h"), filepath.Join(root, "inc2", "proto.h")); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, link := linkServer(t, root, st)
+	paths := func(r *LinkRequest) { r.IncludePaths = []string{"inc1", "inc2"} }
+	cold := link(paths)
+	if warm := link(paths); warm.FactsHits != 2 {
+		t.Fatalf("warm request: %d hits, want 2", warm.FactsHits)
+	}
+
+	shadow := "extern long buffer_size;\nlong checksum(int v);\n"
+	if err := os.WriteFile(filepath.Join(root, "inc1", "proto.h"), []byte(shadow), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	shadowed := link(paths)
+	if shadowed.FactsHits != 1 || shadowed.FactsMisses != 1 {
+		t.Errorf("after shadowing proto.h: %d hits, %d misses; want 1/1", shadowed.FactsHits, shadowed.FactsMisses)
+	}
+	if reflect.DeepEqual(shadowed.Findings, cold.Findings) {
+		t.Errorf("findings ignore the shadowing header: %+v", shadowed.Findings)
+	}
+}
+
+// TestLinkFactsKeyedOnBuild: stored facts belong to the build that made
+// them, so a server of another build misses and one of the same build hits.
+func TestLinkFactsKeyedOnBuild(t *testing.T) {
+	defer func(orig func() string) { buildID = orig }(buildID)
+	root := writeLinkTree(t)
+	dir := t.TempDir()
+	for _, c := range []struct {
+		build      string
+		hits, miss int64
+	}{
+		{"build-a", 0, 2},
+		{"build-b", 0, 2},
+		{"build-a", 2, 0},
+	} {
+		buildID = func() string { return c.build }
+		st, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, link := linkServer(t, root, st)
+		r := link(nil)
+		if r.FactsHits != c.hits || r.FactsMisses != c.miss {
+			t.Errorf("%s: %d hits, %d misses; want %d/%d", c.build, r.FactsHits, r.FactsMisses, c.hits, c.miss)
+		}
 	}
 }
 
@@ -418,5 +475,32 @@ func TestLinkFactsKeyUnambiguous(t *testing.T) {
 	link(func(r *LinkRequest) { r.Mode = "" })
 	if bdd := link(func(r *LinkRequest) { r.Mode = "bdd" }); bdd.FactsHits != 2 {
 		t.Errorf(`mode "" and "bdd" keyed apart: %d hits, want 2`, bdd.FactsHits)
+	}
+}
+
+// TestLinkEntryCodec round-trips a stored link entry and rejects every
+// truncation of it, so a damaged artifact reads as a miss, never as a
+// shorter read set.
+func TestLinkEntryCodec(t *testing.T) {
+	in := &linkEntry{
+		Deps:   []hcache.Dep{{Path: "a.c", Hash: hcache.Hash([]byte("a"))}, {Path: "inc/p.h", Hash: hcache.Hash(nil)}},
+		Probes: []hcache.Probe{{Path: "p.h", Exists: false}, {Path: "inc/p.h", Exists: true}},
+		Facts:  &link.Facts{Unit: "a.c", Symbols: []link.Symbol{{Name: "f"}}},
+	}
+	data, err := in.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := decodeLinkEntry(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out.Deps, in.Deps) || !reflect.DeepEqual(out.Probes, in.Probes) || out.Facts.Unit != "a.c" || len(out.Facts.Symbols) != 1 {
+		t.Errorf("round trip: %+v, want %+v", out, in)
+	}
+	for n := range data {
+		if _, err := decodeLinkEntry(data[:n]); err == nil {
+			t.Errorf("truncated to %d of %d bytes: decoded", n, len(data))
+		}
 	}
 }

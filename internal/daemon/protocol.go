@@ -188,8 +188,11 @@ type LintResponse struct {
 // LinkRequest is one whole-corpus link batch: parse every file, extract
 // conditional link facts, and join them into cross-unit findings. Per-unit
 // facts persist in the artifact store (namespace "link") keyed by the
-// request fingerprint plus each root file's content hash, so warm batches
-// skip re-parsing unchanged units.
+// request fingerprint, the server's build and the file, together with the
+// unit's read set: every file it read, with its content hash, and every
+// include-path probe. A stored unit is served only while its read set
+// still holds, so warm batches skip re-parsing exactly the units whose
+// files, headers and include-path lookups are unchanged.
 type LinkRequest struct {
 	Files        []string          `json:"files"`
 	IncludePaths []string          `json:"includePaths,omitempty"`
@@ -202,11 +205,6 @@ type LinkRequest struct {
 	// -max-jobs), and a larger count is clamped to -max-jobs.
 	ParseWorkers int    `json:"parseWorkers,omitempty"`
 	Limits       Limits `json:"limits,omitempty"`
-	// NoFacts skips the persisted link-fact lookup: every unit is parsed
-	// afresh and its facts overwrite the stored ones, which is how a client
-	// refreshes the cache after editing a shared header (the key covers
-	// only the root file's content).
-	NoFacts bool `json:"noFacts,omitempty"`
 }
 
 // LinkFinding is the wire form of link.Finding. The space-tied Cond never
@@ -352,7 +350,8 @@ type ParseResponse struct {
 
 // CorpusRequest runs the evaluation harness over the deterministic
 // synthetic corpus (corpus.Generate is a pure function of the params, so
-// results are cacheable across daemon restarts as facts).
+// results are cacheable across daemon restarts as facts, keyed by the
+// params and the server's build).
 type CorpusRequest struct {
 	Seed    int64    `json:"seed"`
 	CFiles  int      `json:"cfiles"`
@@ -368,9 +367,6 @@ type CorpusRequest struct {
 	// -max-jobs), and a larger count is clamped to -max-jobs.
 	ParseWorkers int    `json:"parseWorkers,omitempty"`
 	Limits       Limits `json:"limits,omitempty"`
-	// NoFacts skips the per-unit facts lookup: every unit runs afresh and
-	// its facts overwrite the stored ones.
-	NoFacts bool `json:"noFacts,omitempty"`
 }
 
 // CorpusUnit is the deterministic subset of harness.UnitResult: everything

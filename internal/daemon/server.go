@@ -2,7 +2,7 @@ package daemon
 
 import (
 	"context"
-	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,6 +16,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
@@ -96,6 +98,7 @@ const (
 	factsMisses
 	linkFactsHits
 	linkFactsMisses
+	linkFactsStale
 	numCounters
 )
 
@@ -109,6 +112,7 @@ var serverDescs = []stats.Desc{
 	factsMisses:     {Name: "facts_misses", Help: "Corpus units computed for want of cached facts."},
 	linkFactsHits:   {Name: "link_facts_hits", Help: "Link units whose facts came from the store."},
 	linkFactsMisses: {Name: "link_facts_misses", Help: "Link units parsed to extract their facts."},
+	linkFactsStale:  {Name: "link_facts_stale", Help: "Link misses whose stored facts failed their read-set check."},
 }
 
 // registry is every instrument superd exposes, in /metrics order.
@@ -578,27 +582,31 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 	cfg.Link = true
 	fs := rootFS{s.cfg.Root}
 	fp := linkFingerprint(cfg)
+	// One memo serves every worker, so each path is read and hashed, and
+	// each probe checked, at most once per request.
+	files := hcache.NewMemo(fs)
 	facts := make([]*link.Facts, len(req.Files))
 	results := make([]*harness.UnitResult, len(req.Files)) // nil: facts came from the store
+	var stale atomic.Int64
 	harness.Parallel(cfg.Jobs, len(req.Files), func(i int) {
 		file := req.Files[i]
-		// The cache key folds in the root file's content hash, so editing a
-		// .c file invalidates its facts across restarts. Header edits are not
-		// tracked here: a NoFacts request skips the lookup and overwrites
-		// each unit's stored facts with fresh ones.
-		var key string
+		// The key carries the configuration and the build; the entry
+		// carries the unit's read set (the root file is one of its deps),
+		// re-checked before its facts are served. A failed check recomputes
+		// the unit and overwrites the entry.
+		key := fp + "\x00" + file
 		if s.cfg.Store != nil {
-			if data, err := fs.ReadFile(file); err == nil {
-				key = fmt.Sprintf("%s\x00%s\x00%x", fp, file, sha256.Sum256(data))
-			}
-		}
-		if key != "" && !req.NoFacts {
 			if raw, ok := s.cfg.Store.Get(store.NSLink, key); ok {
-				if f, err := link.DecodeFacts(raw); err == nil {
-					facts[i] = f
+				e, err := decodeLinkEntry(raw)
+				switch {
+				case err != nil:
+					s.cfg.Store.Delete(store.NSLink, key)
+				case !files.Holds(e.Deps, e.Probes):
+					stale.Add(1)
+				default:
+					facts[i] = e.Facts
 					return
 				}
-				s.cfg.Store.Delete(store.NSLink, key)
 			}
 		}
 		// A miss runs as a batch of one on this worker, so its parse and
@@ -606,9 +614,10 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 		// lookups, the misses' parses and fsyncs added about 6% to a warm
 		// 200-unit request on 2 vCPUs). Budget-tripped extractions may be
 		// truncated; only complete fact sets persist.
-		results[i] = &harness.RunUnits(r.Context(), fs, []string{file}, cfg, func(_ int, tool *core.Tool, _ *core.Result, m *harness.UnitResult) {
-			if key != "" && m.LinkFacts != nil && tool.Budget().Trip() == nil {
-				if data, err := m.LinkFacts.Encode(); err == nil {
+		results[i] = &harness.RunUnits(r.Context(), fs, []string{file}, cfg, func(_ int, tool *core.Tool, res *core.Result, m *harness.UnitResult) {
+			if s.cfg.Store != nil && m.LinkFacts != nil && tool.Budget().Trip() == nil {
+				e := linkEntry{Deps: res.Unit.Deps, Probes: res.Unit.Probes, Facts: m.LinkFacts}
+				if data, err := e.encode(); err == nil {
 					s.cfg.Store.Put(store.NSLink, key, data)
 				}
 			}
@@ -633,25 +642,126 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 	s.counts.Add(unitsTotal, int64(len(req.Files)))
 	s.counts.Add(linkFactsHits, resp.FactsHits)
 	s.counts.Add(linkFactsMisses, resp.FactsMisses)
+	s.counts.Add(linkFactsStale, stale.Load())
 	link.Fields.Fold(s.links, &ls)
 	writeJSON(w, resp)
 }
 
+// linkEntry is one unit's stored /v1/link result: its facts and the read
+// set that made them. The read set has its own encoding in front of the
+// facts codec's bytes because a gob decode compiles the type afresh for
+// every artifact, which on a warm 200-unit request cost more than the
+// whole read-set check.
+type linkEntry struct {
+	Deps   []hcache.Dep
+	Probes []hcache.Probe
+	Facts  *link.Facts
+}
+
+// encode lays the entry out as uvarints and length-prefixed strings: the
+// dep count, each dep's path and hash, the probe count, each probe's path
+// and outcome (0 or 1), then the facts codec's bytes to the end.
+func (e *linkEntry) encode() ([]byte, error) {
+	facts, err := e.Facts.Encode()
+	if err != nil {
+		return nil, err
+	}
+	b := binary.AppendUvarint(nil, uint64(len(e.Deps)))
+	for _, d := range e.Deps {
+		b = appendString(appendString(b, d.Path), d.Hash)
+	}
+	b = binary.AppendUvarint(b, uint64(len(e.Probes)))
+	for _, p := range e.Probes {
+		exists := uint64(0)
+		if p.Exists {
+			exists = 1
+		}
+		b = binary.AppendUvarint(appendString(b, p.Path), exists)
+	}
+	return append(b, facts...), nil
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// decodeLinkEntry reads encode's layout, rejecting truncated or malformed
+// data.
+func decodeLinkEntry(data []byte) (*linkEntry, error) {
+	r := entryReader{b: data}
+	e := &linkEntry{Deps: make([]hcache.Dep, r.uvarint())}
+	for i := range e.Deps {
+		e.Deps[i] = hcache.Dep{Path: r.string(), Hash: r.string()}
+	}
+	e.Probes = make([]hcache.Probe, r.uvarint())
+	for i := range e.Probes {
+		e.Probes[i] = hcache.Probe{Path: r.string(), Exists: r.uvarint() == 1}
+	}
+	if r.bad {
+		return nil, errors.New("daemon: malformed link entry")
+	}
+	var err error
+	e.Facts, err = link.DecodeFacts(r.b)
+	return e, err
+}
+
+// entryReader consumes decodeLinkEntry's input. After the first malformed
+// field it sets bad and yields zero values; a count or length never
+// exceeds the bytes left, so garbage cannot ask for a huge allocation.
+type entryReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *entryReader) uvarint() int {
+	n, k := binary.Uvarint(r.b)
+	if r.bad || k <= 0 || n > uint64(len(r.b)-k) {
+		r.bad = true
+		return 0
+	}
+	r.b = r.b[k:]
+	return int(n)
+}
+
+func (r *entryReader) string() string {
+	n := r.uvarint()
+	s := string(r.b[:n])
+	r.b = r.b[n:]
+	return s
+}
+
+// buildID identifies the running build in the facts keys: the protocol
+// Version plus the executable's size and modification time, read by one
+// stat per process (ccache's compiler_check = mtime; hashing the binary
+// would cost every start tens of milliseconds). A rebuilt binary, or
+// another executable sharing the store, keys apart. Tests substitute it.
+var buildID = sync.OnceValue(func() string {
+	exe, err := os.Executable()
+	if err != nil {
+		return Version
+	}
+	fi, err := os.Stat(exe)
+	if err != nil {
+		return Version
+	}
+	return fmt.Sprintf("%s;exe=%d;mtime=%d", Version, fi.Size(), fi.ModTime().UnixNano())
+})
+
 // linkFingerprint keys the persisted link-fact cache: every resolved
-// setting that affects one unit's extracted facts, plus the protocol
-// version (fact shapes may change between builds). It is the JSON of one
+// setting that affects one unit's extracted facts, plus the build identity
+// (fact shapes and extraction change between builds). It is the JSON of one
 // canonical struct — JSON quotes every string and sorts map keys, so no two
 // configurations share a key, and an omitted mode keys like "bdd". Jobs and
 // ParseWorkers are deliberately excluded — extraction is deterministic at
 // any worker count.
 func linkFingerprint(cfg harness.RunConfig) string {
 	key := struct {
-		Version      string
+		Build        string
 		Mode         cond.Mode
 		IncludePaths []string
 		Defines      map[string]string
 		Limits       guard.Limits
-	}{Version: Version, Mode: cfg.Mode, Limits: cfg.Budget}
+	}{Build: buildID(), Mode: cfg.Mode, Limits: cfg.Budget}
 	if len(cfg.IncludePaths) > 0 {
 		key.IncludePaths = cfg.IncludePaths
 	}
@@ -684,7 +794,7 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 	resp := CorpusResponse{Units: make([]CorpusUnit, len(c.CFiles))}
 	var missing []int
 	for i, f := range c.CFiles {
-		if s.cfg.Store != nil && !req.NoFacts && store.GetGob(s.cfg.Store, store.NSFacts, fp+"\x00"+f, &resp.Units[i]) {
+		if s.cfg.Store != nil && store.GetGob(s.cfg.Store, store.NSFacts, fp+"\x00"+f, &resp.Units[i]) {
 			resp.FactsHits++
 			continue
 		}
@@ -704,8 +814,8 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 			resp.Units[i] = u
 			// A unit that errored (cancelled run, panic) is not a
 			// deterministic fact; everything else is a pure function of
-			// (corpus, config, limits) and may be served across restarts; a
-			// NoFacts request refreshes it.
+			// (corpus, config, limits, build) and may be served across
+			// restarts.
 			if s.cfg.Store != nil && u.Err == "" {
 				store.PutGob(s.cfg.Store, store.NSFacts, fp+"\x00"+c.CFiles[i], &u)
 			}
@@ -718,15 +828,15 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 }
 
 // factsFingerprint keys the facts cache: every request knob that affects a
-// unit's deterministic result, plus the protocol version (result shapes may
-// change between builds). ParseWorkers is deliberately excluded: the
+// unit's deterministic result, plus the build identity (results change
+// between builds). ParseWorkers is deliberately excluded: the
 // region-parallel strategy is proven equivalent to sequential, so the
 // deterministic facts are identical at every worker count.
 func (s *Server) factsFingerprint(req CorpusRequest, limits guard.Limits) string {
 	names := append([]string(nil), req.Passes...)
 	sort.Strings(names)
 	return fmt.Sprintf("%s;seed=%d;cfiles=%d;headers=%d;mode=%s;opt=%s;single=%t;passes=%s;limits=%+v",
-		Version, req.Seed, req.CFiles, req.Headers, req.Mode, req.Opt, req.Single,
+		buildID(), req.Seed, req.CFiles, req.Headers, req.Mode, req.Opt, req.Single,
 		strings.Join(names, ","), limits)
 }
 

@@ -69,19 +69,94 @@ type KV struct {
 	Key, Sig string
 }
 
-// Dep is a file the recorded processing read: replaying is valid only while
-// the file still hashes to Hash.
+// Dep is a file the recorded processing (a Level-2 entry, or a whole unit's
+// read set) read: its result is valid only while the file still hashes to
+// Hash.
 type Dep struct {
 	Path, Hash string
 }
 
 // Probe is a file-existence check the recorded processing performed during
-// include resolution: replaying is valid only while the outcome holds (a
+// include resolution: its result is valid only while the outcome holds (a
 // header appearing earlier on the include path must invalidate entries that
 // resolved past its absence).
 type Probe struct {
 	Path   string
 	Exists bool
+}
+
+// FS is the file access a Memo reads through; preprocessor.FileSystem
+// satisfies it.
+type FS interface {
+	ReadFile(path string) ([]byte, error)
+	Exists(path string) bool
+}
+
+// Memo checks recorded read sets against an FS, reading and hashing each
+// path, and probing each existence, at most once. It assumes the files do
+// not change while it lives, so it is scoped to one unit or one request. It
+// is safe for concurrent use: concurrent askers of one path wait for the
+// one read.
+type Memo struct {
+	fs             FS
+	mu             sync.Mutex
+	hashes, probes map[string]*memoSlot
+}
+
+type memoSlot struct {
+	once sync.Once
+	hash string
+	ok   bool
+}
+
+// NewMemo returns an empty memo over fs.
+func NewMemo(fs FS) *Memo {
+	return &Memo{fs: fs, hashes: make(map[string]*memoSlot), probes: make(map[string]*memoSlot)}
+}
+
+func (m *Memo) slot(table map[string]*memoSlot, path string) *memoSlot {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s := table[path]
+	if s == nil {
+		s = new(memoSlot)
+		table[path] = s
+	}
+	return s
+}
+
+// Holds reports whether a recorded read set still holds: every dep hashes
+// to its recorded hash and every probe has its recorded outcome. It is the
+// one check behind Level-2 replay and superd's stored link facts.
+func (m *Memo) Holds(deps []Dep, probes []Probe) bool {
+	for _, d := range deps {
+		if h, ok := m.hash(d.Path); !ok || h != d.Hash {
+			return false
+		}
+	}
+	for _, pr := range probes {
+		if m.exists(pr.Path) != pr.Exists {
+			return false
+		}
+	}
+	return true
+}
+
+// hash returns path's content hash; ok is false when it cannot be read.
+func (m *Memo) hash(path string) (string, bool) {
+	s := m.slot(m.hashes, path)
+	s.once.Do(func() {
+		if src, err := m.fs.ReadFile(path); err == nil {
+			s.hash, s.ok = Hash(src), true
+		}
+	})
+	return s.hash, s.ok
+}
+
+func (m *Memo) exists(path string) bool {
+	s := m.slot(m.probes, path)
+	s.once.Do(func() { s.ok = m.fs.Exists(path) })
+	return s.ok
 }
 
 // Entry is one Level-2 result: a fully preprocessed header under a recorded

@@ -139,3 +139,89 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Errorf("bounds exceeded: %+v", s)
 	}
 }
+
+// countingFS is an in-memory FS that counts reads and existence checks per
+// path.
+type countingFS struct {
+	files         map[string]string
+	mu            sync.Mutex
+	reads, probes map[string]int
+}
+
+func (f *countingFS) ReadFile(p string) ([]byte, error) {
+	f.mu.Lock()
+	f.reads[p]++
+	f.mu.Unlock()
+	if s, ok := f.files[p]; ok {
+		return []byte(s), nil
+	}
+	return nil, fmt.Errorf("not found: %s", p)
+}
+
+func (f *countingFS) Exists(p string) bool {
+	f.mu.Lock()
+	f.probes[p]++
+	f.mu.Unlock()
+	_, ok := f.files[p]
+	return ok
+}
+
+// TestHoldsThroughMemo checks the shared read-set check and its memo: many
+// concurrent checks over overlapping read sets read and hash each path, and
+// probe each existence, at most once, and each check still sees every
+// mismatch.
+func TestHoldsThroughMemo(t *testing.T) {
+	fs := &countingFS{
+		files: map[string]string{"a.c": "int a;", "inc/p.h": "int p;", "b.c": "int b;"},
+		reads: map[string]int{}, probes: map[string]int{},
+	}
+	deps := func(paths ...string) []Dep {
+		out := make([]Dep, len(paths))
+		for i, p := range paths {
+			out[i] = Dep{Path: p, Hash: Hash([]byte(fs.files[p]))}
+		}
+		return out
+	}
+	probes := []Probe{{Path: "p.h", Exists: false}, {Path: "inc/p.h", Exists: true}}
+	memo := NewMemo(fs)
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			root := "a.c"
+			if i%2 == 1 {
+				root = "b.c"
+			}
+			if !memo.Holds(deps(root, "inc/p.h"), probes) {
+				t.Errorf("check %d: unchanged read set does not hold", i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, p := range []string{"a.c", "b.c", "inc/p.h"} {
+		if fs.reads[p] != 1 {
+			t.Errorf("%s read %d times, want 1", p, fs.reads[p])
+		}
+	}
+	for _, p := range []string{"p.h", "inc/p.h"} {
+		if fs.probes[p] != 1 {
+			t.Errorf("%s probed %d times, want 1", p, fs.probes[p])
+		}
+	}
+
+	for _, c := range []struct {
+		name   string
+		deps   []Dep
+		probes []Probe
+	}{
+		{"edited dep", []Dep{{Path: "a.c", Hash: Hash([]byte("int a2;"))}}, nil},
+		{"missing dep", []Dep{{Path: "gone.h", Hash: Hash(nil)}}, nil},
+		{"shadowing file", deps("a.c"), []Probe{{Path: "inc/p.h", Exists: false}}},
+		{"vanished file", deps("a.c"), []Probe{{Path: "p.h", Exists: true}}},
+	} {
+		if memo.Holds(c.deps, c.probes) {
+			t.Errorf("%s: read set holds", c.name)
+		}
+	}
+}

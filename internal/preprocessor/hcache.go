@@ -14,6 +14,10 @@ package preprocessor
 //   - the files read (with content hashes) and existence probes made during
 //     include resolution, so edits to any file involved invalidate the entry.
 //
+// The unit keeps the same deps and probes, never poisoned, as its read set
+// (Unit.Deps, Unit.Probes): superd re-checks it, through the same
+// hcache.Memo.Holds, before serving facts stored for the unit.
+//
 // A later unit replays the entry only when its incoming state restricted to
 // the interaction set matches the recorded fingerprint and every dep/probe
 // still holds; replaying imports the stored segment forest and ops into that
@@ -27,6 +31,7 @@ package preprocessor
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -277,8 +282,10 @@ func (p *Preprocessor) bumpTimesInc(path string) {
 	p.timesInc[path]++
 }
 
-// noteDep records a file read (path, content hash) in every active recorder.
+// noteDep records a file read (path, content hash) in the unit's read set
+// and in every active recorder.
 func (p *Preprocessor) noteDep(path, hash string) {
+	p.deps = append(p.deps, hcache.Dep{Path: path, Hash: hash})
 	for _, r := range p.recorders {
 		if !r.poisoned {
 			r.deps = append(r.deps, hcache.Dep{Path: path, Hash: hash})
@@ -286,13 +293,23 @@ func (p *Preprocessor) noteDep(path, hash string) {
 	}
 }
 
-// noteProbe records an include-resolution existence check.
+// noteProbe records an include-resolution existence check in the unit's
+// read set and in every active recorder.
 func (p *Preprocessor) noteProbe(path string, exists bool) {
+	p.probes = append(p.probes, hcache.Probe{Path: path, Exists: exists})
 	for _, r := range p.recorders {
 		if !r.poisoned {
 			r.probes = append(r.probes, hcache.Probe{Path: path, Exists: exists})
 		}
 	}
+}
+
+// sortedSet stably sorts a read-set list by path, in place, and drops
+// repeats, so a unit's read set is deterministic however often it touched
+// each path.
+func sortedSet[T comparable](xs []T, path func(T) string) []T {
+	slices.SortStableFunc(xs, func(a, b T) int { return strings.Compare(path(a), path(b)) })
+	return slices.Compact(xs)
 }
 
 // noteIncludeDepth tracks the deepest nesting each recording reaches,
@@ -326,9 +343,10 @@ func (f probeFS) Exists(path string) bool {
 	return ok
 }
 
-// resolveFS returns the file system include resolution should probe through.
+// resolveFS returns the file system include resolution should probe
+// through: with the header cache on, every probe joins the read set.
 func (p *Preprocessor) resolveFS() FileSystem {
-	if p.recording() {
+	if p.hcache != nil {
 		return probeFS{p}
 	}
 	return p.fs
@@ -406,18 +424,7 @@ func (p *Preprocessor) tryReplay(key string) ([]Segment, bool) {
 				return false
 			}
 		}
-		for _, d := range e.Deps {
-			src, err := p.fs.ReadFile(d.Path)
-			if err != nil || hcache.Hash(src) != d.Hash {
-				return false
-			}
-		}
-		for _, pr := range e.Probes {
-			if p.fs.Exists(pr.Path) != pr.Exists {
-				return false
-			}
-		}
-		return true
+		return p.files.Holds(e.Deps, e.Probes)
 	}
 	e, ok := p.hcache.Lookup(key, match)
 	if !ok {

@@ -2,6 +2,8 @@ package preprocessor
 
 import (
 	"fmt"
+	"maps"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -425,5 +427,68 @@ func TestHeaderCacheCounterPoisoned(t *testing.T) {
 	d := cacheDelta(hc, before)
 	if d.Get("hcache_header_hits") != 0 {
 		t.Errorf("__COUNTER__ header replayed: %d hits", d.Get("hcache_header_hits"))
+	}
+}
+
+// TestUnitReadSet pins Unit.Deps/Probes: every file the unit read and every
+// include-path probe, sorted and deduplicated, the same whether the headers
+// were processed or replayed, kept for poisoned recordings and
+// conditional includes, and checkable with hcache.Memo.Holds.
+func TestUnitReadSet(t *testing.T) {
+	files := map[string]string{
+		"main.c":           "#include <outer.h>\n#include <outer.h>\n#include <count.h>\n#ifdef A\n#include <cond.h>\n#endif\nint a = INNER;\n",
+		"include/outer.h":  "#ifndef OUTER_H\n#define OUTER_H\n#include <inner.h>\n#endif\n",
+		"include2/inner.h": "#define INNER 1\n",
+		"include/count.h":  "int k = __COUNTER__;\n",
+		"include2/cond.h":  "int c;\n",
+	}
+	paths := []string{"include", "include2"}
+	hash := func(p string) string { return hcache.Hash([]byte(files[p])) }
+	wantDeps := []hcache.Dep{
+		{Path: "include/count.h", Hash: hash("include/count.h")},
+		{Path: "include/outer.h", Hash: hash("include/outer.h")},
+		{Path: "include2/cond.h", Hash: hash("include2/cond.h")},
+		{Path: "include2/inner.h", Hash: hash("include2/inner.h")},
+		{Path: "main.c", Hash: hash("main.c")},
+	}
+	wantProbes := []hcache.Probe{
+		{Path: "include/cond.h", Exists: false},
+		{Path: "include/count.h", Exists: true},
+		{Path: "include/inner.h", Exists: false},
+		{Path: "include/outer.h", Exists: true},
+		{Path: "include2/cond.h", Exists: true},
+		{Path: "include2/inner.h", Exists: true},
+	}
+	hc := hcache.New(hcache.Options{})
+	for _, run := range []string{"recorded", "replayed"} {
+		before := hc.Stats()
+		u, _ := ppWith(t, files, hc, cond.ModeBDD, paths)
+		if hits := hc.Stats().HeaderHits - before.HeaderHits; (hits > 0) != (run == "replayed") {
+			t.Fatalf("%s: %d header hits", run, hits)
+		}
+		if !reflect.DeepEqual(u.Deps, wantDeps) {
+			t.Errorf("%s: deps = %+v, want %+v", run, u.Deps, wantDeps)
+		}
+		if !reflect.DeepEqual(u.Probes, wantProbes) {
+			t.Errorf("%s: probes = %+v, want %+v", run, u.Probes, wantProbes)
+		}
+		if !hcache.NewMemo(MapFS(files)).Holds(u.Deps, u.Probes) {
+			t.Errorf("%s: read set does not hold on the unchanged files", run)
+		}
+	}
+	u, _ := ppWith(t, files, nil, cond.ModeBDD, paths)
+	if u.Deps != nil || u.Probes != nil {
+		t.Errorf("without a header cache: deps %v, probes %v; want none", u.Deps, u.Probes)
+	}
+
+	edited := maps.Clone(files)
+	edited["include2/inner.h"] = "#define INNER 2\n"
+	shadowed := maps.Clone(files)
+	shadowed["include/cond.h"] = "int d;\n"
+	u, _ = ppWith(t, files, hc, cond.ModeBDD, paths)
+	for name, fs := range map[string]map[string]string{"edited": edited, "shadowed": shadowed} {
+		if hcache.NewMemo(MapFS(fs)).Holds(u.Deps, u.Probes) {
+			t.Errorf("%s: read set still holds", name)
+		}
 	}
 }

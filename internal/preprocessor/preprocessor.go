@@ -85,6 +85,15 @@ type Unit struct {
 	DeadBranches []CondRecord // conditional branches infeasible in their nesting context
 	MacroRedefs  []CondRecord // macro redefinitions overlapping an earlier definition (Msg = name)
 	Unguarded    []string     // headers included without a recognizable include guard, sorted
+
+	// Deps and Probes are the unit's read set, sorted and deduplicated:
+	// every file it read (the root file too) with its content hash, and
+	// every include-resolution existence check with its outcome, including
+	// those a Level-2 replay stood in for. The unit's output holds while
+	// hcache.Memo.Holds does. Filled only when a header cache is attached, whose
+	// hashes they are.
+	Deps   []hcache.Dep
+	Probes []hcache.Probe
 }
 
 // Preprocessor is SuperC's configuration-preserving preprocessor. A
@@ -121,6 +130,9 @@ type Preprocessor struct {
 	hcache    *hcache.Cache
 	cfgKey    string       // configuration fingerprint mixed into cache keys
 	recorders []*headerRec // active recordings, innermost last
+	deps      []hcache.Dep // the unit's read set (see Unit.Deps)
+	probes    []hcache.Probe
+	files     *hcache.Memo // the unit's view of fs for replay checks
 	exporter  *cond.Exporter
 	importer  *cond.Importer
 }
@@ -226,6 +238,10 @@ func (p *Preprocessor) PreprocessKeepTable(path string) (*Unit, error) {
 	p.counter = 0
 	p.timesInc = make(map[string]int)
 	p.recorders = nil
+	p.deps, p.probes = nil, nil
+	if p.hcache != nil {
+		p.files = hcache.NewMemo(p.fs)
+	}
 	p.errRecs = nil
 	p.deadRecs = nil
 	p.macros.Redefs = nil
@@ -259,6 +275,8 @@ func (p *Preprocessor) PreprocessKeepTable(path string) (*Unit, error) {
 		Errors:       p.errRecs,
 		DeadBranches: p.deadRecs,
 		Unguarded:    p.unguardedHeaders(),
+		Deps:         sortedSet(p.deps, func(d hcache.Dep) string { return d.Path }),
+		Probes:       sortedSet(p.probes, func(pr hcache.Probe) string { return pr.Path }),
 	}
 	for _, r := range p.macros.Redefs {
 		u.MacroRedefs = append(u.MacroRedefs, CondRecord{

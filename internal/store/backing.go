@@ -19,8 +19,8 @@ import (
 
 // Artifact namespaces. Facts is used by the daemon for per-unit analysis
 // results, Link for per-unit conditional link facts (internal/link codec
-// bytes, keyed by request fingerprint plus root-file content hash); the
-// others back the header cache.
+// bytes beside the unit's read set, keyed by request fingerprint, build
+// identity and file); the others back the header cache.
 const (
 	NSLex   = "hcache-lex"
 	NSHdr   = "hcache-hdr"

@@ -4,12 +4,14 @@
 // daemon restarts.
 //
 // Artifacts are opaque byte payloads addressed by (namespace, key), where
-// the key already embeds the content hashes and configuration fingerprints
-// the in-memory caches use — the store adds no invalidation semantics of its
-// own beyond what the keys and the replay-time dep/probe checks carry (see
-// internal/hcache: a stale entry's key stops being looked up, and a replayed
-// entry re-validates its recorded file hashes and existence probes against
-// the live file system before use).
+// the key already embeds the content hashes, configuration fingerprints and
+// build identity the caches use — the store adds no invalidation semantics
+// of its own beyond what the keys and the dep/probe checks carry. An entry
+// that depends on files (a preprocessed header, a unit's link facts)
+// carries the file hashes and existence probes it was made from, and its
+// reader re-validates them against the live file system before use
+// (hcache.Memo.Holds); a stale entry's key stops being looked up or fails that
+// check.
 //
 // The on-disk format is corruption-safe and crash-consistent: every artifact
 // file carries a magic header, the payload length, and a sha256 checksum;
