@@ -6,7 +6,7 @@ import "fmt"
 // payloads (link facts in the fact store, header-cache entries in the
 // artifact store) carry their conditions. A payload flattens every formula
 // it holds into one indexed node table so pointer sharing survives the
-// round trip: a gob of the raw pointer graph would expand shared
+// round trip: encoding the raw pointer graph would expand shared
 // subformulas into trees, and a condition guarding many entries would
 // encode once per entry instead of once.
 //
@@ -23,10 +23,11 @@ type FormulaNode = struct {
 	Args []int32
 }
 
-// WireNode is a payload's own named formula-node type. Gob writes a type's
-// package-qualified name into the encoding, so each payload declares its
-// node type itself, and its persisted bytes stay the same wherever the
-// codec lives.
+// WireNode is a formula-node type a payload stores. Gob writes a type's
+// package-qualified name into the encoding, so the preprocessor's gob
+// payload declares its own named node type, and its persisted bytes stay
+// the same wherever the codec lives; a payload with its own layout, such as
+// link's, uses FormulaNode directly.
 type WireNode interface{ ~FormulaNode }
 
 // FormulaTable flattens formulas into an indexed node list, memoizing on

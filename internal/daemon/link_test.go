@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
-	"repro/internal/hcache"
 	"repro/internal/link"
 	"repro/internal/store"
 )
@@ -367,6 +366,52 @@ func TestLinkHeaderEditRefreshesFacts(t *testing.T) {
 	}
 }
 
+// TestLinkUndecodableEntryRecomputes: a stored entry that no longer
+// decodes is deleted and its unit recomputed, so the request reports a
+// miss with the in-process findings, and the rewritten entry then hits.
+func TestLinkUndecodableEntryRecomputes(t *testing.T) {
+	root := writeLinkTree(t)
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(Config{Root: root, Store: st})
+	c := startServer(t, srv)
+	req := linkReq()
+	link := func() *LinkResponse {
+		t.Helper()
+		r, err := c.Link(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	link()
+
+	cfg, err := srv.resolve(req.pipeline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := linkFingerprint(cfg) + "\x00a.c"
+	if _, ok := st.Get(store.NSLink, key); !ok {
+		t.Fatal("no entry stored for a.c under the request's key")
+	}
+	st.Put(store.NSLink, key, []byte("not a link entry"))
+
+	r := link()
+	if r.FactsHits != 1 || r.FactsMisses != 1 {
+		t.Errorf("after overwriting a.c's entry: %d hits, %d misses; want 1/1", r.FactsHits, r.FactsMisses)
+	}
+	got, _ := json.Marshal(r.Findings)
+	want, _ := json.Marshal(linkInProcess(t, root, req.Files))
+	if string(got) != string(want) {
+		t.Errorf("findings after the undecodable entry:\n%s\nwant the in-process link:\n%s", got, want)
+	}
+	if again := link(); again.FactsHits != 2 || again.FactsMisses != 0 {
+		t.Errorf("next request: %d hits, %d misses; want 2/0", again.FactsHits, again.FactsMisses)
+	}
+}
+
 // TestLinkIncludeShadowRefreshesFacts: a unit's read set covers the
 // include-path lookups that missed, so a header created earlier on the
 // path, which would now win resolution, makes the unit miss.
@@ -475,32 +520,5 @@ func TestLinkFactsKeyUnambiguous(t *testing.T) {
 	link(func(r *LinkRequest) { r.Mode = "" })
 	if bdd := link(func(r *LinkRequest) { r.Mode = "bdd" }); bdd.FactsHits != 2 {
 		t.Errorf(`mode "" and "bdd" keyed apart: %d hits, want 2`, bdd.FactsHits)
-	}
-}
-
-// TestLinkEntryCodec round-trips a stored link entry and rejects every
-// truncation of it, so a damaged artifact reads as a miss, never as a
-// shorter read set.
-func TestLinkEntryCodec(t *testing.T) {
-	in := &linkEntry{
-		Deps:   []hcache.Dep{{Path: "a.c", Hash: hcache.Hash([]byte("a"))}, {Path: "inc/p.h", Hash: hcache.Hash(nil)}},
-		Probes: []hcache.Probe{{Path: "p.h", Exists: false}, {Path: "inc/p.h", Exists: true}},
-		Facts:  &link.Facts{Unit: "a.c", Symbols: []link.Symbol{{Name: "f"}}},
-	}
-	data, err := in.encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := decodeLinkEntry(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out.Deps, in.Deps) || !reflect.DeepEqual(out.Probes, in.Probes) || out.Facts.Unit != "a.c" || len(out.Facts.Symbols) != 1 {
-		t.Errorf("round trip: %+v, want %+v", out, in)
-	}
-	for n := range data {
-		if _, err := decodeLinkEntry(data[:n]); err == nil {
-			t.Errorf("truncated to %d of %d bytes: decoded", n, len(data))
-		}
 	}
 }

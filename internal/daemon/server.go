@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -597,7 +596,7 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 		key := fp + "\x00" + file
 		if s.cfg.Store != nil {
 			if raw, ok := s.cfg.Store.Get(store.NSLink, key); ok {
-				e, err := decodeLinkEntry(raw)
+				e, err := link.DecodeEntry(raw)
 				switch {
 				case err != nil:
 					s.cfg.Store.Delete(store.NSLink, key)
@@ -616,10 +615,8 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 		// truncated; only complete fact sets persist.
 		results[i] = &harness.RunUnits(r.Context(), fs, []string{file}, cfg, func(_ int, tool *core.Tool, res *core.Result, m *harness.UnitResult) {
 			if s.cfg.Store != nil && m.LinkFacts != nil && tool.Budget().Trip() == nil {
-				e := linkEntry{Deps: res.Unit.Deps, Probes: res.Unit.Probes, Facts: m.LinkFacts}
-				if data, err := e.encode(); err == nil {
-					s.cfg.Store.Put(store.NSLink, key, data)
-				}
+				e := link.Entry{Deps: res.Unit.Deps, Probes: res.Unit.Probes, Facts: m.LinkFacts}
+				s.cfg.Store.Put(store.NSLink, key, e.Encode())
 			}
 		})[0]
 		facts[i] = results[i].LinkFacts
@@ -645,89 +642,6 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
 	s.counts.Add(linkFactsStale, stale.Load())
 	link.Fields.Fold(s.links, &ls)
 	writeJSON(w, resp)
-}
-
-// linkEntry is one unit's stored /v1/link result: its facts and the read
-// set that made them. The read set has its own encoding in front of the
-// facts codec's bytes because a gob decode compiles the type afresh for
-// every artifact, which on a warm 200-unit request cost more than the
-// whole read-set check.
-type linkEntry struct {
-	Deps   []hcache.Dep
-	Probes []hcache.Probe
-	Facts  *link.Facts
-}
-
-// encode lays the entry out as uvarints and length-prefixed strings: the
-// dep count, each dep's path and hash, the probe count, each probe's path
-// and outcome (0 or 1), then the facts codec's bytes to the end.
-func (e *linkEntry) encode() ([]byte, error) {
-	facts, err := e.Facts.Encode()
-	if err != nil {
-		return nil, err
-	}
-	b := binary.AppendUvarint(nil, uint64(len(e.Deps)))
-	for _, d := range e.Deps {
-		b = appendString(appendString(b, d.Path), d.Hash)
-	}
-	b = binary.AppendUvarint(b, uint64(len(e.Probes)))
-	for _, p := range e.Probes {
-		exists := uint64(0)
-		if p.Exists {
-			exists = 1
-		}
-		b = binary.AppendUvarint(appendString(b, p.Path), exists)
-	}
-	return append(b, facts...), nil
-}
-
-func appendString(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
-// decodeLinkEntry reads encode's layout, rejecting truncated or malformed
-// data.
-func decodeLinkEntry(data []byte) (*linkEntry, error) {
-	r := entryReader{b: data}
-	e := &linkEntry{Deps: make([]hcache.Dep, r.uvarint())}
-	for i := range e.Deps {
-		e.Deps[i] = hcache.Dep{Path: r.string(), Hash: r.string()}
-	}
-	e.Probes = make([]hcache.Probe, r.uvarint())
-	for i := range e.Probes {
-		e.Probes[i] = hcache.Probe{Path: r.string(), Exists: r.uvarint() == 1}
-	}
-	if r.bad {
-		return nil, errors.New("daemon: malformed link entry")
-	}
-	var err error
-	e.Facts, err = link.DecodeFacts(r.b)
-	return e, err
-}
-
-// entryReader consumes decodeLinkEntry's input. After the first malformed
-// field it sets bad and yields zero values; a count or length never
-// exceeds the bytes left, so garbage cannot ask for a huge allocation.
-type entryReader struct {
-	b   []byte
-	bad bool
-}
-
-func (r *entryReader) uvarint() int {
-	n, k := binary.Uvarint(r.b)
-	if r.bad || k <= 0 || n > uint64(len(r.b)-k) {
-		r.bad = true
-		return 0
-	}
-	r.b = r.b[k:]
-	return int(n)
-}
-
-func (r *entryReader) string() string {
-	n := r.uvarint()
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
 }
 
 // buildID identifies the running build in the facts keys: the protocol

@@ -2,7 +2,10 @@ package link
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/cond"
@@ -27,10 +30,7 @@ func sampleFacts() *Facts {
 
 func TestCodecRoundTrip(t *testing.T) {
 	f := sampleFacts()
-	data, err := f.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := f.Encode()
 	got, err := DecodeFacts(data)
 	if err != nil {
 		t.Fatal(err)
@@ -57,18 +57,10 @@ func TestCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// Encoding is deterministic: same facts, same bytes.
-	data2, err := got.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data3, err := f.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, data3) {
+	if !bytes.Equal(data, f.Encode()) {
 		t.Error("re-encoding the same value changed bytes")
 	}
-	if !bytes.Equal(data, data2) {
+	if !bytes.Equal(data, got.Encode()) {
 		t.Error("decode/encode round trip changed bytes")
 	}
 }
@@ -89,56 +81,87 @@ func TestCodecSharingPreserved(t *testing.T) {
 }
 
 func roundTrip(f *Facts) (*Facts, error) {
-	data, err := f.Encode()
-	if err != nil {
-		return nil, err
-	}
-	return DecodeFacts(data)
+	return DecodeFacts(f.Encode())
 }
 
-// poisoned gob payloads must error, never panic.
-func TestCodecPoisonedPayloads(t *testing.T) {
-	encode := func(w *wireFacts) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-			t.Fatal(err)
+// payload lays out a facts payload after the magic, field by field: a
+// byte as itself, an int or uint64 as a uvarint, a string length-prefixed.
+func payload(fields ...any) []byte {
+	b := []byte(factsMagic)
+	for _, f := range fields {
+		switch v := f.(type) {
+		case byte:
+			b = append(b, v)
+		case int:
+			b = binary.AppendUvarint(b, uint64(v))
+		case uint64:
+			b = binary.AppendUvarint(b, v)
+		case string:
+			b = appendString(b, v)
+		default:
+			panic(fmt.Sprintf("payload field %T", f))
 		}
-		return buf.Bytes()
 	}
-	cases := map[string][]byte{
-		"not gob":   []byte("definitely not a gob stream"),
-		"truncated": nil, // filled below
-		"forward formula arg": encode(&wireFacts{
-			Nodes: []wireFNode{{Op: uint8(cond.FNot), Args: []int32{1}}, {Op: uint8(cond.FTrue)}},
-		}),
-		"self formula arg": encode(&wireFacts{
-			Nodes: []wireFNode{{Op: uint8(cond.FAnd), Args: []int32{0, 0}}},
-		}),
-		"negative formula arg": encode(&wireFacts{
-			Nodes: []wireFNode{{Op: uint8(cond.FNot), Args: []int32{-2}}},
-		}),
-		"bad op": encode(&wireFacts{
-			Nodes: []wireFNode{{Op: 250}},
-		}),
-		"negation without argument": encode(&wireFacts{
-			Nodes:   []wireFNode{{Op: uint8(cond.FNot)}},
-			Symbols: []wireSymbol{{Name: "x", Facts: []wireFact{{Kind: uint8(KindDef), Cond: 0}}}},
-		}),
-		"variable with argument": encode(&wireFacts{
-			Nodes: []wireFNode{{Op: uint8(cond.FTrue)}, {Op: uint8(cond.FVar), Name: "A", Args: []int32{0}}},
-		}),
-		"cond index out of range": encode(&wireFacts{
-			Symbols: []wireSymbol{{Name: "x", Facts: []wireFact{{Cond: 5}}}},
-		}),
-		"bad kind": encode(&wireFacts{
-			Symbols: []wireSymbol{{Name: "x", Facts: []wireFact{{Kind: 99, Cond: -1}}}},
-		}),
+	return b
+}
+
+// oldGobPayload is what the gob codec this layout replaced wrote for a
+// one-fact set.
+func oldGobPayload(t *testing.T) []byte {
+	type wireFact struct {
+		Kind      uint8
+		File      string
+		Line, Col int32
+		Sig       string
+		Cond      int32
 	}
-	good, err := sampleFacts().Encode()
+	type wireSymbol struct {
+		Name  string
+		Facts []wireFact
+	}
+	type wireFacts struct {
+		Unit    string
+		Nodes   []cond.FormulaNode
+		Symbols []wireSymbol
+	}
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(&wireFacts{
+		Unit:    "u.c",
+		Nodes:   []cond.FormulaNode{{Op: uint8(cond.FVar), Name: "CONFIG_A"}},
+		Symbols: []wireSymbol{{Name: "x", Facts: []wireFact{{File: "u.c", Line: 1, Col: 1, Cond: 0}}}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases["truncated"] = good[:len(good)/2]
+	return buf.Bytes()
+}
+
+// Poisoned payloads must error, never panic. Each payload below is unit
+// name, node table, then symbols; a node is op, name, arg count and args;
+// a fact is kind, file, line, col, sig and condition index + 1.
+func TestCodecPoisonedPayloads(t *testing.T) {
+	not, and, tru, vr := byte(cond.FNot), byte(cond.FAnd), byte(cond.FTrue), byte(cond.FVar)
+	good := sampleFacts().Encode()
+	cases := map[string][]byte{
+		"not a payload":                []byte("definitely not a facts payload"),
+		"truncated":                    good[:len(good)/2],
+		"trailing bytes":               append(good[:len(good):len(good)], 0),
+		"count beyond the payload":     payload("u.c", uint64(1)<<62),
+		"gob payload of the old codec": oldGobPayload(t),
+		"forward formula arg":          payload("", 2, not, "", 1, 1, tru, "", 0, 0),
+		"self formula arg":             payload("", 1, and, "", 2, 0, 0, 0),
+		"negative formula arg":         payload("", 1, not, "", 1, uint64(1<<64-2), 0), // -2 as a two's-complement uint64
+		"bad op":                       payload("", 1, byte(250), "", 0, 0),
+		"negation without argument":    payload("", 1, not, "", 0, 1, "x", 1, byte(KindDef), "", 0, 0, "", 1),
+		"variable with argument":       payload("", 2, tru, "", 0, vr, "A", 1, 0, 0),
+		"cond index out of range":      payload("", 0, 1, "x", 1, byte(KindDef), "", 0, 0, "", 6),
+		"bad kind":                     payload("", 0, 1, "x", 1, byte(99), "", 0, 0, "", 0),
+	}
+	// A well-formed payload in the same hand-built form decodes, so the
+	// cases fail on their poisoned field, not on the form.
+	if _, err := DecodeFacts(payload("u.c", 2, vr, "A", 0, not, "", 1, 0, 1, "x", 1, byte(KindDef), "u.c", 1, 5, "int @", 2)); err != nil {
+		t.Fatalf("well-formed payload: %v", err)
+	}
 	for name, data := range cases {
 		if _, err := DecodeFacts(data); err == nil {
 			t.Errorf("%s: decode succeeded, want error", name)
@@ -146,14 +169,70 @@ func TestCodecPoisonedPayloads(t *testing.T) {
 	}
 }
 
+// TestEntryCodec round-trips a stored link entry and rejects every
+// truncation of it, so a damaged artifact reads as a miss, never as a
+// shorter read set.
+func TestEntryCodec(t *testing.T) {
+	in := &Entry{
+		Deps:   []hcache.Dep{{Path: "a.c", Hash: hcache.Hash([]byte("a"))}, {Path: "inc/p.h", Hash: hcache.Hash(nil)}},
+		Probes: []hcache.Probe{{Path: "p.h", Exists: false}, {Path: "inc/p.h", Exists: true}},
+		Facts:  sampleFacts(),
+	}
+	data := in.Encode()
+	out, err := DecodeEntry(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out.Deps, in.Deps) || !reflect.DeepEqual(out.Probes, in.Probes) || !bytes.Equal(out.Facts.Encode(), in.Facts.Encode()) {
+		t.Errorf("round trip: %+v, want %+v", out, in)
+	}
+	for n := range data {
+		if _, err := DecodeEntry(data[:n]); err == nil {
+			t.Errorf("truncated to %d of %d bytes: decoded", n, len(data))
+		}
+	}
+	if _, err := DecodeEntry(in.Facts.Encode()); err == nil {
+		t.Error("a facts payload decoded as an entry")
+	}
+}
+
+// TestDecodeFactsAllocs bounds DecodeFacts' allocations by the payload's
+// size: a Formula and its Args per node, a fact slice per symbol, and a
+// constant for the payload copy, the result and the tables. A codec that
+// compiles a decoder per payload, as gob does, would exceed it.
+func TestDecodeFactsAllocs(t *testing.T) {
+	f := &Facts{Unit: "u.c"}
+	a, b := fvar("CONFIG_A"), fvar("CONFIG_B")
+	conds := []*cond.Formula{a, fand(a, b), fnot(a), nil, fand(b, fnot(a))}
+	for i := 0; i < 20; i++ {
+		s := Symbol{Name: fmt.Sprintf("sym%02d", i)}
+		for j := 0; j < 3; j++ {
+			s.Facts = append(s.Facts, Fact{Kind: FactKind(j), File: "u.c", Line: 10*i + j, Col: 1, Sig: "int @", Cond: conds[(i+j)%len(conds)]})
+		}
+		f.Symbols = append(f.Symbols, s)
+	}
+	data := f.Encode()
+	var table cond.FormulaTable[cond.FormulaNode]
+	for _, c := range conds {
+		table.Add(c)
+	}
+	nodes, symbols := len(table.Nodes), len(f.Symbols)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeFacts(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if bound := 2*nodes + symbols + 10; allocs > float64(bound) {
+		t.Errorf("DecodeFacts: %.0f allocations for %d nodes and %d symbols, want at most %d", allocs, nodes, symbols, bound)
+	}
+}
+
 // FuzzFactsCodec drives DecodeFacts with arbitrary bytes (must never panic;
 // anything it accepts must re-encode and decode to the same byte form) —
-// seeded into the CI fuzz smoke alongside the parser fuzzers.
+// seeded into the CI fuzz smoke alongside the parser fuzzers. The first
+// seed shares formulas across facts and has a fact with no condition.
 func FuzzFactsCodec(f *testing.F) {
-	good, err := sampleFacts().Encode()
-	if err != nil {
-		f.Fatal(err)
-	}
+	good := sampleFacts().Encode()
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
@@ -163,12 +242,13 @@ func FuzzFactsCodec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re, err := facts.Encode()
+		re := facts.Encode()
+		again, err := DecodeFacts(re)
 		if err != nil {
-			t.Fatalf("accepted payload failed to re-encode: %v", err)
-		}
-		if _, err := DecodeFacts(re); err != nil {
 			t.Fatalf("re-encoded payload failed to decode: %v", err)
+		}
+		if !bytes.Equal(again.Encode(), re) {
+			t.Fatal("re-encoding a decoded payload changed its bytes")
 		}
 	})
 }

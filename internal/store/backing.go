@@ -18,9 +18,9 @@ import (
 )
 
 // Artifact namespaces. Facts is used by the daemon for per-unit analysis
-// results, Link for per-unit conditional link facts (internal/link codec
-// bytes beside the unit's read set, keyed by request fingerprint, build
-// identity and file); the others back the header cache.
+// results, Link for per-unit conditional link facts (a link.Entry: the
+// unit's read set and facts, keyed by request fingerprint, build identity
+// and file); the others back the header cache.
 const (
 	NSLex   = "hcache-lex"
 	NSHdr   = "hcache-hdr"
