@@ -56,8 +56,7 @@ func Hash(b []byte) string {
 // processing a file. Everything in it is immutable and shared read-only
 // across units.
 type LexEntry struct {
-	Toks  []token.Token   // lexed tokens, EOF stripped
-	Lines [][]token.Token // logical lines (newlines removed)
+	Lines [][]token.Token // logical lines (newlines removed), views of one lexed array
 	Guard string          // include-guard macro name, "" if none
 	Bytes int             // source size, for the bytes-saved accounting
 }

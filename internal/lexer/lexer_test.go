@@ -135,6 +135,15 @@ func TestComments(t *testing.T) {
 	}
 }
 
+// TestCommentHeavyCapacity: the token slice of a file that is mostly
+// comment does not keep the capacity presized for dense code.
+func TestCommentHeavyCapacity(t *testing.T) {
+	toks := lexOK(t, "/* "+strings.Repeat("license text ", 100)+"*/\nint x;\n")
+	if len(toks) != 6 || cap(toks) > 2*len(toks) {
+		t.Fatalf("len %d cap %d", len(toks), cap(toks))
+	}
+}
+
 func TestMultilineComment(t *testing.T) {
 	toks := lexOK(t, "a /* one\ntwo\nthree */ b")
 	got := texts(toks)
@@ -306,6 +315,21 @@ func TestStripEOF(t *testing.T) {
 	}
 	if got := StripEOF(stripped); len(got) != 1 {
 		t.Fatal("StripEOF on already-stripped slice changed it")
+	}
+}
+
+// TestStrayByteText: a byte no token starts with lexes alone as Other, its
+// text that byte — not the UTF-8 encoding of the byte read as a rune.
+func TestStrayByteText(t *testing.T) {
+	toks := lexOK(t, "int y = 2 \xb5 3; caf\xc3\xa9 @")
+	var others []string
+	for _, tok := range toks {
+		if tok.Kind == token.Other {
+			others = append(others, tok.Text)
+		}
+	}
+	if want := []string{"\xb5", "\xc3", "\xa9", "@"}; strings.Join(others, "|") != strings.Join(want, "|") {
+		t.Fatalf("Other texts %q, want %q", others, want)
 	}
 }
 

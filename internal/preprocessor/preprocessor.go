@@ -352,7 +352,6 @@ func (p *Preprocessor) processFileSrc(path string, src []byte, hash string, c co
 		guard = detectGuard(lines)
 		if p.hcache != nil && !p.budget.Tripped() {
 			p.hcache.StoreLex(path+"\x00"+hash, &hcache.LexEntry{
-				Toks:  toks,
 				Lines: lines,
 				Guard: guard,
 				Bytes: len(src),
@@ -367,19 +366,19 @@ func (p *Preprocessor) processFileSrc(path string, src []byte, hash string, c co
 }
 
 // splitLines groups tokens into logical lines (Newline tokens removed).
+// Each line is a view of toks clipped to its own length, so the lines share
+// one array and appending to a line copies it.
 func splitLines(toks []token.Token) [][]token.Token {
 	var lines [][]token.Token
-	var cur []token.Token
-	for _, t := range toks {
+	start := 0
+	for i, t := range toks {
 		if t.Kind == token.Newline {
-			lines = append(lines, cur)
-			cur = nil
-			continue
+			lines = append(lines, toks[start:i:i])
+			start = i + 1
 		}
-		cur = append(cur, t)
 	}
-	if len(cur) > 0 {
-		lines = append(lines, cur)
+	if start < len(toks) {
+		lines = append(lines, toks[start:len(toks):len(toks)])
 	}
 	return lines
 }

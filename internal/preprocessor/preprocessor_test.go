@@ -574,14 +574,15 @@ int good;
 
 func TestTopLevelErrorIsDiagnostic(t *testing.T) {
 	s := cond.NewSpace(cond.ModeBDD)
-	p := New(Options{Space: s, FS: MapFS(map[string]string{"main.c": "#error boom\n"})})
+	// The message keeps the source's bytes, non-ASCII ones included.
+	p := New(Options{Space: s, FS: MapFS(map[string]string{"main.c": "#error boom café\n"})})
 	u, err := p.Preprocess("main.c")
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
 	for _, d := range u.Diags {
-		if !d.Warning && strings.Contains(d.Msg, "boom") {
+		if !d.Warning && strings.Contains(d.Msg, "#error boom café") {
 			found = true
 		}
 	}

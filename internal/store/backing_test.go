@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/hcache"
@@ -34,13 +35,13 @@ func (c stringCodec) DecodePayload(data []byte) (any, error) {
 }
 
 func TestBackingLexRoundTrip(t *testing.T) {
-	b := NewHeaderBacking(open(t, t.TempDir(), Options{}), stringCodec{})
+	s := open(t, t.TempDir(), Options{})
+	b := NewHeaderBacking(s, stringCodec{})
 	if _, ok := b.LoadLex("absent"); ok {
 		t.Fatal("LoadLex(absent) hit")
 	}
 	e := &hcache.LexEntry{
-		Toks:  []token.Token{{Text: "int"}, {Text: "x"}},
-		Lines: [][]token.Token{{{Text: "int"}, {Text: "x"}}},
+		Lines: [][]token.Token{{{Text: "int"}, {Text: "x"}}, {}, {{Text: "y"}}},
 		Guard: "FOO_H",
 		Bytes: 42,
 	}
@@ -49,9 +50,38 @@ func TestBackingLexRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("LoadLex missed after SaveLex")
 	}
-	if got.Guard != "FOO_H" || got.Bytes != 42 || len(got.Toks) != 2 || got.Toks[0].Text != "int" {
+	if got.Guard != "FOO_H" || got.Bytes != 42 || !reflect.DeepEqual(linesText(got.Lines), linesText(e.Lines)) {
 		t.Fatalf("LoadLex = %+v", got)
 	}
+
+	// A payload written when entries also held the flat token array still
+	// decodes: gob skips the field the entry no longer has.
+	var buf bytes.Buffer
+	old := struct {
+		Toks  []token.Token
+		Lines [][]token.Token
+		Guard string
+		Bytes int
+	}{[]token.Token{{Text: "int"}, {Text: "x"}, {Text: "y"}}, e.Lines, e.Guard, e.Bytes}
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	s.Put(NSLex, "old", buf.Bytes())
+	got, ok = b.LoadLex("old")
+	if !ok || got.Guard != "FOO_H" || !reflect.DeepEqual(linesText(got.Lines), linesText(e.Lines)) {
+		t.Fatalf("LoadLex(old payload) = %+v, %v", got, ok)
+	}
+}
+
+// linesText renders each line as its tokens' texts.
+func linesText(lines [][]token.Token) []string {
+	out := make([]string, len(lines))
+	for i, line := range lines {
+		for _, tk := range line {
+			out[i] += tk.Text + " "
+		}
+	}
+	return out
 }
 
 func TestBackingLexUndecodable(t *testing.T) {
